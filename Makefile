@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-diff check docs-check
+.PHONY: build vet test race fuzz bench bench-diff check docs-check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs the traceparent fuzz target for a minute, for longer local
+# runs than the committed corpus replay that `go test` does; not part
+# of check.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 60s ./internal/telemetry
 
 # bench runs the micro benchmarks only (the figure benchmarks regenerate
 # the whole evaluation and are slow); use `go test -bench .` for all.

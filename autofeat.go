@@ -338,7 +338,8 @@ func AutoTune(g *Graph, base, label string, cfg Config, factory ModelFactory, ta
 type Telemetry = telemetry.Collector
 
 // TelemetrySnapshot is a point-in-time capture of a Telemetry collector:
-// counters, gauges, histograms and the span list.
+// counters, gauges and histograms, including the span_seconds.<span>
+// histograms its per-phase breakdown (Phases) is read from.
 type TelemetrySnapshot = telemetry.Snapshot
 
 // TelemetrySink consumes a snapshot: telemetry.NopSink, telemetry.JSONSink
@@ -376,9 +377,16 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return telemetry.NewFlightRecorder(capacity)
 }
 
-// WriteTraceFile writes a snapshot's span trace as JSON ({"spans": [...]}).
-func WriteTraceFile(path string, s *TelemetrySnapshot) error {
-	return telemetry.WriteTraceFile(path, s)
+// SpanLog keeps every span a Telemetry collector finishes, for a
+// one-shot run's trace file: attach one with Telemetry.ObserveSpans
+// before the run and hand it to WriteTraceFile after. The zero value is
+// ready to use; long-lived processes use a TraceStore instead.
+type SpanLog = telemetry.SpanLog
+
+// WriteTraceFile writes a span log as JSON ({"spans": [...]}, in start
+// order).
+func WriteTraceFile(path string, l *SpanLog) error {
+	return telemetry.WriteTraceFile(path, l)
 }
 
 // WriteMetricsFile writes a snapshot's counters, gauges, histograms,

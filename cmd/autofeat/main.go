@@ -176,7 +176,6 @@ func runServe(args []string) error {
 		logFormat    = fs.String("log-format", "text", "structured log format: text|json")
 		traceStore   = fs.Int("trace-store", 256, "traces retained for GET /v1/traces (0 = default 256, -1 = disable tracing endpoints)")
 		flightSize   = fs.Int("flight", 256, "recent spans kept in the /debug/flight ring (0 = default 256, -1 = disable)")
-		maxSpans     = fs.Int("max-spans", 65536, "spans retained in the collector snapshot before dropping (0 = unbounded)")
 		role         = fs.String("role", "", "cluster role: coordinator|worker (empty = single-node)")
 		peers        = fs.String("peers", "", "coordinator: comma-separated worker base URLs to seed membership from")
 		nodeID       = fs.String("node-id", "", "worker: stable worker identity (default: the listen address)")
@@ -214,10 +213,8 @@ func runServe(args []string) error {
 			cfg.Logger = autofeat.NewLogger(os.Stderr, level, *logFormat)
 		}
 	}
-	// A long-lived service must bound span retention: cap the collector's
-	// own snapshot buffer, and wire the trace store and flight recorder
-	// that back /v1/traces and /debug/flight.
-	cfg.Collector.Trace().SetMaxSpans(*maxSpans)
+	// The trace store and flight recorder behind /v1/traces and
+	// /debug/flight are the service's only, bounded, span retention.
 	icfg := autofeat.IntrospectionConfig{
 		Addr:        *addr,
 		Collector:   cfg.Collector,
@@ -423,6 +420,10 @@ func run(o runOpts) error {
 	if o.traceOut != "" || o.metricsOut != "" || o.serveAddr != "" {
 		cfg.Telemetry = autofeat.NewTelemetry()
 	}
+	var spans autofeat.SpanLog
+	if o.traceOut != "" {
+		cfg.Telemetry.ObserveSpans(&spans)
+	}
 	if o.logLevel != "" {
 		level, on, err := autofeat.ParseLogLevel(o.logLevel)
 		if err != nil {
@@ -496,15 +497,14 @@ func run(o runOpts) error {
 	fmt.Printf("feature-selection time %v, total time %v\n", res.SelectionTime, res.TotalTime)
 
 	if cfg.Telemetry != nil {
-		snap := cfg.Telemetry.Snapshot()
 		if o.traceOut != "" {
-			if err := autofeat.WriteTraceFile(o.traceOut, snap); err != nil {
+			if err := autofeat.WriteTraceFile(o.traceOut, &spans); err != nil {
 				return err
 			}
-			fmt.Printf("trace written to %s (%d spans)\n", o.traceOut, len(snap.Spans))
+			fmt.Printf("trace written to %s (%d spans)\n", o.traceOut, len(spans.Spans()))
 		}
 		if o.metricsOut != "" {
-			if err := autofeat.WriteMetricsFile(o.metricsOut, snap); err != nil {
+			if err := autofeat.WriteMetricsFile(o.metricsOut, cfg.Telemetry.Snapshot()); err != nil {
 				return err
 			}
 			fmt.Printf("metrics written to %s\n", o.metricsOut)

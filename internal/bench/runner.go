@@ -69,8 +69,8 @@ type Runner struct {
 	// ranking cache stays valid across values and the key omits it.
 	Workers int
 	// Telemetry, when non-nil, is attached to every AutoFeat discovery the
-	// runner executes, accumulating spans and per-phase metrics across the
-	// whole sweep. Write it out with WriteTelemetry.
+	// runner executes, accumulating metrics and per-phase span histograms
+	// across the whole sweep. Write it out with WriteTelemetry.
 	Telemetry *telemetry.Collector
 	// Timeout bounds each discovery's wall clock (core.Config.Timeout);
 	// 0 means none. It joins the ranking cache key, since an expired

@@ -609,7 +609,10 @@ func TestMaxPathsClampAcrossNeighbors(t *testing.T) {
 func TestTelemetryIntegration(t *testing.T) {
 	g := testLake(t, 400)
 	cfg := DefaultConfig()
+	cfg.Workers = 4
 	tel := telemetry.New()
+	var log telemetry.SpanLog
+	tel.ObserveSpans(&log)
 	cfg.Telemetry = tel
 	d, _ := New(g, "base", "y", cfg)
 	r, err := d.Run()
@@ -617,15 +620,19 @@ func TestTelemetryIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := tel.Snapshot()
+	spans := log.Spans()
 
 	// One evaluate_join span per evaluated join, nested under its BFS
-	// depth span; every left_join nested under an evaluate_join.
+	// depth span; every left_join nested under an evaluate_join — exact
+	// at Workers > 1, because parentage comes from the context.
 	byID := map[int]telemetry.SpanRecord{}
-	for _, sp := range snap.Spans {
+	perName := map[string]int{}
+	for _, sp := range spans {
 		byID[sp.ID] = sp
+		perName[sp.Name]++
 	}
 	joinSpans := 0
-	for _, sp := range snap.Spans {
+	for _, sp := range spans {
 		switch sp.Name {
 		case telemetry.SpanJoinEval:
 			joinSpans++
@@ -659,10 +666,20 @@ func TestTelemetryIntegration(t *testing.T) {
 		t.Fatalf("pruning breakdown sum %d != explored-kept %d (%v)", discarded, r.PathsExplored-len(r.Paths), p)
 	}
 
-	// Per-phase duration histograms must have been fed.
-	for _, h := range []string{telemetry.HistJoinSeconds, telemetry.HistRelevanceSeconds, telemetry.HistRedundancySeconds} {
-		if snap.Histograms[h].Count == 0 {
-			t.Fatalf("histogram %s empty", h)
+	// The phase breakdown, read from the span histograms, counts every
+	// span the log saw, and covers the join and both selection halves.
+	phases := snap.Phases()
+	if len(phases) != len(perName) {
+		t.Fatalf("phases cover %d span names, the log %d: %+v", len(phases), len(perName), phases)
+	}
+	for _, p := range phases {
+		if p.Count != perName[p.Name] {
+			t.Fatalf("phase %s count = %d, log has %d", p.Name, p.Count, perName[p.Name])
+		}
+	}
+	for _, name := range []string{telemetry.SpanLeftJoin, telemetry.SpanRelevance, telemetry.SpanRedundancy} {
+		if perName[name] == 0 {
+			t.Fatalf("no %s spans", name)
 		}
 	}
 	if snap.Gauges[telemetry.GaugeSelectionSeconds] <= 0 {
@@ -696,8 +713,8 @@ func TestTelemetryAugmentSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for _, sp := range tel.Snapshot().Spans {
-		counts[sp.Name]++
+	for _, p := range tel.Snapshot().Phases() {
+		counts[p.Name] = p.Count
 	}
 	// Base-only candidate plus every evaluated top-k path gets one
 	// materialise + one train span.

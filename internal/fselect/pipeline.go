@@ -88,7 +88,7 @@ func (p *Pipeline) RunContext(ctx context.Context, candidates, selected [][]floa
 	}
 	relSpan.SetInt("candidates", len(candidates))
 	relSpan.SetInt("kept", len(relIdx))
-	p.Telemetry.Meter().Observe(telemetry.HistRelevanceSeconds, relSpan.End().Seconds())
+	relSpan.End()
 	if len(relIdx) == 0 {
 		return Result{}
 	}
@@ -109,7 +109,7 @@ func (p *Pipeline) RunContext(ctx context.Context, candidates, selected [][]floa
 	redSpan.SetInt("candidates", len(relIdx))
 	redSpan.SetInt("kept", len(accepted))
 	redSpan.SetInt("selected_set", len(selected))
-	p.Telemetry.Meter().Observe(telemetry.HistRedundancySeconds, redSpan.End().Seconds())
+	redSpan.End()
 	kept := make([]int, len(accepted))
 	keptRel := make([]float64, len(accepted))
 	for j, a := range accepted {

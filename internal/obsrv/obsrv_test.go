@@ -1,12 +1,15 @@
 package obsrv
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +19,7 @@ import (
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
 		"discovery.paths_explored":           "autofeat_discovery_paths_explored",
-		"relational.left_join_seconds":       "autofeat_relational_left_join_seconds",
+		"span_seconds.relational.left_join":  "autofeat_span_seconds_relational_left_join",
 		"discovery.pruned.quality_below_tau": "autofeat_discovery_pruned_quality_below_tau",
 		"weird-name with spaces":             "autofeat_weird_name_with_spaces",
 	}
@@ -48,7 +51,7 @@ func populatedSnapshot() *telemetry.Snapshot {
 	m.Inc(telemetry.CtrPrunedPrefix + "quality_below_tau")
 	m.SetGauge(telemetry.GaugeWorkers, 4)
 	for _, v := range []float64{1e-6, 3e-5, 0.002, 0.2, 100} {
-		m.Observe(telemetry.HistJoinSeconds, v)
+		m.Observe(telemetry.HistSpanSecondsPrefix+telemetry.SpanLeftJoin, v)
 	}
 	return c.Snapshot()
 }
@@ -126,12 +129,79 @@ func TestWritePrometheusFormat(t *testing.T) {
 		t.Fatalf("histogram series incomplete: +Inf=%v sum=%v count=%v", sawInf, sawSum, sawCount)
 	}
 	// The +Inf bucket equals _count: 5 observations.
-	if !strings.Contains(out, `autofeat_relational_left_join_seconds_bucket{le="+Inf"} 5`) {
+	if !strings.Contains(out, `autofeat_span_seconds_relational_left_join_bucket{le="+Inf"} 5`) {
 		t.Fatalf("+Inf bucket != observation count:\n%s", out)
 	}
 	if !strings.Contains(out, "autofeat_relational_joins_total 5") &&
 		!strings.Contains(out, "autofeat_relational_joins 5") {
 		t.Fatalf("counter missing from exposition:\n%s", out)
+	}
+}
+
+// TestSpanHistogramsUnderScrape ends 70000 spans — past every retention
+// cap: the trace store's 256 traces, the flight ring's 256 spans — from
+// several goroutines while another scrapes /metrics. Run under -race it
+// proves span recording and the exposition are safe together; after the
+// run /metrics and Phases both count every span exactly.
+func TestSpanHistogramsUnderScrape(t *testing.T) {
+	c := telemetry.New()
+	c.ObserveSpans(telemetry.NewTraceStore(0, 0), telemetry.NewFlightRecorder(0))
+	ts := httptest.NewServer(NewServer(Config{Collector: c}).Handler())
+	defer ts.Close()
+	scrape := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		return string(body)
+	}
+
+	done := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				scrape()
+			}
+		}
+	}()
+	const workers, each = 4, 17500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ctx, job := c.Trace().StartSpan(context.Background(), "job")
+				_, step := c.Trace().StartSpan(ctx, "step")
+				step.End()
+				job.End()
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	<-scraped
+
+	for _, name := range []string{"job", "step"} {
+		if want := fmt.Sprintf("autofeat_span_seconds_%s_count %d\n", name, workers*each); !strings.Contains(scrape(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	for _, p := range c.Snapshot().Phases() {
+		if p.Count != workers*each {
+			t.Errorf("phase %s count = %d, want %d", p.Name, p.Count, workers*each)
+		}
 	}
 }
 

@@ -105,9 +105,7 @@ func LeftJoin(left, right *frame.Frame, leftKey, rightKey string, opt Options) (
 		return nil, fmt.Errorf("relational: right table %q has no column %q", right.Name(), rightKey)
 	}
 	_, sp := opt.Telemetry.Trace().StartSpan(opt.Ctx, telemetry.SpanLeftJoin)
-	defer func() {
-		opt.Telemetry.Meter().Observe(telemetry.HistJoinSeconds, sp.End().Seconds())
-	}()
+	defer sp.End()
 	opt.Telemetry.Meter().Inc(telemetry.CtrJoins)
 
 	if err := cancelled(opt.Ctx); err != nil {

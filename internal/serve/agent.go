@@ -150,9 +150,8 @@ func (a *Agent) handleInfo(w http.ResponseWriter, _ *http.Request) {
 // handleReplicaPut stores one replicated job-store snapshot after
 // validating its wire-protocol version.
 func (a *Agent) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+	body, ok := readBody(w, r, maxBulkBodyBytes)
+	if !ok {
 		return
 	}
 	var probe struct {
@@ -202,13 +201,11 @@ type telemetryMsg struct {
 	Snapshot *telemetry.Snapshot `json:"snapshot"`
 }
 
-// handleTelemetry serves the worker's current telemetry snapshot for
-// coordinator-side metrics federation. Spans are stripped: traces
-// travel per trace ID over /cluster/v1/traces/{id}, not in bulk on
-// every sweep.
+// handleTelemetry serves the worker's current metrics snapshot for
+// coordinator-side metrics federation. Traces travel per trace ID over
+// /cluster/v1/traces/{id}, not in bulk on every sweep.
 func (a *Agent) handleTelemetry(w http.ResponseWriter, _ *http.Request) {
 	snap := a.cfg.Collector.Snapshot()
-	snap.Spans = nil
 	writeJSON(w, http.StatusOK, telemetryMsg{Proto: ProtoVersion, Node: a.cfg.ID, Snapshot: snap})
 }
 

@@ -495,8 +495,7 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req lakeCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
 	if req.Dir == "" {
@@ -597,9 +596,8 @@ func (c *Coordinator) handleLakeProxy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+	body, ok := readBody(w, r, maxBulkBodyBytes)
+	if !ok {
 		return
 	}
 	c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxied)
@@ -641,9 +639,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "cluster is draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+	body, ok := readBody(w, r, maxBodyBytes)
+	if !ok {
 		return
 	}
 	var req submitRequest
@@ -1083,8 +1080,7 @@ func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // handleHeartbeat ingests one worker heartbeat.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb heartbeatMsg
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, maxBodyBytes, &hb) {
 		return
 	}
 	if err := CheckProto(hb.Proto); err != nil {

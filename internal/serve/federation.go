@@ -65,13 +65,10 @@ func (c *Coordinator) pullTelemetry(ctx context.Context) {
 }
 
 // nodeSnapshots assembles the federated rendering input: the
-// coordinator's own live snapshot first (spans stripped — the metrics
-// view has no use for them), then every pulled worker snapshot in
-// sorted node order.
+// coordinator's own live snapshot first, then every pulled worker
+// snapshot in sorted node order.
 func (c *Coordinator) nodeSnapshots() []obsrv.NodeSnapshot {
-	own := c.cfg.Collector.Snapshot()
-	own.Spans = nil
-	out := []obsrv.NodeSnapshot{{Node: c.cfg.NodeID, Snap: own}}
+	out := []obsrv.NodeSnapshot{{Node: c.cfg.NodeID, Snap: c.cfg.Collector.Snapshot()}}
 	c.snapMu.Lock()
 	ids := make([]string, 0, len(c.workerSnaps))
 	for id := range c.workerSnaps {

@@ -28,7 +28,9 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -279,8 +281,7 @@ func (s *Service) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req lakeCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
 	if req.Dir == "" {
@@ -393,8 +394,7 @@ func (s *Service) handleTableUpsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req tableUpsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, maxBulkBodyBytes, &req) {
 		return
 	}
 	if req.Name == "" || (req.CSV == "") == (req.Columnar == "") {
@@ -518,8 +518,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
 	if req.Lake == "" || req.Base == "" || req.Label == "" {
@@ -852,4 +851,42 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError writes a JSON error body with the given status.
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// Request-body caps, answered 413 when exceeded: maxBulkBodyBytes for
+// the bodies that carry bulk data (table upserts, replicated job-store
+// snapshots), maxBodyBytes for every other JSON body.
+const (
+	maxBodyBytes     = 1 << 20
+	maxBulkBodyBytes = 64 << 20
+)
+
+// readBody reads r's body, at most limit bytes. On failure it answers
+// 413 (body over the limit) or 400 and returns ok false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+	default:
+		return body, true
+	}
+	return nil, false
+}
+
+// decodeBody reads r's JSON body, at most limit bytes, into v. On
+// failure it answers 413 or 400 and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, ok := readBody(w, r, limit)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		return false
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -103,7 +105,37 @@ func TestTableMutationEndpoints(t *testing.T) {
 	if resp = postJSON(t, base, tableUpsertRequest{Name: "late", CSV: "k\n1\n"}, nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining register: status %d", resp.StatusCode)
 	}
-	if resp = doDelete(t, base + "/whatever"); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp = doDelete(t, base+"/whatever"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining drop: status %d", resp.StatusCode)
+	}
+}
+
+// TestOversizedUpsertRejected sends a table upsert just over the 64 MiB
+// body cap: the service answers 413 with the standard error body and
+// keeps serving — the next upsert succeeds.
+func TestOversizedUpsertRejected(t *testing.T) {
+	st := newStack(t, Config{Workers: 1})
+	base := st.ts.URL + "/v1/lakes/lake-test/tables"
+
+	body := append([]byte(`{"name":"huge","csv":"`), bytes.Repeat([]byte("a"), maxBulkBodyBytes)...)
+	body = append(body, `"}`...)
+	resp, err := http.Post(base, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+		t.Fatalf("oversized upsert: status %d, body %+v (decode err %v), want 413 with an error", resp.StatusCode, e, err)
+	}
+	if st.lake.Table("huge") != nil {
+		t.Fatal("oversized table was registered")
+	}
+
+	if resp := postJSON(t, base, tableUpsertRequest{Name: "small", CSV: "k,v\n1,10\n"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upsert after a rejected one: status %d", resp.StatusCode)
 	}
 }

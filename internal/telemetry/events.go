@@ -30,10 +30,7 @@ type Event struct {
 // telemetry layer.
 type EventLog struct {
 	mu     sync.Mutex
-	buf    []Event
-	start  int // index of the oldest entry
-	n      int // live entries in buf
-	seq    int64
+	ring   ring[Event] // ring.total is the last sequence number issued
 	logger *slog.Logger
 	clock  func() time.Time
 }
@@ -45,7 +42,7 @@ func NewEventLog(capacity int, logger *slog.Logger) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventLogSize
 	}
-	return &EventLog{buf: make([]Event, capacity), logger: logger, clock: time.Now}
+	return &EventLog{ring: newRing[Event](capacity), logger: logger, clock: time.Now}
 }
 
 // SetClock replaces the wall-clock source used to stamp events —
@@ -68,18 +65,11 @@ func (l *EventLog) Record(e Event) {
 		return
 	}
 	l.mu.Lock()
-	l.seq++
-	e.Seq = l.seq
+	e.Seq = l.ring.total + 1
 	if e.TimeUnixMS == 0 {
 		e.TimeUnixMS = l.clock().UnixMilli()
 	}
-	i := (l.start + l.n) % len(l.buf)
-	l.buf[i] = e
-	if l.n < len(l.buf) {
-		l.n++
-	} else {
-		l.start = (l.start + 1) % len(l.buf)
-	}
+	l.ring.push(e)
 	logger := l.logger
 	l.mu.Unlock()
 
@@ -106,11 +96,7 @@ func (l *EventLog) Events() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, l.n)
-	for i := 0; i < l.n; i++ {
-		out = append(out, l.buf[(l.start+i)%len(l.buf)])
-	}
-	return out
+	return l.ring.items()
 }
 
 // Len reports how many events the ring currently retains.
@@ -120,7 +106,7 @@ func (l *EventLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.n
+	return l.ring.n
 }
 
 // Total reports how many events were ever recorded, including entries
@@ -131,5 +117,5 @@ func (l *EventLog) Total() int64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.seq
+	return l.ring.total
 }

@@ -9,10 +9,8 @@ import "sync"
 // so the last moments before a crash are visible even for untraced
 // work.
 type FlightRecorder struct {
-	mu    sync.Mutex
-	ring  []SpanRecord
-	next  int
-	total int64
+	mu   sync.Mutex
+	ring ring[SpanRecord]
 }
 
 // DefaultFlightCapacity is the ring size used when NewFlightRecorder is
@@ -25,7 +23,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{ring: make([]SpanRecord, 0, capacity)}
+	return &FlightRecorder{ring: newRing[SpanRecord](capacity)}
 }
 
 // ObserveSpan implements SpanObserver: append the span, overwriting the
@@ -36,13 +34,7 @@ func (f *FlightRecorder) ObserveSpan(rec SpanRecord) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, rec)
-	} else {
-		f.ring[f.next] = rec
-	}
-	f.next = (f.next + 1) % cap(f.ring)
-	f.total++
+	f.ring.push(rec)
 }
 
 // Cap returns the ring capacity.
@@ -50,7 +42,7 @@ func (f *FlightRecorder) Cap() int {
 	if f == nil {
 		return 0
 	}
-	return cap(f.ring)
+	return len(f.ring.buf)
 }
 
 // Snapshot returns the retained spans oldest-first plus the total
@@ -62,12 +54,5 @@ func (f *FlightRecorder) Snapshot() ([]SpanRecord, int64) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]SpanRecord, 0, len(f.ring))
-	if len(f.ring) < cap(f.ring) {
-		out = append(out, f.ring...)
-	} else {
-		out = append(out, f.ring[f.next:]...)
-		out = append(out, f.ring[:f.next]...)
-	}
-	return out, f.total
+	return f.ring.items(), f.ring.total
 }

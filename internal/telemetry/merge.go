@@ -6,8 +6,9 @@ package telemetry
 // summed count/sum, min of mins, max of maxes). Every histogram in the
 // codebase shares DefaultBuckets, so merging assumes identical bounds;
 // if the bounds ever differ only count/sum/min/max are folded and the
-// receiver's buckets are kept. Spans are not merged — trace assembly is
-// a separate, per-trace path (BuildSpanTree over fanned-out
+// receiver's buckets are kept. The span_seconds.<span> histograms merge
+// like any other, so the merged Phases are cluster-wide; trace assembly
+// is a separate, per-trace path (BuildSpanTree over fanned-out
 // SpanRecords). Nil receiver or argument is a no-op.
 func (s *Snapshot) Merge(other *Snapshot) {
 	if s == nil || other == nil {

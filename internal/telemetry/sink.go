@@ -4,19 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
-// Snapshot is a point-in-time capture of a Collector: every metric and
-// every span. It is the unit every sink consumes.
+// Snapshot is a point-in-time capture of a Collector's metrics
+// registry. It is the unit every sink consumes.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	Spans      []SpanRecord                 `json:"spans,omitempty"`
 }
 
 // Pruning collects the "discovery.pruned.<reason>" counters into one
@@ -32,7 +33,7 @@ func (s *Snapshot) Pruning() map[string]int64 {
 	return out
 }
 
-// PhaseStat aggregates every span sharing one name.
+// PhaseStat aggregates every ended span sharing one name.
 type PhaseStat struct {
 	Name  string        `json:"name"`
 	Count int           `json:"count"`
@@ -48,36 +49,52 @@ func (p PhaseStat) Mean() time.Duration {
 	return p.Total / time.Duration(p.Count)
 }
 
-// Phases aggregates spans by name, ordered by descending total time —
-// the per-phase cost breakdown of a run.
+// Phases reads the span_seconds.<span> histograms as the per-phase
+// cost breakdown of a run: count, total and max duration per span name,
+// ordered by descending total time, ties broken by name. Span durations
+// are whole microseconds, so totals are rounded back to them.
 func (s *Snapshot) Phases() []PhaseStat {
-	byName := map[string]*PhaseStat{}
-	var order []string
-	for _, sp := range s.Spans {
-		st := byName[sp.Name]
-		if st == nil {
-			st = &PhaseStat{Name: sp.Name}
-			byName[sp.Name] = st
-			order = append(order, sp.Name)
-		}
-		d := sp.Duration()
-		st.Count++
-		st.Total += d
-		if d > st.Max {
-			st.Max = d
+	var out []PhaseStat
+	for name, h := range s.Histograms {
+		if span, ok := strings.CutPrefix(name, HistSpanSecondsPrefix); ok && h.Count > 0 {
+			out = append(out, PhaseStat{Name: span, Count: int(h.Count),
+				Total: time.Duration(math.Round(h.Sum*1e6)) * time.Microsecond,
+				Max:   time.Duration(math.Round(h.Max*1e6)) * time.Microsecond})
 		}
 	}
-	out := make([]PhaseStat, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byName[name])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Total > out[j].Total })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Name < out[j].Name
+	})
 	return out
 }
 
-// traceDoc is the --trace-out file layout.
-type traceDoc struct {
-	Spans []SpanRecord `json:"spans"`
+// SpanLog is an unbounded SpanObserver that keeps every finished span:
+// the source of a one-shot run's -trace-out file, and of tests that
+// inspect span parentage. Long-lived processes attach the bounded
+// TraceStore and FlightRecorder instead. The zero value is ready to use.
+type SpanLog struct {
+	mu    sync.Mutex
+	spans []SpanRecord
+}
+
+// ObserveSpan implements SpanObserver.
+func (l *SpanLog) ObserveSpan(rec SpanRecord) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.spans = append(l.spans, rec)
+}
+
+// Spans returns a copy of the recorded spans in start order (ascending
+// ID).
+func (l *SpanLog) Spans() []SpanRecord {
+	l.mu.Lock()
+	out := append([]SpanRecord(nil), l.spans...)
+	l.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // metricsDoc is the --metrics-out file layout: the registry plus the
@@ -88,12 +105,6 @@ type metricsDoc struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	Pruning    map[string]int64             `json:"pruning"`
 	Phases     []PhaseStat                  `json:"phases,omitempty"`
-}
-
-// TraceJSON marshals the span list as an indented {"spans": [...]}
-// document (the --trace-out format).
-func (s *Snapshot) TraceJSON() ([]byte, error) {
-	return json.MarshalIndent(traceDoc{Spans: s.Spans}, "", "  ")
 }
 
 // MetricsJSON marshals counters, gauges, histograms, the pruning-reason
@@ -120,7 +131,7 @@ type NopSink struct{}
 // Flush implements Sink by doing nothing.
 func (NopSink) Flush(*Snapshot) error { return nil }
 
-// JSONSink writes the full snapshot (metrics + spans) as indented JSON.
+// JSONSink writes the full snapshot as indented JSON.
 type JSONSink struct{ W io.Writer }
 
 // Flush implements Sink.
@@ -134,7 +145,8 @@ func (s JSONSink) Flush(snap *Snapshot) error {
 }
 
 // ReportSink renders a human-readable run report: per-phase durations,
-// the pruning breakdown and every counter/gauge/histogram summary.
+// the pruning breakdown and every counter/gauge summary, plus the
+// histograms other than the span_seconds family shown as phases.
 type ReportSink struct{ W io.Writer }
 
 // Flush implements Sink.
@@ -168,13 +180,18 @@ func (s ReportSink) Flush(snap *Snapshot) error {
 			fmt.Fprintf(w, "  %-28s %8.4f\n", k, snap.Gauges[k])
 		}
 	}
-	if len(snap.Histograms) > 0 {
-		fmt.Fprintln(w, "histograms:")
-		for _, k := range sortedKeys(snap.Histograms) {
-			h := snap.Histograms[k]
-			fmt.Fprintf(w, "  %-28s n=%d mean=%.6fs min=%.6fs max=%.6fs\n",
-				k, h.Count, h.Mean, h.Min, h.Max)
+	header := "histograms:"
+	for _, k := range sortedKeys(snap.Histograms) {
+		if strings.HasPrefix(k, HistSpanSecondsPrefix) {
+			continue
 		}
+		if header != "" {
+			fmt.Fprintln(w, header)
+			header = ""
+		}
+		h := snap.Histograms[k]
+		fmt.Fprintf(w, "  %-28s n=%d mean=%.6fs min=%.6fs max=%.6fs\n",
+			k, h.Count, h.Mean, h.Min, h.Max)
 	}
 	return nil
 }
@@ -188,9 +205,10 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// WriteTraceFile writes the snapshot's TraceJSON to path.
-func WriteTraceFile(path string, s *Snapshot) error {
-	b, err := s.TraceJSON()
+// WriteTraceFile writes the span log to path as an indented
+// {"spans": [...]} document (the --trace-out format).
+func WriteTraceFile(path string, l *SpanLog) error {
+	b, err := json.MarshalIndent(map[string][]SpanRecord{"spans": l.Spans()}, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ func goldenSnapshot() *Snapshot {
 			GaugeWorkers: 4,
 		},
 		Histograms: map[string]HistogramSnapshot{
-			HistJoinSeconds: {
+			HistQueueWaitSeconds: {
 				Count:  2,
 				Sum:    0.3,
 				Mean:   0.15,
@@ -35,11 +35,24 @@ func goldenSnapshot() *Snapshot {
 				Bounds: []float64{0.1, 1},
 				Counts: []int64{1, 1, 0},
 			},
-		},
-		Spans: []SpanRecord{
-			{ID: 1, Name: SpanRun, StartUS: 0, DurUS: 5000},
-			{ID: 2, Parent: 1, Name: SpanJoinEval, StartUS: 1000, DurUS: 2000,
-				Attrs: []Attr{{Key: "path", Value: "base.sat"}}},
+			HistSpanSecondsPrefix + SpanRun: {
+				Count:  1,
+				Sum:    0.005,
+				Mean:   0.005,
+				Min:    0.005,
+				Max:    0.005,
+				Bounds: []float64{0.1, 1},
+				Counts: []int64{1, 0, 0},
+			},
+			HistSpanSecondsPrefix + SpanJoinEval: {
+				Count:  2,
+				Sum:    0.003,
+				Mean:   0.0015,
+				Min:    0.001,
+				Max:    0.002,
+				Bounds: []float64{0.1, 1},
+				Counts: []int64{2, 0, 0},
+			},
 		},
 	}
 }
@@ -48,7 +61,7 @@ const goldenReport = `=== telemetry report ===
 phases (by total time):
   span                            count        total         mean          max
   discovery.run                       1          5ms          5ms          5ms
-  discovery.evaluate_join             1          2ms          2ms          2ms
+  discovery.evaluate_join             2          3ms        1.5ms          2ms
 pruning breakdown:
   similarity                          2
 counters:
@@ -57,7 +70,7 @@ counters:
 gauges:
   discovery.workers              4.0000
 histograms:
-  relational.left_join_seconds n=2 mean=0.150000s min=0.100000s max=0.200000s
+  serve.queue_wait_seconds     n=2 mean=0.150000s min=0.100000s max=0.200000s
 `
 
 func TestReportSinkGolden(t *testing.T) {
@@ -79,7 +92,7 @@ const goldenJSON = `{
     "discovery.workers": 4
   },
   "histograms": {
-    "relational.left_join_seconds": {
+    "serve.queue_wait_seconds": {
       "count": 2,
       "sum": 0.3,
       "mean": 0.15,
@@ -94,29 +107,40 @@ const goldenJSON = `{
         1,
         0
       ]
-    }
-  },
-  "spans": [
-    {
-      "id": 1,
-      "name": "discovery.run",
-      "start_us": 0,
-      "dur_us": 5000
     },
-    {
-      "id": 2,
-      "parent": 1,
-      "name": "discovery.evaluate_join",
-      "start_us": 1000,
-      "dur_us": 2000,
-      "attrs": [
-        {
-          "k": "path",
-          "v": "base.sat"
-        }
+    "span_seconds.discovery.evaluate_join": {
+      "count": 2,
+      "sum": 0.003,
+      "mean": 0.0015,
+      "min": 0.001,
+      "max": 0.002,
+      "bounds": [
+        0.1,
+        1
+      ],
+      "counts": [
+        2,
+        0,
+        0
+      ]
+    },
+    "span_seconds.discovery.run": {
+      "count": 1,
+      "sum": 0.005,
+      "mean": 0.005,
+      "min": 0.005,
+      "max": 0.005,
+      "bounds": [
+        0.1,
+        1
+      ],
+      "counts": [
+        1,
+        0,
+        0
       ]
     }
-  ]
+  }
 }
 `
 
@@ -156,7 +180,7 @@ func driveCollector() *Snapshot {
 	c.Meter().Add(CtrPathsExplored, 5)
 	c.Meter().Inc(PrunedCounter(PruneQualityBelowTau))
 	c.Meter().SetGauge(GaugeWorkers, 2)
-	c.Meter().Observe(HistJoinSeconds, 0.004)
+	c.Meter().Observe(HistQueueWaitSeconds, 0.004)
 	return c.Snapshot()
 }
 

@@ -12,11 +12,10 @@ import (
 // (first-seen order) is evicted whole; within one trace, spans past the
 // per-trace cap are counted but not retained.
 type TraceStore struct {
-	mu        sync.Mutex
-	maxTraces int
-	maxSpans  int // per trace
-	traces    map[string]*storedTrace
-	order     []string // trace IDs in first-seen order
+	mu       sync.Mutex
+	maxSpans int // per trace
+	traces   map[string]*storedTrace
+	order    ring[string] // trace IDs in first-seen order; its capacity is the trace cap
 }
 
 // storedTrace is one trace's retained spans.
@@ -43,9 +42,9 @@ func NewTraceStore(maxTraces, maxSpansPerTrace int) *TraceStore {
 		maxSpansPerTrace = DefaultMaxTraceSpans
 	}
 	return &TraceStore{
-		maxTraces: maxTraces,
-		maxSpans:  maxSpansPerTrace,
-		traces:    map[string]*storedTrace{},
+		maxSpans: maxSpansPerTrace,
+		traces:   map[string]*storedTrace{},
+		order:    newRing[string](maxTraces),
 	}
 }
 
@@ -59,13 +58,11 @@ func (ts *TraceStore) ObserveSpan(rec SpanRecord) {
 	defer ts.mu.Unlock()
 	tr := ts.traces[rec.TraceID]
 	if tr == nil {
-		for len(ts.order) >= ts.maxTraces {
-			delete(ts.traces, ts.order[0])
-			ts.order = ts.order[1:]
+		if oldest, evicted := ts.order.push(rec.TraceID); evicted {
+			delete(ts.traces, oldest)
 		}
 		tr = &storedTrace{}
 		ts.traces[rec.TraceID] = tr
-		ts.order = append(ts.order, rec.TraceID)
 	}
 	if len(tr.spans) >= ts.maxSpans {
 		tr.dropped++
@@ -107,8 +104,9 @@ func (ts *TraceStore) Summaries() []TraceSummary {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	out := make([]TraceSummary, 0, len(ts.order))
-	for _, id := range ts.order {
+	ids := ts.order.items()
+	out := make([]TraceSummary, 0, len(ids))
+	for _, id := range ids {
 		tr := ts.traces[id]
 		s := TraceSummary{TraceID: id, Spans: len(tr.spans), Dropped: tr.dropped}
 		var minStart, maxEnd int64

@@ -7,7 +7,7 @@
 // Design rules:
 //
 //   - Disabled by default. Every entry point is nil-receiver safe, so
-//     call sites write `tr.Start(...)` / `mx.Inc(...)` unconditionally
+//     call sites write `tr.StartSpan(...)` / `mx.Inc(...)` unconditionally
 //     and pay only a nil check when telemetry is off (<2% discovery
 //     overhead, guarded by BenchmarkMicroDiscoveryTelemetry).
 //   - One Collector bundles a Tracer and a Metrics registry; Config
@@ -94,11 +94,6 @@ const (
 	GaugeSelectionSeconds = "discovery.selection_seconds"
 	// GaugeWorkers records the resolved worker-pool size of the last run.
 	GaugeWorkers = "discovery.workers"
-	// HistJoinSeconds observes per-join latency; HistRelevanceSeconds and
-	// HistRedundancySeconds observe the two halves of feature selection.
-	HistJoinSeconds       = "relational.left_join_seconds"
-	HistRelevanceSeconds  = "fselect.relevance_seconds"
-	HistRedundancySeconds = "fselect.redundancy_seconds"
 	// HistQueueWaitSeconds observes how long each admitted job waited
 	// for a scheduler slot; HistTimeToResultSeconds observes
 	// submission-to-terminal-state latency per job.
@@ -119,6 +114,9 @@ const (
 	// HistHTTPSecondsPrefix observes request latency per route
 	// ("serve.http_seconds.<route>").
 	HistHTTPSecondsPrefix = "serve.http_seconds."
+	// HistSpanSecondsPrefix observes the duration of every ended span per
+	// span name ("span_seconds.<span>"); Snapshot.Phases reads it.
+	HistSpanSecondsPrefix = "span_seconds."
 	// GaugeLakeTablesPrefix records the resident table count per lake
 	// ("lake.tables.<lake>").
 	GaugeLakeTablesPrefix = "lake.tables."
@@ -273,18 +271,25 @@ func PrunedCounter(reason string) string { return CtrPrunedPrefix + reason }
 // Collector bundles a Tracer and a Metrics registry — the single handle
 // the pipeline threads through Config, fselect.Pipeline and
 // relational.Options. A nil *Collector disables collection everywhere.
+// Build one with New or NewWithClock: they bind the tracer to the
+// registry, so every ended span lands in its span_seconds.<name>
+// histogram.
 type Collector struct {
 	T *Tracer
 	M *Metrics
 }
 
 // New returns a Collector with a live tracer and metrics registry.
-func New() *Collector { return &Collector{T: NewTracer(), M: NewMetrics()} }
+func New() *Collector { return bind(NewTracer()) }
 
 // NewWithClock returns a Collector whose tracer reads time from now —
 // deterministic timestamps for golden tests.
-func NewWithClock(now func() time.Time) *Collector {
-	return &Collector{T: NewTracerWithClock(now), M: NewMetrics()}
+func NewWithClock(now func() time.Time) *Collector { return bind(NewTracerWithClock(now)) }
+
+// bind pairs t with a fresh registry that receives its span durations.
+func bind(t *Tracer) *Collector {
+	t.metrics = NewMetrics()
+	return &Collector{T: t, M: t.metrics}
 }
 
 // Trace returns the tracer, nil when the collector is nil (disabled).
@@ -303,9 +308,9 @@ func (c *Collector) Meter() *Metrics {
 	return c.M
 }
 
-// ObserveSpans registers span observers (trace store, flight recorder)
-// on the collector's tracer; a nil collector or tracer ignores the
-// call.
+// ObserveSpans registers span observers (trace store, flight recorder,
+// span log) on the collector's tracer; a nil collector or tracer
+// ignores the call.
 func (c *Collector) ObserveSpans(obs ...SpanObserver) {
 	t := c.Trace()
 	for _, o := range obs {
@@ -313,7 +318,7 @@ func (c *Collector) ObserveSpans(obs ...SpanObserver) {
 	}
 }
 
-// Snapshot captures the collector's current state. A nil collector
+// Snapshot captures the collector's metrics registry. A nil collector
 // yields an empty (but valid) snapshot.
 func (c *Collector) Snapshot() *Snapshot {
 	s := &Snapshot{
@@ -323,9 +328,6 @@ func (c *Collector) Snapshot() *Snapshot {
 	}
 	if c == nil {
 		return s
-	}
-	if c.T != nil {
-		s.Spans = c.T.Spans()
 	}
 	if c.M != nil {
 		s.Counters, s.Gauges, s.Histograms = c.M.snapshot()

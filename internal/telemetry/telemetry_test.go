@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -21,8 +23,17 @@ func fakeClock(step time.Duration) func() time.Time {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
+// loggedTracer returns a fake-clock tracer with a SpanLog attached, the
+// observer tests read finished spans back from.
+func loggedTracer() (*Tracer, *SpanLog) {
 	tr := NewTracerWithClock(fakeClock(time.Millisecond))
+	log := &SpanLog{}
+	tr.AddObserver(log)
+	return tr, log
+}
+
+func TestSpanNesting(t *testing.T) {
+	tr, log := loggedTracer()
 	ctx, root := tr.StartSpan(context.Background(), "root")
 	cctx, child := tr.StartSpan(ctx, "child")
 	_, grand := tr.StartSpan(cctx, "grand")
@@ -32,7 +43,7 @@ func TestSpanNesting(t *testing.T) {
 	sibling.End()
 	root.End()
 
-	spans := tr.Spans()
+	spans := log.Spans()
 	if len(spans) != 4 {
 		t.Fatalf("want 4 spans, got %d", len(spans))
 	}
@@ -69,7 +80,7 @@ func TestSpanOutOfOrderEnd(t *testing.T) {
 	// Parentage is fixed at StartSpan from the context, so ending spans
 	// out of creation order cannot corrupt later attribution (the old
 	// open-stack tracer needed this property explicitly).
-	tr := NewTracerWithClock(fakeClock(time.Millisecond))
+	tr, log := loggedTracer()
 	ctx, a := tr.StartSpan(context.Background(), "a")
 	bctx, b := tr.StartSpan(ctx, "b")
 	a.End() // out of order: a ends while its child b is still open
@@ -77,20 +88,20 @@ func TestSpanOutOfOrderEnd(t *testing.T) {
 	c.End()
 	b.End()
 	byName := map[string]SpanRecord{}
-	for _, s := range tr.Spans() {
+	for _, s := range log.Spans() {
 		byName[s.Name] = s
 	}
 	if byName["c"].Parent != byName["b"].ID {
 		t.Fatalf("c must nest under b: %+v", byName["c"])
 	}
-	if d := byName["a"].Duration(); d <= 0 {
+	if d := byName["a"].DurUS; d <= 0 {
 		t.Fatalf("a must be closed: %v", d)
 	}
 }
 
 func TestSpanDoubleEndAndAttrs(t *testing.T) {
-	tr := NewTracerWithClock(fakeClock(time.Millisecond))
-	s := tr.Start("x")
+	tr, log := loggedTracer()
+	_, s := tr.StartSpan(context.Background(), "x")
 	s.SetStr("edge", "a.k -> b.k")
 	s.SetInt("matched", 42)
 	s.SetFloat("quality", 0.9)
@@ -101,7 +112,8 @@ func TestSpanDoubleEndAndAttrs(t *testing.T) {
 	if again := s.End(); again != 0 {
 		t.Fatalf("second End must be a no-op, got %v", again)
 	}
-	rec := tr.Spans()[0]
+	s.SetStr("late", "ignored after End")
+	rec := log.Spans()[0]
 	if len(rec.Attrs) != 3 || rec.Attrs[0].Key != "edge" || rec.Attrs[1].Value != int64(42) {
 		t.Fatalf("attrs wrong: %+v", rec.Attrs)
 	}
@@ -111,7 +123,7 @@ func TestNilSafety(t *testing.T) {
 	var c *Collector
 	tr := c.Trace()
 	mx := c.Meter()
-	sp := tr.Start("ignored")
+	_, sp := tr.StartSpan(context.Background(), "ignored")
 	sp.SetStr("k", "v")
 	sp.SetInt("k", 1)
 	sp.SetFloat("k", 1.5)
@@ -125,11 +137,8 @@ func TestNilSafety(t *testing.T) {
 	if mx.Counter("x") != 0 || mx.Gauge("g") != 0 || mx.HistogramCount("h") != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
-	if tr.Len() != 0 || tr.Spans() != nil {
-		t.Fatal("nil tracer must be empty")
-	}
 	snap := c.Snapshot()
-	if snap == nil || len(snap.Spans) != 0 {
+	if snap == nil || len(snap.Histograms) != 0 || len(snap.Phases()) != 0 {
 		t.Fatal("nil collector snapshot must be empty but valid")
 	}
 	if err := c.Flush(NopSink{}); err != nil {
@@ -199,6 +208,8 @@ func TestSnapshotPruningView(t *testing.T) {
 // diff here rather than breaking downstream consumers.
 func TestGoldenSnapshotJSON(t *testing.T) {
 	c := NewWithClock(fakeClock(time.Millisecond))
+	log := &SpanLog{}
+	c.ObserveSpans(log)
 	ctx, run := StartSpan(context.Background(), c, SpanRun)
 	_, join := StartSpan(ctx, c, SpanJoinEval)
 	join.SetStr("edge", "base.id -> right.k")
@@ -210,10 +221,15 @@ func TestGoldenSnapshotJSON(t *testing.T) {
 	c.Meter().SetGauge(GaugeSelectionSeconds, 0.25)
 	snap := c.Snapshot()
 
-	trace, err := snap.TraceJSON()
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := WriteTraceFile(path, log); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace = bytes.TrimSuffix(trace, []byte("\n"))
 	wantTrace := `{
   "spans": [
     {
@@ -262,7 +278,108 @@ func TestGoldenSnapshotJSON(t *testing.T) {
   "gauges": {
     "discovery.selection_seconds": 0.25
   },
-  "histograms": {},
+  "histograms": {
+    "span_seconds.discovery.evaluate_join": {
+      "count": 1,
+      "sum": 0.001,
+      "mean": 0.001,
+      "min": 0.001,
+      "max": 0.001,
+      "bounds": [
+        0.00001,
+        0.000025,
+        0.00005,
+        0.0001,
+        0.00025,
+        0.0005,
+        0.001,
+        0.0025,
+        0.005,
+        0.01,
+        0.025,
+        0.05,
+        0.1,
+        0.25,
+        0.5,
+        1,
+        2.5,
+        5,
+        10
+      ],
+      "counts": [
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        1,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0
+      ]
+    },
+    "span_seconds.discovery.run": {
+      "count": 1,
+      "sum": 0.003,
+      "mean": 0.003,
+      "min": 0.003,
+      "max": 0.003,
+      "bounds": [
+        0.00001,
+        0.000025,
+        0.00005,
+        0.0001,
+        0.00025,
+        0.0005,
+        0.001,
+        0.0025,
+        0.005,
+        0.01,
+        0.025,
+        0.05,
+        0.1,
+        0.25,
+        0.5,
+        1,
+        2.5,
+        5,
+        10
+      ],
+      "counts": [
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        1,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0
+      ]
+    }
+  },
   "pruning": {
     "quality_below_tau": 1
   },
@@ -296,11 +413,11 @@ func TestGoldenSnapshotJSON(t *testing.T) {
 
 func TestReportSink(t *testing.T) {
 	c := NewWithClock(fakeClock(time.Millisecond))
-	s := c.Trace().Start(SpanLeftJoin)
+	_, s := StartSpan(context.Background(), c, SpanLeftJoin)
 	s.End()
 	c.Meter().Inc(PrunedCounter(PruneSimilarity))
 	c.Meter().SetGauge(GaugeSelectionSeconds, 1.5)
-	c.Meter().Observe(HistJoinSeconds, 0.003)
+	c.Meter().Observe(HistQueueWaitSeconds, 0.003)
 
 	var buf bytes.Buffer
 	if err := c.Flush(ReportSink{W: &buf}); err != nil {
@@ -313,11 +430,14 @@ func TestReportSink(t *testing.T) {
 		"pruning breakdown",
 		"similarity",
 		"discovery.selection_seconds",
-		"relational.left_join_seconds",
+		"serve.queue_wait_seconds",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, HistSpanSecondsPrefix) {
+		t.Fatalf("report must show span histograms as phases only:\n%s", out)
 	}
 }
 
@@ -346,9 +466,9 @@ func BenchmarkDisabledSpan(b *testing.B) {
 	mx := c.Meter()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Start(SpanJoinEval)
+		_, sp := tr.StartSpan(context.Background(), SpanJoinEval)
 		sp.SetInt("matched", i)
-		mx.Observe(HistJoinSeconds, sp.End().Seconds())
+		sp.End()
 		mx.Inc(CtrPathsExplored)
 	}
 }
@@ -361,9 +481,9 @@ func BenchmarkEnabledSpan(b *testing.B) {
 	mx := c.Meter()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.Start(SpanJoinEval)
+		_, sp := tr.StartSpan(context.Background(), SpanJoinEval)
 		sp.SetInt("matched", i)
-		mx.Observe(HistJoinSeconds, sp.End().Seconds())
+		sp.End()
 		mx.Inc(CtrPathsExplored)
 	}
 }

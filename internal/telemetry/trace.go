@@ -40,14 +40,6 @@ type SpanRecord struct {
 	Attrs   []Attr `json:"attrs,omitempty"`
 }
 
-// Duration returns the span's duration (0 while open).
-func (r SpanRecord) Duration() time.Duration {
-	if r.DurUS < 0 {
-		return 0
-	}
-	return time.Duration(r.DurUS) * time.Microsecond
-}
-
 // TraceID is a 128-bit W3C trace identity; the zero value is invalid.
 type TraceID [16]byte
 
@@ -85,31 +77,34 @@ func (sc SpanContext) Traceparent() string {
 }
 
 // ParseTraceparent parses a W3C traceparent header value
-// ("00-<32 hex>-<16 hex>-<2 hex>"). It accepts any version except the
-// reserved "ff" and rejects all-zero trace or span IDs, per the spec.
+// ("00-<32 hex>-<16 hex>-<2 hex>", lower-case hex only). It accepts any
+// version except the reserved "ff" and rejects all-zero trace or span
+// IDs, per the spec.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return SpanContext{}, false
 	}
-	var version [1]byte
-	if _, err := hex.Decode(version[:], []byte(s[0:2])); err != nil || version[0] == 0xff {
-		return SpanContext{}, false
-	}
+	var version, flags [1]byte
 	var sc SpanContext
-	if _, err := hex.Decode(sc.Trace[:], []byte(s[3:35])); err != nil {
-		return SpanContext{}, false
-	}
-	if _, err := hex.Decode(sc.Span[:], []byte(s[36:52])); err != nil {
-		return SpanContext{}, false
-	}
-	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
-		return SpanContext{}, false
-	}
-	if !sc.IsValid() {
+	if !decodeLowerHex(version[:], s[0:2]) || version[0] == 0xff ||
+		!decodeLowerHex(sc.Trace[:], s[3:35]) ||
+		!decodeLowerHex(sc.Span[:], s[36:52]) ||
+		!decodeLowerHex(flags[:], s[53:55]) || !sc.IsValid() {
 		return SpanContext{}, false
 	}
 	return sc, true
+}
+
+// decodeLowerHex decodes s into dst, rejecting upper-case digits (which
+// encoding/hex would accept) as W3C trace-context requires.
+func decodeLowerHex(dst []byte, s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 // spanKey is the private context key carrying the current span.
@@ -159,18 +154,19 @@ type SpanObserver interface {
 
 // Tracer records spans with context-propagated parent attribution:
 // StartSpan derives the parent from the caller's context, so concurrent
-// jobs sharing one tracer each build a correctly-parented tree. A nil
-// *Tracer is a valid disabled tracer: StartSpan returns the context
-// unchanged and a no-op Span.
+// jobs sharing one tracer each build a correctly-parented tree. The
+// tracer keeps no span after End: it hands the finished record to its
+// observers and, when bound to a registry (New, NewWithClock), records
+// the duration into that span name's histogram. A nil *Tracer is a
+// valid disabled tracer: StartSpan returns the context unchanged and a
+// no-op Span.
 type Tracer struct {
 	mu        sync.Mutex
 	now       func() time.Time
 	epoch     time.Time
-	spans     []SpanRecord
 	nextID    int
-	maxSpans  int   // 0 = unlimited retained spans
-	dropped   int64 // spans not retained because of maxSpans
 	observers []SpanObserver
+	metrics   *Metrics // receives span_seconds.<name>; nil = none
 
 	// ID source: deterministic counters under an injected clock (golden
 	// tests), a splitmix64 stream seeded from crypto/rand otherwise.
@@ -238,32 +234,6 @@ func (t *Tracer) newSpanID() SpanID {
 	return id
 }
 
-// SetMaxSpans bounds the number of spans the tracer retains in its own
-// buffer (0 = unlimited, the default). Spans started past the cap are
-// still timed, annotated and delivered to observers — only the
-// in-tracer retained copy is dropped (counted by Dropped), so a
-// long-lived service with a trace store attached does not grow without
-// bound.
-func (t *Tracer) SetMaxSpans(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.maxSpans = n
-}
-
-// Dropped returns how many spans were not retained because of the
-// SetMaxSpans cap.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // AddObserver registers o to receive a copy of every span when it ends.
 func (t *Tracer) AddObserver(o SpanObserver) {
 	if t == nil || o == nil {
@@ -274,13 +244,13 @@ func (t *Tracer) AddObserver(o SpanObserver) {
 	t.observers = append(t.observers, o)
 }
 
-// Span is a lightweight handle on an open span. The zero Span (from a
-// nil tracer) ignores every call.
+// Span is a lightweight handle on an open span; it owns the span's
+// record until End hands it to the observers. The zero Span (from a nil
+// tracer) ignores every call.
 type Span struct {
-	t    *Tracer
-	slot int         // index+1 into t.spans; 0 when the record overflowed
-	rec  *SpanRecord // heap record for overflowed spans
-	sc   SpanContext
+	t   *Tracer
+	rec *SpanRecord
+	sc  SpanContext
 }
 
 // Context returns the span's propagated identity (zero for a no-op
@@ -310,7 +280,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, S
 	}
 	sc.Span = t.newSpanID()
 	t.nextID++
-	rec := SpanRecord{
+	rec := &SpanRecord{
 		ID:      t.nextID,
 		Name:    name,
 		TraceID: sc.Trace.String(),
@@ -324,24 +294,9 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, S
 	if parent.sc.Span.IsValid() {
 		rec.ParentSpanID = parent.sc.Span.String()
 	}
-	s := Span{t: t, sc: sc}
-	if t.maxSpans > 0 && len(t.spans) >= t.maxSpans {
-		t.dropped++
-		s.rec = &rec
-	} else {
-		t.spans = append(t.spans, rec)
-		s.slot = len(t.spans)
-	}
 	t.mu.Unlock()
 
-	return context.WithValue(ctx, spanKey{}, spanRef{sc: sc, id: rec.ID, t: t}), s
-}
-
-// Start opens a root span named name in a fresh trace — the
-// non-propagating shorthand for StartSpan(context.Background(), name).
-func (t *Tracer) Start(name string) Span {
-	_, s := t.StartSpan(context.Background(), name)
-	return s
+	return context.WithValue(ctx, spanKey{}, spanRef{sc: sc, id: rec.ID, t: t}), Span{t: t, rec: rec, sc: sc}
 }
 
 // StartSpan opens a span on c's tracer — the package-level convenience
@@ -349,14 +304,6 @@ func (t *Tracer) Start(name string) Span {
 // Both a nil collector and a nil tracer degrade to a no-op.
 func StartSpan(ctx context.Context, c *Collector, name string) (context.Context, Span) {
 	return c.Trace().StartSpan(ctx, name)
-}
-
-// record resolves the span's mutable record; call under s.t.mu.
-func (s Span) record() *SpanRecord {
-	if s.slot > 0 {
-		return &s.t.spans[s.slot-1]
-	}
-	return s.rec
 }
 
 // SetStr annotates the span with a string attribute.
@@ -368,62 +315,43 @@ func (s Span) SetInt(key string, v int) { s.set(key, int64(v)) }
 // SetFloat annotates the span with a float attribute.
 func (s Span) SetFloat(key string, v float64) { s.set(key, v) }
 
+// set appends an attribute; annotations after End are ignored, so the
+// record observers received is never mutated.
 func (s Span) set(key string, v any) {
 	if s.t == nil {
 		return
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	rec := s.record()
-	rec.Attrs = append(rec.Attrs, Attr{Key: key, Value: v})
+	if s.rec.DurUS < 0 {
+		s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: v})
+	}
 }
 
-// End closes the span and returns its duration (0 for a no-op span, or
-// when the span was already ended). Ending out of creation order is
-// fine: parentage was fixed at StartSpan from the context, so sibling
-// and overlapping spans never corrupt each other's attribution.
+// End closes the span, records its duration into the
+// span_seconds.<name> histogram, hands the finished record to every
+// observer and returns the duration (0 for a no-op span, or when the
+// span was already ended). Ending out of creation order is fine:
+// parentage was fixed at StartSpan from the context, so sibling and
+// overlapping spans never corrupt each other's attribution.
 func (s Span) End() time.Duration {
 	if s.t == nil {
 		return 0
 	}
 	t := s.t
 	t.mu.Lock()
-	rec := s.record()
-	if rec.DurUS >= 0 {
+	if s.rec.DurUS >= 0 {
 		t.mu.Unlock()
 		return 0
 	}
-	rec.DurUS = t.now().Sub(t.epoch).Microseconds() - rec.StartUS
-	done := *rec
-	if len(done.Attrs) > 0 {
-		done.Attrs = append([]Attr(nil), done.Attrs...)
-	}
+	s.rec.DurUS = t.now().Sub(t.epoch).Microseconds() - s.rec.StartUS
+	done := *s.rec
 	observers := t.observers
 	t.mu.Unlock()
+	d := time.Duration(done.DurUS) * time.Microsecond
+	t.metrics.Observe(HistSpanSecondsPrefix+done.Name, d.Seconds())
 	for _, o := range observers {
 		o.ObserveSpan(done)
 	}
-	return time.Duration(done.DurUS) * time.Microsecond
-}
-
-// Spans returns a copy of every retained span, in start order.
-func (t *Tracer) Spans() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanRecord, len(t.spans))
-	copy(out, t.spans)
-	return out
-}
-
-// Len returns the number of retained spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
+	return d
 }

@@ -1,8 +1,9 @@
 package telemetry
 
 // Tests for the context-propagated tracer: W3C traceparent round-trips,
-// remote parent linking, concurrent trees over one shared tracer, the
-// retention cap, and the trace-store / flight-recorder observers.
+// remote parent linking, concurrent trees over one shared tracer, exact
+// span histograms past every retention cap, and the trace-store /
+// flight-recorder observers.
 
 import (
 	"context"
@@ -33,13 +34,15 @@ func TestParseTraceparentRejects(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00-abc-def-01",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331", // missing flags
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",      // reserved version
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",      // zero trace
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",      // zero span
-		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",      // non-hex
-		"00x0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",      // bad separator
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",          // missing flags
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // reserved version
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",       // zero trace
+		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",       // zero span
+		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",       // non-hex
+		"00x0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // bad separator
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // wrong length
+		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",       // upper-case hex
+		"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",       // upper-case hex
 	} {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", bad)
@@ -52,8 +55,28 @@ func TestParseTraceparentRejects(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent checks that no header panics the parser, that
+// every accepted header re-emits as one that parses back to the same
+// context, and that accepted headers are lower-case (the committed
+// corpus under testdata/fuzz holds upper-case seeds that must fail).
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if strings.ToLower(s) != s {
+			t.Fatalf("accepted upper-case header %q", s)
+		}
+		if back, ok := ParseTraceparent(sc.Traceparent()); !ok || back != sc {
+			t.Fatalf("%q: re-emitted %q parses to %+v (ok=%v), want %+v", s, sc.Traceparent(), back, ok, sc)
+		}
+	})
+}
+
 func TestRemoteParent(t *testing.T) {
-	tr := NewTracerWithClock(fakeClock(time.Millisecond))
+	tr, log := loggedTracer()
 	remote, ok := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
 	if !ok {
 		t.Fatal("parse failed")
@@ -66,7 +89,7 @@ func TestRemoteParent(t *testing.T) {
 	_, grand := tr.StartSpan(cctx, "grand")
 	grand.End()
 	child.End()
-	spans := tr.Spans()
+	spans := log.Spans()
 	if spans[0].TraceID != remote.Trace.String() {
 		t.Fatalf("child must join the remote trace: %+v", spans[0])
 	}
@@ -83,6 +106,8 @@ func TestConcurrentTracesShareOneTracer(t *testing.T) {
 	// its own trace with correct parentage (the open-stack model this
 	// tracer replaced corrupted exactly this case).
 	tr := NewTracer()
+	log := &SpanLog{}
+	tr.AddObserver(log)
 	const jobs, depth = 4, 16
 	traces := make([]string, jobs)
 	var wg sync.WaitGroup
@@ -104,7 +129,7 @@ func TestConcurrentTracesShareOneTracer(t *testing.T) {
 	wg.Wait()
 
 	byTrace := map[string][]SpanRecord{}
-	for _, rec := range tr.Spans() {
+	for _, rec := range log.Spans() {
 		byTrace[rec.TraceID] = append(byTrace[rec.TraceID], rec)
 	}
 	if len(byTrace) != jobs {
@@ -130,42 +155,45 @@ func TestConcurrentTracesShareOneTracer(t *testing.T) {
 	}
 }
 
-func TestMaxSpansRetention(t *testing.T) {
-	tr := NewTracerWithClock(fakeClock(time.Millisecond))
-	store := NewTraceStore(0, 0)
-	tr.AddObserver(store)
-	tr.SetMaxSpans(2)
-	ctx, a := tr.StartSpan(context.Background(), "a")
-	bctx, b := tr.StartSpan(ctx, "b")
-	_, c := tr.StartSpan(bctx, "c") // over the cap: not retained
-	c.SetStr("k", "v")
-	c.End()
-	b.End()
-	a.End()
-	if tr.Len() != 2 {
-		t.Fatalf("retained %d spans, want 2", tr.Len())
+// TestPhasesExactPastEveryCap ends more spans than any retention cap in
+// play — 281 traces (trace store: 256) of 250 spans (70250 in all;
+// flight ring: 256) — and checks that the phase breakdown, read from the
+// span histograms, still counts every span while the observers stay
+// bounded.
+func TestPhasesExactPastEveryCap(t *testing.T) {
+	c := NewWithClock(fakeClock(time.Microsecond))
+	store, flight := NewTraceStore(0, 0), NewFlightRecorder(0)
+	c.ObserveSpans(store, flight)
+	const traces, steps = DefaultMaxTraces + 25, 249
+	for i := 0; i < traces; i++ {
+		ctx, job := StartSpan(context.Background(), c, "job")
+		for j := 0; j < steps; j++ {
+			_, sp := StartSpan(ctx, c, "step")
+			sp.End()
+		}
+		job.End()
 	}
-	if tr.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", tr.Dropped())
+
+	phases := c.Snapshot().Phases()
+	want := map[string]int{"job": traces, "step": traces * steps}
+	if len(phases) != len(want) {
+		t.Fatalf("phases = %+v, want %v", phases, want)
 	}
-	// The overflow span still went to observers, fully annotated and
-	// correctly parented.
-	sc, _ := SpanContextFrom(ctx)
-	spans := store.Spans(sc.Trace.String())
-	if len(spans) != 3 {
-		t.Fatalf("observer saw %d spans, want 3", len(spans))
-	}
-	var overflow *SpanRecord
-	for i := range spans {
-		if spans[i].Name == "c" {
-			overflow = &spans[i]
+	for _, p := range phases {
+		if p.Count != want[p.Name] {
+			t.Errorf("phase %s count = %d, want %d", p.Name, p.Count, want[p.Name])
 		}
 	}
-	if overflow == nil || len(overflow.Attrs) != 1 || overflow.DurUS < 0 {
-		t.Fatalf("overflow span mangled: %+v", overflow)
+	// Under the 1µs fake clock every step lasts 1µs and every job 2µs
+	// per step plus 1µs, so the totals are exact too.
+	if p := phases[0]; p.Name != "job" || p.Total != traces*(2*steps+1)*time.Microsecond {
+		t.Errorf("job phase = %+v", p)
 	}
-	if overflow.Parent != 2 {
-		t.Fatalf("overflow span must keep numeric parentage: %+v", overflow)
+	if store.Len() != DefaultMaxTraces {
+		t.Errorf("trace store holds %d traces, want its cap %d", store.Len(), DefaultMaxTraces)
+	}
+	if spans, total := flight.Snapshot(); len(spans) != DefaultFlightCapacity || total != traces*(steps+1) {
+		t.Errorf("flight ring holds %d of %d spans, want %d of %d", len(spans), total, DefaultFlightCapacity, traces*(steps+1))
 	}
 }
 
