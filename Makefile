@@ -14,11 +14,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the traceparent fuzz target for a minute, for longer local
-# runs than the committed corpus replay that `go test` does; not part
-# of check.
+# fuzz runs the traceparent and job-store-load fuzz targets for a
+# minute each, for longer local runs than the committed corpus replay
+# that `go test` does; not part of check.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 60s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzJobStoreLoad -fuzztime 60s ./internal/serve
 
 # bench runs the micro benchmarks only (the figure benchmarks regenerate
 # the whole evaluation and are slow); use `go test -bench .` for all.

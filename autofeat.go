@@ -19,11 +19,11 @@
 //	})
 //	fmt.Println(res.Augment.Best.Path, res.Augment.Best.Eval.Accuracy)
 //
+// Graphs and discoveries are built only through a Lake: Lake.DRG returns
+// the memoised graph and Lake.NewDiscovery prepares a two-step run.
 // Context-first methods are the canonical pipeline API:
 // Discovery.RunContext and Discovery.AugmentContext (Run and Augment are
-// the same calls under context.Background()). The pre-Lake package-level
-// constructors (ReadTablesDir, DiscoverDRG, DiscoverDRGSketched,
-// NewDiscovery) remain as deprecated thin wrappers over the Lake path.
+// the same calls under context.Background()).
 package autofeat
 
 import (
@@ -77,7 +77,7 @@ type Graph = graph.Graph
 // Edge is one join opportunity between two datasets.
 type Edge = graph.Edge
 
-// KFK declares a known key–foreign-key constraint for BuildDRG.
+// KFK declares a known key–foreign-key constraint for WithKFKs.
 type KFK = discovery.KFK
 
 // Config holds AutoFeat's hyper-parameters (τ, κ, metrics, top-k, ...).
@@ -200,8 +200,7 @@ func OpenLakeLenient(dir string, opts ...LakeOption) (*Lake, []error) {
 func NewLake(tables []*Table, opts ...LakeOption) *Lake { return lake.New(tables, opts...) }
 
 // WithMatcher selects the schema-matching strategy used to build DRGs
-// (MatcherExact by default). It replaces the DiscoverDRG /
-// DiscoverDRGSketched constructor pair.
+// (MatcherExact by default).
 func WithMatcher(kind MatcherKind) LakeOption { return lake.WithMatcher(kind) }
 
 // WithThreshold sets the matcher threshold above which a column
@@ -214,86 +213,12 @@ func WithThreshold(t float64) LakeOption { return lake.WithThreshold(t) }
 // and the matcher settings are ignored.
 func WithKFKs(constraints []KFK) LakeOption { return lake.WithKFKs(constraints) }
 
-// NewDiscovery prepares an AutoFeat run: base names the base table node in
-// g, label the label column inside it.
-//
-// Deprecated: use OpenLake (or NewLake) and Lake.Discover — or
-// Lake.NewDiscovery when the two-step prepare/run flow is needed. The
-// Lake path reuses key-index caches across runs; this wrapper builds a
-// fresh single-use session around g.
-func NewDiscovery(g *Graph, base, label string, cfg Config) (*Discovery, error) {
-	return lake.FromGraph(g).NewDiscovery(base, label, cfg)
-}
-
 // ReadTableCSV loads one CSV file (with header) as a Table; the table name
 // is the file name without extension. Column types are inferred.
 func ReadTableCSV(path string) (*Table, error) { return frame.ReadCSVFile(path) }
 
 // ReadTable parses CSV from a reader under the given table name.
 func ReadTable(name string, r io.Reader) (*Table, error) { return frame.ReadCSV(name, r) }
-
-// ReadTablesDir loads every *.csv in a directory as tables, sorted by
-// name. It is the CSV-only legacy path: columnar *.afc files are
-// ignored even when present.
-//
-// Deprecated: use OpenLake, which loads the same files once into a
-// resident session (Lake.Tables returns this slice) and also reads
-// packed columnar tables.
-func ReadTablesDir(dir string) ([]*Table, error) {
-	l, err := lake.Open(dir, lake.WithFormat(lake.FormatCSV))
-	if err != nil {
-		return nil, err
-	}
-	return l.Tables(), nil
-}
-
-// ReadTablesDirLenient loads every *.csv in a directory like ReadTablesDir
-// but skips files that fail to parse instead of aborting the whole lake:
-// one corrupt table then prunes only the join paths that would have passed
-// through it. The skipped files are reported as errors (each matching
-// ErrBadInput), so callers can log what was dropped. With every file
-// corrupt, the table slice is empty and errs holds one entry per file.
-// Like ReadTablesDir, this is the CSV-only legacy path.
-//
-// Deprecated: use OpenLakeLenient, the session-returning equivalent.
-func ReadTablesDirLenient(dir string) (tables []*Table, errors []error) {
-	l, errors := lake.OpenLenient(dir, lake.WithFormat(lake.FormatCSV))
-	if l == nil {
-		return nil, errors
-	}
-	return l.Tables(), errors
-}
-
-// BuildDRG constructs the DRG from known KFK constraints (the curated
-// "benchmark setting"): every constraint becomes a weight-1 edge. The
-// Lake equivalent is OpenLake(dir, WithKFKs(constraints)) followed by
-// Lake.DRG.
-func BuildDRG(tables []*Table, constraints []KFK) (*Graph, error) {
-	return discovery.BuildBenchmarkDRG(tables, constraints)
-}
-
-// DiscoverDRG constructs the DRG with the built-in COMA-style composite
-// matcher (the "data lake setting"): every column correspondence scoring
-// at or above threshold becomes a weighted edge. The paper uses threshold
-// 0.55.
-//
-// Deprecated: use NewLake(tables).DRG(WithThreshold(threshold)) — or
-// OpenLake with the same options — which memoises the graph for reuse
-// across requests.
-func DiscoverDRG(tables []*Table, threshold float64) (*Graph, error) {
-	return NewLake(tables).DRG(WithThreshold(threshold))
-}
-
-// DiscoverDRGSketched builds the DRG with MinHash-sketched instance
-// evidence instead of exact value-set intersection — constant-time column
-// comparisons for lakes whose tables are too large to intersect exactly.
-//
-// Deprecated: use NewLake(tables).DRG(WithMatcher(MatcherSketched),
-// WithThreshold(threshold)); the sketched/exact choice is a LakeOption,
-// not a separate constructor.
-func DiscoverDRGSketched(tables []*Table, threshold float64) (*Graph, error) {
-	return NewLake(tables).DRG(WithMatcher(MatcherSketched), WithThreshold(threshold))
-}
 
 // Discover is the one-call convenience over the Lake path: open dir,
 // build (or reuse) the DRG and run one request. Long-lived callers

@@ -17,6 +17,7 @@ import (
 
 	"autofeat/internal/bench"
 	"autofeat/internal/datagen"
+	"autofeat/internal/discovery"
 	"autofeat/internal/telemetry"
 )
 
@@ -224,11 +225,11 @@ func BenchmarkMicroLeftJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	disc, err := NewDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
+	disc, err := newDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,13 +254,13 @@ func BenchmarkMicroDiscovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		disc, err := NewDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
+		disc, err := newDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +281,7 @@ func BenchmarkMicroDiscoveryTelemetry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func BenchmarkMicroDiscoveryTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.Telemetry = NewTelemetry()
-		disc, err := NewDiscovery(g, d.Base.Name(), d.Label, cfg)
+		disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,7 +310,7 @@ func BenchmarkMicroDiscoveryObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func BenchmarkMicroDiscoveryObserved(b *testing.B) {
 		cfg.Telemetry = NewTelemetry()
 		cfg.Progress = NewRunProgress("bench")
 		cfg.Logger = NewLogger(io.Discard, slog.LevelDebug, "json")
-		disc, err := NewDiscovery(g, d.Base.Name(), d.Label, cfg)
+		disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,7 +343,7 @@ func BenchmarkMicroDiscoveryTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func BenchmarkMicroDiscoveryTraced(b *testing.B) {
 		cfg := DefaultConfig()
 		cfg.Telemetry = NewTelemetry()
 		cfg.Telemetry.ObserveSpans(NewTraceStore(0, 0), NewFlightRecorder(0))
-		disc, err := NewDiscovery(g, d.Base.Name(), d.Label, cfg)
+		disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,7 +374,7 @@ func benchDiscoveryWorkers(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func benchDiscoveryWorkers(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
-		disc, err := NewDiscovery(g, d.Base.Name(), d.Label, cfg)
+		disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -402,7 +403,7 @@ func BenchmarkMicroMatcher(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DiscoverDRG(d.Tables, 0.55); err != nil {
+		if _, err := NewLake(d.Tables).DRG(WithThreshold(0.55)); err != nil {
 			b.Fatal(err)
 		}
 	}

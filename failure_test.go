@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"autofeat/internal/discovery"
 	"autofeat/internal/frame"
 	"autofeat/internal/graph"
 )
@@ -40,7 +41,7 @@ func TestDiscoveryOnDisconnectedBase(t *testing.T) {
 	}
 	g := graph.New()
 	g.AddTable(base)
-	disc, err := NewDiscovery(g, "lonely", "y", DefaultConfig())
+	disc, err := newDiscovery(g, "lonely", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestDiscoverySingleClassLabelFails(t *testing.T) {
 	base, _ := ReadTable("t", strings.NewReader("id,x,y\n1,0.5,1\n2,0.7,1\n3,0.2,1\n"))
 	g := graph.New()
 	g.AddTable(base)
-	disc, err := NewDiscovery(g, "t", "y", DefaultConfig())
+	disc, err := newDiscovery(g, "t", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDiscoveryNonIntegralLabelFails(t *testing.T) {
 	base, _ := ReadTable("t", strings.NewReader("id,y\n1,0.25\n2,0.75\n"))
 	g := graph.New()
 	g.AddTable(base)
-	disc, err := NewDiscovery(g, "t", "y", DefaultConfig())
+	disc, err := newDiscovery(g, "t", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestAllNullJoinColumnIsPruned(t *testing.T) {
 	if err := g.AddEdge(Edge{A: "b", B: "r", ColA: "id", ColB: "k", Weight: 0.8}); err != nil {
 		t.Fatal(err)
 	}
-	disc, err := NewDiscovery(g, "b", "y", DefaultConfig())
+	disc, err := newDiscovery(g, "b", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestGraphWithVanishedTable(t *testing.T) {
 	if err := g.AddEdge(Edge{A: "b", B: "r", ColA: "id", ColB: "k", Weight: 1, KFK: true}); err != nil {
 		t.Fatal(err)
 	}
-	disc, err := NewDiscovery(g, "b", "y", DefaultConfig())
+	disc, err := newDiscovery(g, "b", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestImputeAllNullFrame(t *testing.T) {
 }
 
 func TestDiscoverDRGEmptyAndSingleTable(t *testing.T) {
-	g, err := DiscoverDRG(nil, 0.55)
+	g, err := NewLake(nil).DRG(WithThreshold(0.55))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestDiscoverDRGEmptyAndSingleTable(t *testing.T) {
 		t.Fatal("empty lake gives empty graph")
 	}
 	solo, _ := ReadTable("solo", strings.NewReader("a,b\n1,2\n"))
-	g2, err := DiscoverDRG([]*Table{solo}, 0.55)
+	g2, err := NewLake([]*Table{solo}).DRG(WithThreshold(0.55))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestDiscoverDRGEmptyAndSingleTable(t *testing.T) {
 func TestBuildDRGDuplicateTableNames(t *testing.T) {
 	a, _ := ReadTable("same", strings.NewReader("x,y\n1,2\n"))
 	b, _ := ReadTable("same", strings.NewReader("x,y\n3,4\n"))
-	g, err := BuildDRG([]*Table{a, b}, nil)
+	g, err := discovery.BuildBenchmarkDRG([]*Table{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

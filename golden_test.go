@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"autofeat/internal/datagen"
+	"autofeat/internal/discovery"
 )
 
 func TestGoldenRankingPinned(t *testing.T) {
@@ -17,11 +18,11 @@ func TestGoldenRankingPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disc, err := NewDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
+	disc, err := newDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"autofeat/internal/core"
 	"autofeat/internal/datagen"
+	"autofeat/internal/discovery"
 	"autofeat/internal/frame"
 )
 
@@ -24,6 +26,15 @@ func writeLakeCSVs(t *testing.T, d *datagen.Dataset) string {
 	return dir
 }
 
+// newDiscovery prepares a run over an externally built graph with a
+// fresh join-key index cache, as a single-use Lake session would.
+func newDiscovery(g *Graph, base, label string, cfg Config) (*Discovery, error) {
+	if cfg.KeyCache == nil {
+		cfg.KeyCache = NewKeyIndexCache()
+	}
+	return core.New(g, base, label, cfg)
+}
+
 func TestEndToEndCSVLakeDiscovery(t *testing.T) {
 	spec := datagen.SmallSpecs()[0]
 	d, err := datagen.Generate(spec)
@@ -32,23 +43,24 @@ func TestEndToEndCSVLakeDiscovery(t *testing.T) {
 	}
 	dir := writeLakeCSVs(t, d)
 
-	tables, err := ReadTablesDir(dir)
+	l, err := OpenLake(dir, WithFormat(FormatCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := l.Tables()
 	if len(tables) != len(d.Tables) {
 		t.Fatalf("read %d tables, want %d", len(tables), len(d.Tables))
 	}
 
 	// Data lake path: discover relationships, then AutoFeat end to end.
-	g, err := DiscoverDRG(tables, 0.55)
+	g, err := NewLake(tables).DRG(WithThreshold(0.55))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() == 0 {
 		t.Fatal("discovery must find edges in the lake")
 	}
-	disc, err := NewDiscovery(g, spec.Name, "target", DefaultConfig())
+	disc, err := newDiscovery(g, spec.Name, "target", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +82,11 @@ func TestEndToEndKFKBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disc, err := NewDiscovery(g, spec.Name, d.Label, DefaultConfig())
+	disc, err := newDiscovery(g, spec.Name, d.Label, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +111,10 @@ func TestEndToEndKFKBenchmark(t *testing.T) {
 }
 
 func TestPublicAPIErrors(t *testing.T) {
-	if _, err := ReadTablesDir(t.TempDir()); err == nil {
+	if _, err := OpenLake(t.TempDir(), WithFormat(FormatCSV)); err == nil {
 		t.Fatal("empty dir must fail")
 	}
-	if _, err := ReadTablesDir("/nonexistent-path-xyz"); err == nil {
+	if _, err := OpenLake("/nonexistent-path-xyz", WithFormat(FormatCSV)); err == nil {
 		t.Fatal("missing dir must fail")
 	}
 	defer func() {
@@ -157,8 +169,8 @@ func TestReadTableCSVFile(t *testing.T) {
 func TestLeftJoinLabelInvariant(t *testing.T) {
 	spec := datagen.SmallSpecs()[0]
 	d, _ := datagen.Generate(spec)
-	g, _ := BuildDRG(d.Tables, d.KFKs)
-	disc, _ := NewDiscovery(g, spec.Name, d.Label, DefaultConfig())
+	g, _ := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
+	disc, _ := newDiscovery(g, spec.Name, d.Label, DefaultConfig())
 	res, err := disc.Augment(Model("extratrees"))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +221,7 @@ func TestStratifiedInvariants(t *testing.T) {
 func TestPublicAutoTune(t *testing.T) {
 	spec := datagen.SmallSpecs()[0]
 	d, _ := datagen.Generate(spec)
-	g, _ := BuildDRG(d.Tables, d.KFKs)
+	g, _ := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	out, err := AutoTune(g, spec.Name, d.Label, DefaultConfig(), Model("lightgbm"),
 		[]float64{0.65}, []int{10, 15})
 	if err != nil {
@@ -223,14 +235,14 @@ func TestPublicAutoTune(t *testing.T) {
 func TestPublicSketchedDiscovery(t *testing.T) {
 	spec := datagen.SmallSpecs()[0]
 	d, _ := datagen.Generate(spec)
-	g, err := DiscoverDRGSketched(d.Tables, 0.55)
+	g, err := NewLake(d.Tables).DRG(WithMatcher(MatcherSketched), WithThreshold(0.55))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() == 0 {
 		t.Fatal("sketched discovery must find the KFK relationships")
 	}
-	exact, _ := DiscoverDRG(d.Tables, 0.55)
+	exact, _ := NewLake(d.Tables).DRG(WithThreshold(0.55))
 	// The sketched graph should roughly agree with the exact one.
 	if g.NumEdges() < exact.NumEdges()/2 || g.NumEdges() > exact.NumEdges()*2 {
 		t.Fatalf("sketched edges %d too far from exact %d", g.NumEdges(), exact.NumEdges())
@@ -240,7 +252,7 @@ func TestPublicSketchedDiscovery(t *testing.T) {
 func TestPublicGraphPersistence(t *testing.T) {
 	spec := datagen.SmallSpecs()[0]
 	d, _ := datagen.Generate(spec)
-	g, _ := DiscoverDRG(d.Tables, 0.55)
+	g, _ := NewLake(d.Tables).DRG(WithThreshold(0.55))
 	path := t.TempDir() + "/drg.json"
 	if err := SaveGraph(g, path); err != nil {
 		t.Fatal(err)
@@ -253,8 +265,8 @@ func TestPublicGraphPersistence(t *testing.T) {
 		t.Fatalf("edges lost: %d vs %d", loaded.NumEdges(), g.NumEdges())
 	}
 	// The loaded graph must drive discovery identically.
-	d1, _ := NewDiscovery(g, spec.Name, d.Label, DefaultConfig())
-	d2, _ := NewDiscovery(loaded, spec.Name, d.Label, DefaultConfig())
+	d1, _ := newDiscovery(g, spec.Name, d.Label, DefaultConfig())
+	d2, _ := newDiscovery(loaded, spec.Name, d.Label, DefaultConfig())
 	r1, _ := d1.Run()
 	r2, _ := d2.Run()
 	if len(r1.Paths) != len(r2.Paths) {

@@ -165,11 +165,6 @@ type Lake struct {
 	em *discovery.Matcher
 	sm *discovery.SketchMatcher
 
-	// attached, when non-nil, pins every DRG call to one externally
-	// built graph (the FromGraph compatibility path). Attached lakes
-	// reject mutation.
-	attached *graph.Graph
-
 	// runMu orders DRG resolution (read side) against table mutation
 	// (write side): every memoised entry is fully built or untouched
 	// whenever a mutation holds the write lock. tables/byName/idx are
@@ -367,24 +362,6 @@ func Pack(dir string) (int, error) {
 	return len(paths), nil
 }
 
-// FromGraph wraps an externally constructed DRG as a Lake session: the
-// graph's tables become the resident tables and every DRG call returns
-// the attached graph unchanged. It is the bridge under the deprecated
-// NewDiscovery wrapper, giving legacy callers the shared key-index cache
-// without changing how their graph was built.
-func FromGraph(g *graph.Graph) *Lake {
-	nodes := g.Nodes()
-	tables := make([]*frame.Frame, 0, len(nodes))
-	for _, n := range nodes {
-		if t := g.Table(n); t != nil {
-			tables = append(tables, t)
-		}
-	}
-	l := New(tables)
-	l.attached = g
-	return l
-}
-
 // Dir returns the directory the Lake was opened from ("" for in-memory
 // lakes).
 func (l *Lake) Dir() string { return l.dir }
@@ -449,9 +426,6 @@ func (l *Lake) DRG(opts ...Option) (*graph.Graph, error) {
 // that every memoised entry is either fully built (patchable) or has no
 // builder in flight (it will build against the mutated tables).
 func (l *Lake) drg(eff settings) (g *graph.Graph, warm bool, err error) {
-	if l.attached != nil {
-		return l.attached, true, nil
-	}
 	l.runMu.RLock()
 	defer l.runMu.RUnlock()
 	key := eff.key()
@@ -557,7 +531,7 @@ func (l *Lake) IndexStats() IndexStats {
 // rebuilding, so unrelated memo entries and every KeyIndexCache entry
 // survive untouched.
 func (l *Lake) RegisterTable(f *frame.Frame) error {
-	if err := l.checkMutable(f, true); err != nil {
+	if err := checkNamed(f); err != nil {
 		return err
 	}
 	l.runMu.Lock()
@@ -587,7 +561,7 @@ func (l *Lake) RegisterTable(f *frame.Frame) error {
 // DRG is patched: the old node's edges go, the new node's verified
 // candidate edges come in.
 func (l *Lake) ReplaceTable(f *frame.Frame) error {
-	if err := l.checkMutable(f, true); err != nil {
+	if err := checkNamed(f); err != nil {
 		return err
 	}
 	l.runMu.Lock()
@@ -628,9 +602,6 @@ func (l *Lake) ReplaceTable(f *frame.Frame) error {
 // shared cache, and its node (with all incident edges) from every
 // memoised DRG.
 func (l *Lake) DropTable(name string) error {
-	if err := l.checkMutable(nil, false); err != nil {
-		return err
-	}
 	l.runMu.Lock()
 	defer l.runMu.Unlock()
 	old, ok := l.byName[name]
@@ -658,14 +629,9 @@ func (l *Lake) DropTable(name string) error {
 	return nil
 }
 
-// checkMutable rejects mutations that can never be applied: attached
-// (FromGraph) lakes pin an externally built graph, and a table mutation
-// needs a named frame.
-func (l *Lake) checkMutable(f *frame.Frame, needFrame bool) error {
-	if l.attached != nil {
-		return errs.BadInput("autofeat: lake is attached to an external graph and cannot be mutated")
-	}
-	if needFrame && (f == nil || f.Name() == "") {
+// checkNamed rejects a table mutation without a named frame.
+func checkNamed(f *frame.Frame) error {
+	if f == nil || f.Name() == "" {
 		return errs.BadInput("autofeat: mutation requires a named table")
 	}
 	return nil
@@ -791,8 +757,7 @@ func (l *Lake) patchEdges(g *graph.Graph, f *frame.Frame, eff settings) error {
 
 // NewDiscovery prepares a core discovery run over the Lake's DRG (built
 // or reused under the given options), wiring in the shared key-index
-// cache. It is the session-aware equivalent of the deprecated
-// package-level NewDiscovery.
+// cache — the two-step prepare/run alternative to Discover.
 func (l *Lake) NewDiscovery(base, label string, cfg core.Config, opts ...Option) (*core.Discovery, error) {
 	g, _, err := l.drg(l.resolve(opts))
 	if err != nil {

@@ -161,32 +161,6 @@ func TestDiscoverValidatesModel(t *testing.T) {
 	}
 }
 
-func TestFromGraphPinsAttachedGraph(t *testing.T) {
-	_, ds := writeLakeDir(t)
-	g, err := New(ds.Tables).DRG(WithKFKs(ds.KFKs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := FromGraph(g)
-	got, err := l.DRG(WithThreshold(0.1)) // options must be ignored
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != g {
-		t.Error("FromGraph lake must always return the attached graph")
-	}
-	if len(l.Tables()) != len(ds.Tables) {
-		t.Errorf("FromGraph adopted %d tables, want %d", len(l.Tables()), len(ds.Tables))
-	}
-	res, err := l.Discover(context.Background(), Request{Base: ds.Base.Name(), Label: ds.Label})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.WarmGraph {
-		t.Error("attached graph should always count as warm")
-	}
-}
-
 // TestDiscoverInjectsSharedCache confirms every run against one Lake
 // shares the key-index cache unless the caller supplies its own.
 func TestDiscoverInjectsSharedCache(t *testing.T) {

@@ -299,19 +299,6 @@ func TestMutationValidation(t *testing.T) {
 	if l.Mutations() != 0 {
 		t.Fatalf("rejected mutations must not count: %d", l.Mutations())
 	}
-
-	g := graph.New()
-	g.AddTable(tabs[0])
-	attached := FromGraph(g)
-	for _, err := range []error{
-		attached.RegisterTable(frame.New("n")),
-		attached.ReplaceTable(tabs[0]),
-		attached.DropTable(tabs[0].Name()),
-	} {
-		if !errors.Is(err, errs.ErrBadInput) {
-			t.Fatalf("attached lake must reject mutations: %v", err)
-		}
-	}
 }
 
 // TestConcurrentDiscoverAndMutation exercises the runMu discipline

@@ -24,6 +24,7 @@ package serve
 //     on top of each worker's own QueueDepth 429 admission control.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -61,11 +62,14 @@ type heartbeatMsg struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// workerState is the coordinator's view of one worker.
+// workerState is the coordinator's view of one worker. acked is the
+// job-store version the worker last acknowledged with a 200; a join or
+// rejoin resets it, so replication catches the worker up.
 type workerState struct {
 	heartbeatMsg
 	lastSeen time.Time
 	alive    bool
+	acked    int64
 }
 
 // workerDoc is one entry of the GET /cluster/v1/workers response.
@@ -85,12 +89,9 @@ type workerDoc struct {
 // clusterLakeDoc is one entry of the coordinator's GET /v1/lakes
 // response: the stored registration plus its current placement.
 type clusterLakeDoc struct {
-	ID        string  `json:"id"`
-	Dir       string  `json:"dir"`
-	Matcher   string  `json:"matcher,omitempty"`
-	Threshold float64 `json:"threshold,omitempty"`
-	Worker    string  `json:"worker,omitempty"`
-	Tables    int     `json:"tables,omitempty"`
+	StoredLake
+	Worker string `json:"worker,omitempty"`
+	Tables int    `json:"tables,omitempty"`
 }
 
 // clusterJobDoc is the coordinator's job document (GET
@@ -178,7 +179,6 @@ type Coordinator struct {
 	workerSnaps map[string]*telemetry.Snapshot // last federated pull, by worker ID
 
 	draining    atomic.Bool
-	replicated  atomic.Int64 // last store version pushed to workers
 	lastEvicted atomic.Int64 // store evictions already counted
 }
 
@@ -286,16 +286,15 @@ func (c *Coordinator) SeedWorkers(addrs []string) {
 
 // fetchInfo retrieves a worker's identity document.
 func (c *Coordinator) fetchInfo(addr string) (*heartbeatMsg, error) {
-	resp, err := c.client.Get(addr + "/cluster/v1/info")
+	rep, err := c.call(context.TODO(), addr, http.MethodGet, "/cluster/v1/info", nil)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: %s/cluster/v1/info: status %d", addr, resp.StatusCode)
+	if rep.status != http.StatusOK {
+		return nil, fmt.Errorf("serve: %s/cluster/v1/info: status %d", addr, rep.status)
 	}
 	var info heartbeatMsg
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := json.Unmarshal(rep.body, &info); err != nil {
 		return nil, err
 	}
 	if err := CheckProto(info.Proto); err != nil {
@@ -321,6 +320,7 @@ func (c *Coordinator) observeHeartbeat(hb heartbeatMsg) {
 		joined = true
 	} else if !w.alive {
 		rejoined = true
+		w.acked = 0
 	}
 	w.heartbeatMsg = hb
 	w.lastSeen = now
@@ -336,22 +336,19 @@ func (c *Coordinator) observeHeartbeat(hb heartbeatMsg) {
 	c.updateGauges()
 }
 
-// aliveWorkers snapshots the workers eligible for new placements (alive
-// and not draining), plus the full alive set.
-func (c *Coordinator) aliveWorkers() (placeable []workerState, alive int) {
+// alive snapshots every alive worker in join order, draining ones
+// included: they still hold spans, metrics and running jobs, but
+// placement and replication skip them.
+func (c *Coordinator) alive() []workerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	out := make([]workerState, 0, len(c.order))
 	for _, id := range c.order {
-		w := c.workers[id]
-		if !w.alive {
-			continue
-		}
-		alive++
-		if !w.Draining {
-			placeable = append(placeable, *w)
+		if w := c.workers[id]; w.alive {
+			out = append(out, *w)
 		}
 	}
-	return placeable, alive
+	return out
 }
 
 // workerByID returns a copy of the worker's state.
@@ -371,11 +368,13 @@ func (c *Coordinator) workerByID(id string) (workerState, bool) {
 // with the same membership view computes the same owner, and removing
 // a worker only moves the lakes that worker owned.
 func (c *Coordinator) ownerFor(lakeID string) (workerState, bool) {
-	workers, _ := c.aliveWorkers()
 	var best workerState
 	var bestScore uint64
 	found := false
-	for _, w := range workers {
+	for _, w := range c.alive() {
+		if w.Draining {
+			continue
+		}
 		h := fnv.New64a()
 		_, _ = io.WriteString(h, w.ID)
 		_, _ = h.Write([]byte{0})
@@ -393,8 +392,7 @@ func (c *Coordinator) ownerFor(lakeID string) (workerState, bool) {
 // counter.
 func (c *Coordinator) updateGauges() {
 	mx := c.cfg.Collector.Meter()
-	_, alive := c.aliveWorkers()
-	mx.SetGauge(telemetry.GaugeClusterWorkersUp, float64(alive))
+	mx.SetGauge(telemetry.GaugeClusterWorkersUp, float64(len(c.alive())))
 	mx.SetGauge(telemetry.GaugeClusterStoreJobs, float64(c.store.Len()))
 	// Fold the store's cumulative eviction count into the counter (and
 	// the journal) exactly once per eviction, even with concurrent
@@ -429,62 +427,81 @@ func (c *Coordinator) updateGauges() {
 	}
 }
 
-// forward sends method+path with the given body to a worker,
-// propagating the trace context (explicit traceparent wins, else the
-// request context's current span). The caller owns the response.
-func (c *Coordinator) forward(ctx context.Context, w workerState, method, path, traceparent string, body []byte) (*http.Response, error) {
+// maxReplyBytes caps every worker reply the coordinator reads: job,
+// manifest and trace documents, telemetry snapshots and relayed client
+// answers alike.
+const maxReplyBytes = 16 << 20
+
+// reply is one worker answer, read in full.
+type reply struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// call is the one coordinator -> worker exchange: it sends method+path
+// with body (nil for none) to the worker at addr, propagating ctx's
+// span as a W3C traceparent, and reads the reply, at most
+// maxReplyBytes.
+func (c *Coordinator) call(ctx context.Context, addr, method, path string, body []byte) (*reply, error) {
 	var rd io.Reader
 	if body != nil {
-		rd = jsonReader(body)
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, w.Addr+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, addr+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceparent == "" {
-		if sc, ok := telemetry.SpanContextFrom(ctx); ok {
-			traceparent = sc.Traceparent()
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if sc, ok := telemetry.SpanContextFrom(ctx); ok {
+		req.Header.Set("traceparent", sc.Traceparent())
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes+1))
+	if err == nil && len(b) > maxReplyBytes {
+		err = fmt.Errorf("serve: %s %s: reply exceeds %d bytes", method, path, maxReplyBytes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &reply{status: resp.StatusCode, header: resp.Header, body: b}, nil
+}
+
+// proxy is the one relay for the client routes the coordinator
+// forwards: it sends r's method and body (nil for none) to path on the
+// worker with the given id and copies the answer back verbatim —
+// status, Content-Type, Retry-After, Location and body — so routed
+// errors like a worker's 429 keep their machine-readable form. Each
+// relayed request counts in cluster.proxied_requests; a worker that is
+// not alive, or whose exchange fails, is answered 502 naming it, and a
+// failed exchange also counts in cluster.proxy_errors.
+func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, workerID, path string, body []byte) {
+	wk, ok := c.workerByID(workerID)
+	if !ok || !wk.alive {
+		writeError(w, http.StatusBadGateway, "worker "+workerID+" is not reachable")
+		return
+	}
+	mx := c.cfg.Collector.Meter()
+	mx.Inc(telemetry.CtrClusterProxied)
+	rep, err := c.call(r.Context(), wk.Addr, r.Method, path, body)
+	if err != nil {
+		mx.Inc(telemetry.CtrClusterProxyErrors)
+		writeError(w, http.StatusBadGateway, "worker "+workerID+": "+err.Error())
+		return
+	}
+	for _, h := range []string{"Content-Type", "Retry-After", "Location"} {
+		if v := rep.header.Get(h); v != "" {
+			w.Header().Set(h, v)
 		}
 	}
-	if traceparent != "" {
-		req.Header.Set("traceparent", traceparent)
-	}
-	return c.client.Do(req)
-}
-
-// jsonReader wraps raw bytes for re-sending.
-func jsonReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-// byteReader is a minimal one-shot reader over a byte slice.
-type byteReader struct{ b []byte }
-
-// Read implements io.Reader.
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
-}
-
-// relay copies a worker response (status, Retry-After, body) through to
-// the client — routed errors like a worker's 429 keep their
-// machine-readable body and headers intact.
-func relay(w http.ResponseWriter, resp *http.Response) {
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	if loc := resp.Header.Get("Location"); loc != "" {
-		w.Header().Set("Location", loc)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	w.WriteHeader(rep.status)
+	_, _ = w.Write(rep.body)
 }
 
 // handleLakeCreate registers a lake cluster-wide: record it in the
@@ -494,7 +511,7 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "cluster is draining")
 		return
 	}
-	var req lakeCreateRequest
+	var req StoredLake
 	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
@@ -502,12 +519,12 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "dir is required")
 		return
 	}
-	stored := c.store.AddLake(StoredLake{ID: req.ID, Dir: req.Dir, Matcher: req.Matcher, Threshold: req.Threshold})
+	stored := c.store.AddLake(req)
 	owner, ok := c.ownerFor(stored.ID)
 	if !ok {
 		// Recorded but not yet placed; the first worker to join picks it
 		// up when a job arrives.
-		writeJSON(w, http.StatusCreated, clusterLakeDoc{ID: stored.ID, Dir: stored.Dir, Matcher: stored.Matcher, Threshold: stored.Threshold})
+		writeJSON(w, http.StatusCreated, clusterLakeDoc{StoredLake: *stored})
 		return
 	}
 	tables, err := c.openLakeOn(r.Context(), owner, *stored)
@@ -517,28 +534,24 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	c.updateGauges()
 	c.log.Info("cluster lake registered", "lake", stored.ID, "dir", stored.Dir, "worker", owner.ID)
-	writeJSON(w, http.StatusCreated, clusterLakeDoc{
-		ID: stored.ID, Dir: stored.Dir, Matcher: stored.Matcher,
-		Threshold: stored.Threshold, Worker: owner.ID, Tables: tables,
-	})
+	writeJSON(w, http.StatusCreated, clusterLakeDoc{StoredLake: *stored, Worker: owner.ID, Tables: tables})
 }
 
 // openLakeOn opens a stored lake on the given worker under its cluster
-// id, returning the worker-reported table count.
+// id, forwarding the whole registration, and returns the
+// worker-reported table count.
 func (c *Coordinator) openLakeOn(ctx context.Context, w workerState, l StoredLake) (int, error) {
-	body, _ := json.Marshal(lakeCreateRequest{ID: l.ID, Dir: l.Dir, Matcher: l.Matcher, Threshold: l.Threshold})
-	resp, err := c.forward(ctx, w, http.MethodPost, "/v1/lakes", "", body)
+	body, _ := json.Marshal(l)
+	rep, err := c.call(ctx, w.Addr, http.MethodPost, "/v1/lakes", body)
 	if err != nil {
 		c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxyErrors)
 		return 0, fmt.Errorf("serve: open lake %s on %s: %w", l.ID, w.ID, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return 0, fmt.Errorf("serve: open lake %s on %s: status %d: %s", l.ID, w.ID, resp.StatusCode, b)
+	if rep.status != http.StatusCreated {
+		return 0, fmt.Errorf("serve: open lake %s on %s: status %d: %.4096s", l.ID, w.ID, rep.status, bytes.TrimSpace(rep.body))
 	}
 	var doc lakeDoc
-	_ = json.NewDecoder(resp.Body).Decode(&doc)
+	_ = json.Unmarshal(rep.body, &doc)
 	c.noteWorkerLake(w.ID, l.ID)
 	return doc.Tables, nil
 }
@@ -560,23 +573,29 @@ func (c *Coordinator) noteWorkerLake(workerID, lakeID string) {
 	w.Lakes = append(w.Lakes, lakeID)
 }
 
-// handleLakeList serves the cluster lake registry with current
-// placements.
-func (c *Coordinator) handleLakeList(w http.ResponseWriter, _ *http.Request) {
+// lakeDocs renders the stored lakes with their current placements —
+// the lake list of GET /v1/lakes and of the status document.
+func (c *Coordinator) lakeDocs() []clusterLakeDoc {
 	lakes := c.store.Lakes()
 	docs := make([]clusterLakeDoc, 0, len(lakes))
 	for _, l := range lakes {
-		d := clusterLakeDoc{ID: l.ID, Dir: l.Dir, Matcher: l.Matcher, Threshold: l.Threshold}
+		d := clusterLakeDoc{StoredLake: l}
 		if owner, ok := c.ownerFor(l.ID); ok {
 			d.Worker = owner.ID
 		}
 		docs = append(docs, d)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"lakes": docs})
+	return docs
 }
 
-// handleLakeProxy forwards a table mutation to the lake's owner and
-// relays the response verbatim.
+// handleLakeList serves the cluster lake registry with current
+// placements.
+func (c *Coordinator) handleLakeList(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"lakes": c.lakeDocs()})
+}
+
+// handleLakeProxy relays a table mutation to the lake's owner, opening
+// the lake there first if the owner does not hold it yet.
 func (c *Coordinator) handleLakeProxy(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "cluster is draining")
@@ -600,14 +619,7 @@ func (c *Coordinator) handleLakeProxy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxied)
-	resp, err := c.forward(r.Context(), owner, r.Method, r.URL.Path, "", body)
-	if err != nil {
-		c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxyErrors)
-		writeError(w, http.StatusBadGateway, "worker "+owner.ID+": "+err.Error())
-		return
-	}
-	relay(w, resp)
+	c.proxy(w, r, owner.ID, r.URL.Path, body)
 }
 
 // ensureLakeOn opens the lake on the worker if the membership view says
@@ -729,8 +741,8 @@ func (c *Coordinator) dispatch(ctx context.Context, jobID string) {
 	// A traced job gets an explicit cluster.dispatch span between the
 	// coordinator's relay span and the worker's serve.http span, so the
 	// assembled cross-node tree reads relay -> dispatch -> worker.
-	// forward picks the span's context up from dctx; untraced jobs
-	// forward without one.
+	// call picks the span's context up from dctx; untraced jobs are sent
+	// without one.
 	dctx := ctx
 	var dsp telemetry.Span
 	traced := false
@@ -742,13 +754,13 @@ func (c *Coordinator) dispatch(ctx context.Context, jobID string) {
 		traced = true
 	}
 	start := c.clock()
-	resp, err := c.forward(dctx, owner, http.MethodPost, "/v1/discoveries", "", job.Body)
+	rep, err := c.call(dctx, owner.Addr, http.MethodPost, "/v1/discoveries", job.Body)
 	mx.Observe(telemetry.HistClusterDispatchSeconds, c.clock().Sub(start).Seconds())
 	if traced {
 		if err != nil {
 			dsp.SetStr("error", err.Error())
 		} else {
-			dsp.SetInt("status", resp.StatusCode)
+			dsp.SetInt("status", rep.status)
 		}
 		dsp.End()
 	}
@@ -757,13 +769,12 @@ func (c *Coordinator) dispatch(ctx context.Context, jobID string) {
 		c.retryLater(jobID, owner.ID, err.Error())
 		return
 	}
-	defer resp.Body.Close()
 	switch {
-	case resp.StatusCode == http.StatusAccepted:
+	case rep.status == http.StatusAccepted:
 		var acc struct {
 			ID string `json:"id"`
 		}
-		_ = json.NewDecoder(resp.Body).Decode(&acc)
+		_ = json.Unmarshal(rep.body, &acc)
 		c.store.Update(jobID, func(j *StoredJob) {
 			j.State = ClusterDispatched
 			j.Worker = owner.ID
@@ -772,19 +783,18 @@ func (c *Coordinator) dispatch(ctx context.Context, jobID string) {
 			j.NotBeforeUnixMS = 0
 		})
 		c.log.Info("cluster job dispatched", "id", jobID, "worker", owner.ID, "worker_job", acc.ID)
-	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
+	case rep.status == http.StatusTooManyRequests || rep.status == http.StatusServiceUnavailable:
 		// Worker admission control said no; keep the job durable and let
 		// the sweep retry after the backoff.
-		c.retryLater(jobID, owner.ID, fmt.Sprintf("worker %s busy (status %d)", owner.ID, resp.StatusCode))
+		c.retryLater(jobID, owner.ID, fmt.Sprintf("worker %s busy (status %d)", owner.ID, rep.status))
 	default:
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		c.store.Update(jobID, func(j *StoredJob) {
 			j.State = StateFailed
 			j.Worker = owner.ID
 			j.Attempts++
-			j.Error = fmt.Sprintf("worker %s rejected job (status %d): %s", owner.ID, resp.StatusCode, b)
+			j.Error = fmt.Sprintf("worker %s rejected job (status %d): %.4096s", owner.ID, rep.status, rep.body)
 		})
-		c.log.Warn("cluster job rejected by worker", "id", jobID, "worker", owner.ID, "status", resp.StatusCode)
+		c.log.Warn("cluster job rejected by worker", "id", jobID, "worker", owner.ID, "status", rep.status)
 	}
 }
 
@@ -856,14 +866,15 @@ func (c *Coordinator) Sweep() {
 	}
 
 	// 4. Refresh dispatched jobs' states from their workers, so results
-	// are durable in the store even if no client ever polls.
+	// are durable in the store even if no client ever polls. A failed
+	// poll is left to the membership step of a later sweep.
 	for _, j := range c.store.Jobs() {
 		if j.State == ClusterDispatched {
-			c.refreshJob(ctx, j)
+			_, _ = c.pollJob(ctx, j)
 		}
 	}
 
-	// 5. Replicate the store to alive workers when it changed.
+	// 5. Replicate the store to workers that lack its current version.
 	c.replicate(ctx)
 
 	// 6. Pull every alive worker's telemetry snapshot for the federated
@@ -872,60 +883,66 @@ func (c *Coordinator) Sweep() {
 	c.updateGauges()
 }
 
-// refreshJob polls a dispatched job's worker and persists the worker
-// document once the job reached a terminal state. Unreachable workers
-// are ignored here — the membership sweep owns declaring them dead.
-func (c *Coordinator) refreshJob(ctx context.Context, j StoredJob) {
+// pollJob reads a dispatched job's live document from its worker into
+// the returned copy's Result and, once the worker reports a terminal
+// state, persists that state and document in the store. The job comes
+// back unchanged when its worker is not alive or does not answer 200;
+// err reports a failed exchange.
+func (c *Coordinator) pollJob(ctx context.Context, j StoredJob) (StoredJob, error) {
 	w, ok := c.workerByID(j.Worker)
 	if !ok || !w.alive {
-		return
+		return j, nil
 	}
-	resp, err := c.forward(ctx, w, http.MethodGet, "/v1/discoveries/"+j.WorkerJob, "", nil)
+	rep, err := c.call(ctx, w.Addr, http.MethodGet, "/v1/discoveries/"+j.WorkerJob, nil)
 	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return
+		return j, err
 	}
 	var doc struct {
 		State string `json:"state"`
 		Error string `json:"error"`
 	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return
+	if rep.status != http.StatusOK || json.Unmarshal(rep.body, &doc) != nil {
+		return j, nil
 	}
-	if doc.State == StateDone || doc.State == StateFailed || doc.State == StateCancelled {
+	j.Result = rep.body
+	if terminalJobState(doc.State) {
+		j.State, j.Error = doc.State, doc.Error
 		c.store.Update(j.ID, func(sj *StoredJob) {
-			sj.State = doc.State
-			sj.Error = doc.Error
-			sj.Result = body
+			sj.State, sj.Error, sj.Result = doc.State, doc.Error, rep.body
 		})
 		c.log.Info("cluster job finished", "id", j.ID, "state", doc.State, "worker", j.Worker)
 	}
+	return j, nil
 }
 
-// replicate pushes the current store snapshot to every alive worker if
-// the store changed since the last push.
+// replicate pushes the current store snapshot to every alive,
+// non-draining worker that has not acknowledged this store version with
+// a 200: a worker that joined or rejoined since the last change gets it
+// too, and a failed or refused push is retried on the next sweep.
 func (c *Coordinator) replicate(ctx context.Context) {
 	v := c.store.Version()
-	if v == c.replicated.Load() {
-		return
-	}
-	snap := c.store.Snapshot()
-	workers, _ := c.aliveWorkers()
+	var snap []byte
 	pushed := 0
-	for _, w := range workers {
-		resp, err := c.forward(ctx, w, http.MethodPost, "/cluster/v1/jobstore", "", snap)
+	for _, w := range c.alive() {
+		if w.Draining || w.acked == v {
+			continue
+		}
+		if snap == nil {
+			snap = c.store.Snapshot()
+		}
+		rep, err := c.call(ctx, w.Addr, http.MethodPost, "/cluster/v1/jobstore", snap)
+		if err == nil && rep.status != http.StatusOK {
+			err = fmt.Errorf("status %d: %.4096s", rep.status, bytes.TrimSpace(rep.body))
+		}
 		if err != nil {
 			c.log.Warn("cluster store replication failed", "worker", w.ID, "error", err)
 			continue
 		}
-		resp.Body.Close()
+		c.mu.Lock()
+		if ws, ok := c.workers[w.ID]; ok {
+			ws.acked = v
+		}
+		c.mu.Unlock()
 		pushed++
 	}
 	if pushed > 0 {
@@ -934,7 +951,6 @@ func (c *Coordinator) replicate(ctx context.Context) {
 			Detail: fmt.Sprintf("store version %d pushed to %d workers", v, pushed),
 		})
 	}
-	c.replicated.Store(v)
 }
 
 // clusterJob renders one stored job as the coordinator's job document.
@@ -966,53 +982,17 @@ func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.State == ClusterDispatched {
-		c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxied)
-		c.refreshLiveDoc(r.Context(), &j)
+		mx := c.cfg.Collector.Meter()
+		mx.Inc(telemetry.CtrClusterProxied)
+		var err error
+		if j, err = c.pollJob(r.Context(), j); err != nil {
+			mx.Inc(telemetry.CtrClusterProxyErrors)
+		}
 	}
 	writeJSON(w, http.StatusOK, clusterJob(j))
 }
 
-// refreshLiveDoc fetches a dispatched job's current worker document
-// into j.Job (persisting terminal states) without failing the request
-// when the worker is unreachable.
-func (c *Coordinator) refreshLiveDoc(ctx context.Context, j *StoredJob) {
-	wk, ok := c.workerByID(j.Worker)
-	if !ok || !wk.alive {
-		return
-	}
-	resp, err := c.forward(ctx, wk, http.MethodGet, "/v1/discoveries/"+j.WorkerJob, "", nil)
-	if err != nil {
-		c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxyErrors)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return
-	}
-	var doc struct {
-		State string `json:"state"`
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return
-	}
-	j.Result = body
-	if doc.State == StateDone || doc.State == StateFailed || doc.State == StateCancelled {
-		j.State = doc.State
-		j.Error = doc.Error
-		c.store.Update(j.ID, func(sj *StoredJob) {
-			sj.State = doc.State
-			sj.Error = doc.Error
-			sj.Result = body
-		})
-	}
-}
-
-// handleJobManifest proxies the manifest request to the worker holding
+// handleJobManifest relays the manifest request to the worker holding
 // the job.
 func (c *Coordinator) handleJobManifest(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.store.Job(r.PathValue("id"))
@@ -1024,24 +1004,12 @@ func (c *Coordinator) handleJobManifest(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusConflict, "job has not been dispatched yet")
 		return
 	}
-	wk, ok := c.workerByID(j.Worker)
-	if !ok || !wk.alive {
-		writeError(w, http.StatusBadGateway, "worker "+j.Worker+" is not reachable")
-		return
-	}
-	c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxied)
-	resp, err := c.forward(r.Context(), wk, http.MethodGet, "/v1/discoveries/"+j.WorkerJob+"/manifest", "", nil)
-	if err != nil {
-		c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxyErrors)
-		writeError(w, http.StatusBadGateway, "worker "+j.Worker+": "+err.Error())
-		return
-	}
-	relay(w, resp)
+	c.proxy(w, r, j.Worker, "/v1/discoveries/"+j.WorkerJob+"/manifest", nil)
 }
 
-// handleJobCancel cancels a cluster job: a still-queued job is
-// terminally cancelled in the store; a dispatched one forwards the
-// cancel to its worker.
+// handleJobCancel cancels a cluster job: a dispatched one relays the
+// cancel to its worker; a still-queued one, or one whose worker is
+// gone, is terminally cancelled in the store.
 func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := c.store.Job(id)
@@ -1050,28 +1018,18 @@ func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch j.State {
+	case ClusterDispatched:
+		if wk, ok := c.workerByID(j.Worker); ok && wk.alive {
+			c.proxy(w, r, j.Worker, "/v1/discoveries/"+j.WorkerJob, nil)
+			return
+		}
+		// Worker gone: the reroute sweep owns this job now; cancel it at
+		// the cluster level so it never re-dispatches.
+		fallthrough
 	case ClusterQueued:
 		c.store.Update(id, func(sj *StoredJob) { sj.State = StateCancelled })
 		j, _ = c.store.Job(id)
 		writeJSON(w, http.StatusAccepted, clusterJob(j))
-	case ClusterDispatched:
-		wk, okw := c.workerByID(j.Worker)
-		if !okw || !wk.alive {
-			// Worker gone: the reroute sweep owns this job now; cancel it
-			// at the cluster level so it never re-dispatches.
-			c.store.Update(id, func(sj *StoredJob) { sj.State = StateCancelled })
-			j, _ = c.store.Job(id)
-			writeJSON(w, http.StatusAccepted, clusterJob(j))
-			return
-		}
-		c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxied)
-		resp, err := c.forward(r.Context(), wk, http.MethodDelete, "/v1/discoveries/"+j.WorkerJob, "", nil)
-		if err != nil {
-			c.cfg.Collector.Meter().Inc(telemetry.CtrClusterProxyErrors)
-			writeError(w, http.StatusBadGateway, "worker "+j.Worker+": "+err.Error())
-			return
-		}
-		relay(w, resp)
 	default:
 		writeJSON(w, http.StatusConflict, clusterJob(j))
 	}

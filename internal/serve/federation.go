@@ -12,28 +12,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 
 	"autofeat/internal/obsrv"
 	"autofeat/internal/telemetry"
 )
-
-// aliveList snapshots every alive worker, draining ones included —
-// the fan-out set for telemetry pulls and trace assembly (a draining
-// worker still holds spans and metrics).
-func (c *Coordinator) aliveList() []workerState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]workerState, 0, len(c.order))
-	for _, id := range c.order {
-		if w := c.workers[id]; w.alive {
-			out = append(out, *w)
-		}
-	}
-	return out
-}
 
 // pullTelemetry fetches each alive worker's telemetry snapshot
 // (GET /cluster/v1/telemetry) and retains the latest per worker; the
@@ -42,19 +26,18 @@ func (c *Coordinator) aliveList() []workerState {
 // later die are retained for postmortem reading.
 func (c *Coordinator) pullTelemetry(ctx context.Context) {
 	mx := c.cfg.Collector.Meter()
-	for _, w := range c.aliveList() {
-		resp, err := c.forward(ctx, w, http.MethodGet, "/cluster/v1/telemetry", "", nil)
+	for _, w := range c.alive() {
+		rep, err := c.call(ctx, w.Addr, http.MethodGet, "/cluster/v1/telemetry", nil)
 		if err != nil {
 			mx.Inc(telemetry.CtrClusterTelemetryErrors)
 			c.log.Warn("cluster telemetry pull failed", "worker", w.ID, "error", err)
 			continue
 		}
 		var msg telemetryMsg
-		err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&msg)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || CheckProto(msg.Proto) != nil || msg.Snapshot == nil {
+		err = json.Unmarshal(rep.body, &msg)
+		if err != nil || rep.status != http.StatusOK || CheckProto(msg.Proto) != nil || msg.Snapshot == nil {
 			mx.Inc(telemetry.CtrClusterTelemetryErrors)
-			c.log.Warn("cluster telemetry pull rejected", "worker", w.ID, "status", resp.StatusCode, "error", err)
+			c.log.Warn("cluster telemetry pull rejected", "worker", w.ID, "status", rep.status, "error", err)
 			continue
 		}
 		mx.Inc(telemetry.CtrClusterTelemetryPulls)
@@ -161,13 +144,7 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, _ *http.Request
 		doc.Queue.WorkerRunning += wd.Running
 		doc.Queue.WorkerSlots += wd.Slots
 	}
-	for _, l := range c.store.Lakes() {
-		d := clusterLakeDoc{ID: l.ID, Dir: l.Dir, Matcher: l.Matcher, Threshold: l.Threshold}
-		if owner, ok := c.ownerFor(l.ID); ok {
-			d.Worker = owner.ID
-		}
-		doc.Lakes = append(doc.Lakes, d)
-	}
+	doc.Lakes = c.lakeDocs()
 	byState := c.store.StateCounts()
 	doc.Store = clusterStoreDoc{
 		Jobs: c.store.Len(), ByState: byState, Version: c.store.Version(),
@@ -241,22 +218,21 @@ func (c *Coordinator) handleFederatedTrace(w http.ResponseWriter, r *http.Reques
 	if len(spans) > 0 {
 		nodes = append(nodes, c.cfg.NodeID)
 	}
-	for _, wk := range c.aliveList() {
+	for _, wk := range c.alive() {
 		mx.Inc(telemetry.CtrClusterProxied)
-		resp, err := c.forward(r.Context(), wk, http.MethodGet, "/cluster/v1/traces/"+id, "", nil)
+		rep, err := c.call(r.Context(), wk.Addr, http.MethodGet, "/cluster/v1/traces/"+id, nil)
 		if err != nil {
 			mx.Inc(telemetry.CtrClusterProxyErrors)
 			c.log.Warn("cluster trace fetch failed", "worker", wk.ID, "trace", id, "error", err)
 			continue
 		}
-		var msg traceSpansMsg
-		err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&msg)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
+		if rep.status == http.StatusNotFound {
 			continue // worker holds no spans for this trace
 		}
-		if err != nil || resp.StatusCode != http.StatusOK || CheckProto(msg.Proto) != nil {
-			c.log.Warn("cluster trace fetch rejected", "worker", wk.ID, "trace", id, "status", resp.StatusCode, "error", err)
+		var msg traceSpansMsg
+		err = json.Unmarshal(rep.body, &msg)
+		if err != nil || rep.status != http.StatusOK || CheckProto(msg.Proto) != nil {
+			c.log.Warn("cluster trace fetch rejected", "worker", wk.ID, "trace", id, "status", rep.status, "error", err)
 			continue
 		}
 		if len(msg.Spans) > 0 {

@@ -7,6 +7,7 @@ package serve
 // -race exercises the snapshot-pull and render paths together.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -23,7 +24,7 @@ import (
 func submitClusterTraced(t *testing.T, cs *clusterStack, traceparent string, req submitRequest) string {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	hr, err := http.NewRequest(http.MethodPost, cs.coordTS.URL+"/v1/discoveries", jsonReader(body))
+	hr, err := http.NewRequest(http.MethodPost, cs.coordTS.URL+"/v1/discoveries", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestClusterObservabilityFederation(t *testing.T) {
 	cs := newClusterStack(t, 2,
 		ClusterConfig{HeartbeatTimeout: 5 * time.Second},
 		Config{Workers: 1, QueueDepth: 8})
-	postJSON(t, cs.coordTS.URL+"/v1/lakes", lakeCreateRequest{ID: "lake-001", Dir: cs.dir}, nil)
+	postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir}, nil)
 
 	// Concurrent scraper: hammer the federated metrics endpoint for the
 	// whole life of the traced job.
@@ -190,7 +191,7 @@ func TestCoordinatorProxyErrorPath(t *testing.T) {
 	cs := newClusterStack(t, 1,
 		ClusterConfig{HeartbeatTimeout: 5 * time.Second},
 		Config{Workers: 1, QueueDepth: 8})
-	postJSON(t, cs.coordTS.URL+"/v1/lakes", lakeCreateRequest{ID: "lake-001", Dir: cs.dir}, nil)
+	postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir}, nil)
 	w := cs.workers[0]
 	w.svc.sem <- struct{}{} // park the worker so the job stays dispatched
 
@@ -240,7 +241,7 @@ func TestClusterEventJournal(t *testing.T) {
 	cs := newClusterStack(t, 2,
 		ClusterConfig{HeartbeatTimeout: 5 * time.Second},
 		Config{Workers: 1})
-	postJSON(t, cs.coordTS.URL+"/v1/lakes", lakeCreateRequest{ID: "lake-001", Dir: cs.dir}, nil)
+	postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir}, nil)
 
 	// Let worker-b lapse: its death must be journaled.
 	cs.clock.advance(6 * time.Second)

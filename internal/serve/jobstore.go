@@ -39,19 +39,27 @@ const (
 	ClusterDispatched = "dispatched"
 )
 
-// StoredLake is the cluster-level record of one registered lake: enough
-// to re-open it on whichever worker rendezvous hashing places it on.
+// StoredLake is one lake registration: the POST /v1/lakes body on a
+// worker and on a coordinator, and the coordinator's store record of
+// it, forwarded whole to whichever worker rendezvous hashing places the
+// lake on.
 type StoredLake struct {
-	// ID is the cluster-wide lake id ("lake-001"); workers register the
-	// lake under the same id so submit bodies route unchanged.
+	// ID fixes the lake's id instead of letting the service assign the
+	// next "lake-NNN"; an existing lake under the same id is replaced
+	// (re-opened). The coordinator always forwards its cluster-wide id,
+	// so workers register the lake under it and submit bodies route
+	// unchanged.
 	ID string `json:"id"`
-	// Dir is the CSV directory the lake is opened from. Workers must be
-	// able to resolve it (shared filesystem or per-node copy).
+	// Dir is the lake directory to open (required). Workers must be able
+	// to resolve it (shared filesystem or per-node copy).
 	Dir string `json:"dir"`
-	// Matcher and Threshold are the lake's DRG defaults, forwarded to
-	// every worker that opens it.
+	// Matcher is the lake's default DRG matcher: "exact" (default) or
+	// "sketched"; Threshold its default matcher threshold (0 = 0.55).
 	Matcher   string  `json:"matcher,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
+	// Format selects the table file format: "auto" (default; columnar
+	// .afc files shadow same-named CSVs), "csv" or "columnar".
+	Format string `json:"format,omitempty"`
 }
 
 // StoredJob is the cluster-level record of one discovery job: the
@@ -150,7 +158,9 @@ func NewJobStore(path string) (*JobStore, error) {
 	return s, nil
 }
 
-// load replaces the store's contents with the given snapshot bytes.
+// load replaces the store's contents with the given snapshot bytes. A
+// snapshot with a null entry, an empty id or a repeated id is rejected
+// whole and leaves the store unchanged.
 func (s *JobStore) load(b []byte) error {
 	var doc storeDoc
 	if err := json.Unmarshal(b, &doc); err != nil {
@@ -159,16 +169,15 @@ func (s *JobStore) load(b []byte) error {
 	if err := CheckProto(doc.Proto); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextJob, s.nextLake = doc.NextJob, doc.NextLake
-	s.lakes, s.lakeIDs = map[string]*StoredLake{}, nil
-	for _, l := range doc.Lakes {
-		s.lakes[l.ID] = l
-		s.lakeIDs = append(s.lakeIDs, l.ID)
+	lakes, lakeIDs, err := indexByID("lake", doc.Lakes, func(l *StoredLake) string { return l.ID })
+	if err != nil {
+		return err
 	}
-	s.jobs, s.jobIDs = map[string]*StoredJob{}, nil
-	for _, j := range doc.Jobs {
+	jobs, jobIDs, err := indexByID("job", doc.Jobs, func(j *StoredJob) string { return j.ID })
+	if err != nil {
+		return err
+	}
+	for _, j := range jobs {
 		// A snapshot written mid-dispatch may record a job as dispatched
 		// to a worker that no longer remembers it; recovery re-queues
 		// every non-terminal job and lets the sweep re-dispatch (safe:
@@ -177,17 +186,33 @@ func (s *JobStore) load(b []byte) error {
 			j.State = ClusterQueued
 			j.Worker, j.WorkerJob = "", ""
 		}
-		s.jobs[j.ID] = j
-		s.jobIDs = append(s.jobIDs, j.ID)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextJob, s.nextLake = doc.NextJob, doc.NextLake
+	s.lakes, s.lakeIDs = lakes, lakeIDs
+	s.jobs, s.jobIDs = jobs, jobIDs
 	s.version++
 	return nil
 }
 
-// LoadSnapshot installs a replicated snapshot (a storeDoc produced by
-// Snapshot on another node) — the worker-side replica receive path and
-// the recover-from-worker path of a restarted coordinator.
-func (s *JobStore) LoadSnapshot(b []byte) error { return s.load(b) }
+// indexByID maps a snapshot's entries by id, keeping their order; a
+// null entry, an empty id or a repeated id is an error.
+func indexByID[T any](kind string, entries []*T, id func(*T) string) (map[string]*T, []string, error) {
+	byID := make(map[string]*T, len(entries))
+	var ids []string
+	for i, e := range entries {
+		if e == nil || id(e) == "" {
+			return nil, nil, fmt.Errorf("serve: job store %s entry %d is null or has no id", kind, i)
+		}
+		if _, dup := byID[id(e)]; dup {
+			return nil, nil, fmt.Errorf("serve: job store repeats %s id %q", kind, id(e))
+		}
+		byID[id(e)] = e
+		ids = append(ids, id(e))
+	}
+	return byID, ids, nil
+}
 
 // CheckProto validates a message's wire-protocol version against
 // ProtoVersion: the family and major version must match exactly;

@@ -249,25 +249,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	}
 }
 
-// lakeCreateRequest is the POST /v1/lakes body.
-type lakeCreateRequest struct {
-	// Dir is the lake directory to open (required).
-	Dir string `json:"dir"`
-	// ID optionally fixes the lake's id instead of letting the service
-	// assign the next "lake-NNN". The cluster coordinator uses it so a
-	// lake keeps one id wherever rendezvous hashing places it; an
-	// existing lake under the same id is replaced (re-opened).
-	ID string `json:"id,omitempty"`
-	// Matcher is the default DRG matcher for this lake: "exact"
-	// (default) or "sketched".
-	Matcher string `json:"matcher,omitempty"`
-	// Threshold is the default matcher threshold (0 = 0.55).
-	Threshold float64 `json:"threshold,omitempty"`
-	// Format selects the table file format: "auto" (default; columnar
-	// .afc files shadow same-named CSVs), "csv" or "columnar".
-	Format string `json:"format,omitempty"`
-}
-
 // lakeDoc describes one registered lake in responses.
 type lakeDoc struct {
 	ID     string `json:"id"`
@@ -280,7 +261,7 @@ func (s *Service) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "service is draining")
 		return
 	}
-	var req lakeCreateRequest
+	var req StoredLake
 	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
@@ -793,7 +774,7 @@ func (s *Service) handleJobList(w http.ResponseWriter, _ *http.Request) {
 func (s *Service) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
-		http.NotFound(w, r)
+		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.doc())
@@ -802,7 +783,7 @@ func (s *Service) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleJobManifest(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
-		http.NotFound(w, r)
+		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
 	j.mu.Lock()
@@ -821,7 +802,7 @@ func (s *Service) handleJobManifest(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.jobByID(r.PathValue("id"))
 	if j == nil {
-		http.NotFound(w, r)
+		writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
 	j.mu.Lock()

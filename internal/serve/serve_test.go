@@ -115,7 +115,7 @@ func TestServiceEndToEnd(t *testing.T) {
 
 	// Register a second lake over HTTP.
 	var ld lakeDoc
-	resp := postJSON(t, st.ts.URL+"/v1/lakes", lakeCreateRequest{Dir: st.dir}, &ld)
+	resp := postJSON(t, st.ts.URL+"/v1/lakes", StoredLake{Dir: st.dir}, &ld)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /v1/lakes: status %d", resp.StatusCode)
 	}
@@ -192,10 +192,31 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON: status %d, want 400", resp.StatusCode)
 	}
-	if r := getJSON(t, st.ts.URL+"/v1/discoveries/disc-999999", nil); r.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", r.StatusCode)
+	// Unknown job ids answer 404 with the standard JSON error body.
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/discoveries/disc-999999"},
+		{http.MethodGet, "/v1/discoveries/disc-999999/manifest"},
+		{http.MethodDelete, "/v1/discoveries/disc-999999"},
+	} {
+		hr, err := http.NewRequest(tc.method, st.ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusNotFound || ct != "application/json" || derr != nil || e.Error == "" {
+			t.Errorf("unknown job %s %s: status %d, Content-Type %q, error %q (decode err %v), want 404 with a JSON error",
+				tc.method, tc.path, resp.StatusCode, ct, e.Error, derr)
+		}
 	}
-	if r := postJSON(t, st.ts.URL+"/v1/lakes", lakeCreateRequest{Dir: t.TempDir()}, nil); r.StatusCode != http.StatusBadRequest {
+	if r := postJSON(t, st.ts.URL+"/v1/lakes", StoredLake{Dir: t.TempDir()}, nil); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty lake dir: status %d, want 400", r.StatusCode)
 	}
 }
@@ -366,7 +387,7 @@ func TestDrain(t *testing.T) {
 	if r := postJSON(t, st.ts.URL+"/v1/discoveries", req, nil); r.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: status %d, want 503", r.StatusCode)
 	}
-	if r := postJSON(t, st.ts.URL+"/v1/lakes", lakeCreateRequest{Dir: st.dir}, nil); r.StatusCode != http.StatusServiceUnavailable {
+	if r := postJSON(t, st.ts.URL+"/v1/lakes", StoredLake{Dir: st.dir}, nil); r.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("lake create while draining: status %d, want 503", r.StatusCode)
 	}
 }

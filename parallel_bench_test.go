@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"autofeat/internal/datagen"
+	"autofeat/internal/discovery"
 )
 
 // TestWriteParallelBench regenerates BENCH_parallel.json, the committed
@@ -30,7 +31,7 @@ func TestWriteParallelBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildDRG(d.Tables, d.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestWriteParallelBench(t *testing.T) {
 			for i := 0; i < b.N; i++ {
 				cfg := DefaultConfig()
 				cfg.Workers = w
-				disc, err := NewDiscovery(g, d.Base.Name(), d.Label, cfg)
+				disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

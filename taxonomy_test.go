@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"autofeat/internal/discovery"
 )
 
 // writeTaxonomyLake writes a four-file CSV lake: base -> bridge -> gold
@@ -48,9 +50,9 @@ func writeTaxonomyLake(t *testing.T) string {
 // wrapping — and that the sentinels stay mutually exclusive.
 func TestErrorTaxonomyWrapChain(t *testing.T) {
 	dir := writeTaxonomyLake(t)
-	_, readErr := ReadTablesDir(dir)
+	_, readErr := OpenLake(dir, WithFormat(FormatCSV))
 	if readErr == nil {
-		t.Fatal("ReadTablesDir accepted a corrupt CSV")
+		t.Fatal("OpenLake accepted a corrupt CSV")
 	}
 	_, modelErr := ModelByName("definitely-not-a-model")
 	if modelErr == nil {
@@ -83,12 +85,16 @@ func TestErrorTaxonomyWrapChain(t *testing.T) {
 }
 
 // TestCorruptTablePrunesOnlyItsPaths is the regression for graceful lake
-// degradation: ReadTablesDirLenient drops the corrupt file (reporting it
+// degradation: OpenLakeLenient drops the corrupt file (reporting it
 // as an ErrBadInput-matching error) and discovery over the remaining
 // tables completes with the paths the corrupt table never touched.
 func TestCorruptTablePrunesOnlyItsPaths(t *testing.T) {
 	dir := writeTaxonomyLake(t)
-	tables, errs := ReadTablesDirLenient(dir)
+	l, errs := OpenLakeLenient(dir, WithFormat(FormatCSV))
+	if l == nil {
+		t.Fatalf("lenient open failed: %v", errs)
+	}
+	tables := l.Tables()
 	if len(tables) != 3 {
 		t.Fatalf("lenient read kept %d tables, want 3", len(tables))
 	}
@@ -107,7 +113,7 @@ func TestCorruptTablePrunesOnlyItsPaths(t *testing.T) {
 		}
 	}
 
-	g, err := BuildDRG(tables, []KFK{
+	g, err := discovery.BuildBenchmarkDRG(tables, []KFK{
 		{ParentTable: "base", ParentCol: "id", ChildTable: "bridge", ChildCol: "pid"},
 		{ParentTable: "bridge", ParentCol: "ref", ChildTable: "gold", ChildCol: "key"},
 	})
@@ -116,7 +122,7 @@ func TestCorruptTablePrunesOnlyItsPaths(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.SampleSize = 0
-	disc, err := NewDiscovery(g, "base", "target", cfg)
+	disc, err := newDiscovery(g, "base", "target", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

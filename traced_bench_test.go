@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"autofeat/internal/datagen"
+	"autofeat/internal/discovery"
 	"autofeat/internal/telemetry"
 )
 
@@ -34,7 +35,7 @@ func TestWriteTracedBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildDRG(ds.Tables, ds.KFKs)
+	g, err := discovery.BuildBenchmarkDRG(ds.Tables, ds.KFKs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestWriteTracedBench(t *testing.T) {
 	const iters = 15
 
 	nopNs := minNsPerOp(t, iters, func() error {
-		disc, err := NewDiscovery(g, ds.Base.Name(), ds.Label, DefaultConfig())
+		disc, err := newDiscovery(g, ds.Base.Name(), ds.Label, DefaultConfig())
 		if err != nil {
 			return err
 		}
@@ -54,7 +55,7 @@ func TestWriteTracedBench(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Telemetry = NewTelemetry()
 		cfg.Telemetry.ObserveSpans(NewTraceStore(0, 0), NewFlightRecorder(0))
-		disc, err := NewDiscovery(g, ds.Base.Name(), ds.Label, cfg)
+		disc, err := newDiscovery(g, ds.Base.Name(), ds.Label, cfg)
 		if err != nil {
 			return err
 		}
