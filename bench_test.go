@@ -249,25 +249,73 @@ func BenchmarkMicroLeftJoin(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroDiscovery(b *testing.B) {
-	d, err := datagen.Generate(datagen.SmallSpecs()[1])
+// discoveryOps generates spec's lake and builds its benchmark DRG once,
+// then makes ops that each run one discovery over that graph under ctx
+// with a fresh cfg(). The micro benchmarks and TestWriteBench time the
+// same ops.
+func discoveryOps(tb testing.TB, spec datagen.Spec) func(ctx context.Context, cfg func() Config) func() error {
+	tb.Helper()
+	d, err := datagen.Generate(spec)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return func(ctx context.Context, cfg func() Config) func() error {
+		return func() error {
+			disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg())
+			if err != nil {
+				return err
+			}
+			_, err = disc.RunContext(ctx)
+			return err
+		}
+	}
+}
+
+// benchOp runs op b.N times after the setup that built it.
+func benchOp(b *testing.B, op func() error) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		disc, err := newDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := disc.Run(); err != nil {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func telemetryConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Telemetry = NewTelemetry()
+	return cfg
+}
+
+// tracedConfig adds what a served job's tracing pays on top of the
+// collector: a trace store and flight recorder observing every span.
+func tracedConfig() Config {
+	cfg := telemetryConfig()
+	cfg.Telemetry.ObserveSpans(NewTraceStore(0, 0), NewFlightRecorder(0))
+	return cfg
+}
+
+// tracedContext carries a remote trace context, so span identity is
+// inherited rather than freshly rooted, as in a served job.
+func tracedContext() context.Context {
+	remote, _ := telemetry.ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	return telemetry.ContextWithRemote(context.Background(), remote)
+}
+
+func workersConfig(n int) func() Config {
+	return func() Config {
+		cfg := DefaultConfig()
+		cfg.Workers = n
+		return cfg
+	}
+}
+
+func BenchmarkMicroDiscovery(b *testing.B) {
+	benchOp(b, discoveryOps(b, datagen.SmallSpecs()[1])(context.Background(), DefaultConfig))
 }
 
 // BenchmarkMicroDiscoveryTelemetry is the overhead guard for the
@@ -277,26 +325,7 @@ func BenchmarkMicroDiscovery(b *testing.B) {
 // by BenchmarkMicroDiscovery itself, since every call site goes through
 // the nil-safe Trace()/Meter() accessors either way.
 func BenchmarkMicroDiscoveryTelemetry(b *testing.B) {
-	d, err := datagen.Generate(datagen.SmallSpecs()[1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.Telemetry = NewTelemetry()
-		disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := disc.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, discoveryOps(b, datagen.SmallSpecs()[1])(context.Background(), telemetryConfig))
 }
 
 // BenchmarkMicroDiscoveryObserved is the full-observability variant of
@@ -306,28 +335,12 @@ func BenchmarkMicroDiscoveryTelemetry(b *testing.B) {
 // BenchmarkMicroDiscovery (everything nil) — the acceptance bound for the
 // disabled path is <2%, and this benchmark bounds the enabled path.
 func BenchmarkMicroDiscoveryObserved(b *testing.B) {
-	d, err := datagen.Generate(datagen.SmallSpecs()[1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.Telemetry = NewTelemetry()
+	benchOp(b, discoveryOps(b, datagen.SmallSpecs()[1])(context.Background(), func() Config {
+		cfg := telemetryConfig()
 		cfg.Progress = NewRunProgress("bench")
 		cfg.Logger = NewLogger(io.Discard, slog.LevelDebug, "json")
-		disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := disc.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+		return cfg
+	}))
 }
 
 // BenchmarkMicroDiscoveryTraced is the overhead guard for the request
@@ -337,31 +350,9 @@ func BenchmarkMicroDiscoveryObserved(b *testing.B) {
 // fanned out the way a served job's spans are. Compare against
 // BenchmarkMicroDiscoveryTelemetry for the tracing increment and against
 // BenchmarkMicroDiscovery for the total observability cost;
-// cmd/benchdiff gates both via BENCH_traced.json.
+// TestWriteBench/traced times the same op into BENCH_traced.json.
 func BenchmarkMicroDiscoveryTraced(b *testing.B) {
-	d, err := datagen.Generate(datagen.SmallSpecs()[1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	remote, _ := telemetry.ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.Telemetry = NewTelemetry()
-		cfg.Telemetry.ObserveSpans(NewTraceStore(0, 0), NewFlightRecorder(0))
-		disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := telemetry.ContextWithRemote(context.Background(), remote)
-		if _, err := disc.RunContext(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, discoveryOps(b, datagen.SmallSpecs()[1])(tracedContext(), tracedConfig))
 }
 
 // benchDiscoveryWorkers measures end-to-end discovery on the wide
@@ -370,26 +361,7 @@ func BenchmarkMicroDiscoveryTraced(b *testing.B) {
 // (bounded by GOMAXPROCS; the ranking is identical at every count).
 func benchDiscoveryWorkers(b *testing.B, workers int) {
 	b.Helper()
-	d, err := datagen.Generate(datagen.ParallelSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := disc.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, discoveryOps(b, datagen.ParallelSpec())(context.Background(), workersConfig(workers)))
 }
 
 func BenchmarkMicroDiscoveryWorkers1(b *testing.B) { benchDiscoveryWorkers(b, 1) }

@@ -1,36 +1,41 @@
-// Command benchdiff compares two benchmark baselines produced by
-// `make bench` (BENCH_parallel.json, BENCH_serve.json, BENCH_traced.json,
-// BENCH_index.json) and fails when wall-clock time regressed. It is the CI-friendly half of the
-// performance workflow: regenerate a candidate baseline, diff it against
-// the committed one, and let the exit code gate the change.
+// Command benchdiff compares two directories of the BENCH_*.json
+// baselines `make bench` writes and fails when wall-clock time
+// regressed. It is the CI-friendly half of the performance workflow:
+// regenerate candidate baselines, diff them against the committed ones,
+// and let the exit code gate the change.
 //
 // Usage:
 //
-//	benchdiff [-threshold pct] OLD.json NEW.json
+//	benchdiff [-threshold pct] OLD_DIR NEW_DIR
 //
-// Rows are paired by (mode, workers): the worker-scaling baseline keys
-// rows by worker count alone (mode empty), the serve baseline by
-// cold/warm mode, the index baseline by build mode and table count. Exit status is 0 when no paired row slowed down by
-// more than -threshold percent, 1 on regression, 2 on usage or read
-// errors.
+// Every BENCH_*.json in NEW_DIR is diffed against the file of the same
+// name in OLD_DIR (a file OLD_DIR lacks is reported and skipped). Rows
+// are paired by (mode, workers), where workers is the pool, worker or
+// table count the row ran at. Exit status is 0 when no paired row
+// slowed down by more than -threshold percent, 1 on regression, 2 on
+// usage or read errors.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 )
 
-// benchEntry is one row of a baseline file. Mode is empty in the
-// worker-scaling baseline and "cold"/"warm" in the serve baseline.
+// benchEntry is one row of a baseline file (docs/OPERATIONS.md
+// "Performance baselines" describes the schema).
 type benchEntry struct {
-	Mode       string  `json:"mode,omitempty"`
-	Workers    int     `json:"workers"`
-	Iterations int     `json:"iterations"`
-	NsPerOp    int64   `json:"ns_per_op"`
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
+	Mode          string         `json:"mode,omitempty"`
+	Workers       int            `json:"workers"`
+	Iterations    int            `json:"iterations"`
+	NsPerOp       int64          `json:"ns_per_op"`
+	SpeedupVs1    float64        `json:"speedup_vs_1"`
+	JobsPerWorker map[string]int `json:"jobs_per_worker,omitempty"`
 }
 
 // rowKey pairs rows across the two files.
@@ -39,8 +44,7 @@ type rowKey struct {
 	workers int
 }
 
-// benchDoc mirrors the BENCH_parallel.json layout written by
-// TestWriteParallelBench.
+// benchDoc mirrors the one BENCH_*.json schema TestWriteBench writes.
 type benchDoc struct {
 	Benchmark  string       `json:"benchmark"`
 	Dataset    string       `json:"dataset"`
@@ -122,7 +126,7 @@ func report(w io.Writer, oldDoc, newDoc *benchDoc, diffs []rowDiff, thresholdPct
 		fmt.Fprintf(w, "warning: GOMAXPROCS differs (old %d, new %d); timings are not directly comparable\n",
 			oldDoc.GOMAXPROCS, newDoc.GOMAXPROCS)
 	}
-	fmt.Fprintf(w, "%-10s %14s %14s %9s\n", "row", "old ns/op", "new ns/op", "delta")
+	fmt.Fprintf(w, "%-20s %14s %14s %9s\n", "row", "old ns/op", "new ns/op", "delta")
 	regressed := false
 	for _, d := range diffs {
 		mark := ""
@@ -130,7 +134,7 @@ func report(w io.Writer, oldDoc, newDoc *benchDoc, diffs []rowDiff, thresholdPct
 			mark = "  REGRESSION"
 			regressed = true
 		}
-		fmt.Fprintf(w, "%-10s %14d %14d %+8.1f%%%s\n", d.label(), d.OldNs, d.NewNs, d.DeltaPct, mark)
+		fmt.Fprintf(w, "%-20s %14d %14d %+8.1f%%%s\n", d.label(), d.OldNs, d.NewNs, d.DeltaPct, mark)
 	}
 	if regressed {
 		fmt.Fprintf(w, "FAIL: wall-clock regression beyond %.1f%% threshold\n", thresholdPct)
@@ -140,10 +144,45 @@ func report(w io.Writer, oldDoc, newDoc *benchDoc, diffs []rowDiff, thresholdPct
 	return regressed
 }
 
+// diffDirs reports every BENCH_*.json in newDir against the file of the
+// same name in oldDir and returns whether any row regressed.
+func diffDirs(w io.Writer, oldDir, newDir string, thresholdPct float64) (bool, error) {
+	paths, err := filepath.Glob(filepath.Join(newDir, "BENCH_*.json"))
+	if err != nil {
+		return false, err
+	}
+	if len(paths) == 0 {
+		return false, fmt.Errorf("no BENCH_*.json in %s", newDir)
+	}
+	regressed := false
+	for _, newPath := range paths {
+		name := filepath.Base(newPath)
+		oldDoc, err := loadDoc(filepath.Join(oldDir, name))
+		if errors.Is(err, fs.ErrNotExist) {
+			fmt.Fprintf(w, "== %s: not in %s, skipped\n", name, oldDir)
+			continue
+		}
+		if err != nil {
+			return false, err
+		}
+		newDoc, err := loadDoc(newPath)
+		if err != nil {
+			return false, err
+		}
+		diffs := diff(oldDoc, newDoc, thresholdPct)
+		if len(diffs) == 0 {
+			return false, fmt.Errorf("%s: no comparable rows between the two files", name)
+		}
+		fmt.Fprintf(w, "== %s\n", name)
+		regressed = report(w, oldDoc, newDoc, diffs, thresholdPct) || regressed
+	}
+	return regressed, nil
+}
+
 func main() {
 	threshold := flag.Float64("threshold", 5, "max tolerated ns/op increase in percent before failing")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchdiff [-threshold pct] OLD.json NEW.json\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchdiff [-threshold pct] OLD_DIR NEW_DIR\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -151,22 +190,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	oldDoc, err := loadDoc(flag.Arg(0))
+	regressed, err := diffDirs(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	newDoc, err := loadDoc(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-	diffs := diff(oldDoc, newDoc, *threshold)
-	if len(diffs) == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no comparable rows between the two files")
-		os.Exit(2)
-	}
-	if report(os.Stdout, oldDoc, newDoc, diffs, *threshold) {
+	if regressed {
 		os.Exit(1)
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -122,13 +124,36 @@ func TestLoadDocErrors(t *testing.T) {
 	}
 }
 
-// TestLoadCommittedBaseline keeps benchdiff honest against the real file
-// formats: each committed baseline must load and self-diff clean.
+// TestLoadCommittedBaseline keeps benchdiff honest against the real
+// files: each committed baseline must load strictly in the one schema,
+// record the host it ran on, key every row uniquely (diff pairs rows
+// through a map, so a repeated key would hide one) and self-diff clean.
 func TestLoadCommittedBaseline(t *testing.T) {
-	for _, path := range []string{"../../BENCH_parallel.json", "../../BENCH_serve.json"} {
+	paths, _ := filepath.Glob("../../BENCH_*.json")
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json baselines")
+	}
+	for _, path := range paths {
 		d, err := loadDoc(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		b, _ := os.ReadFile(path)
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&benchDoc{}); err != nil {
+			t.Errorf("%s: not in the one schema: %v", path, err)
+		}
+		if d.GOMAXPROCS == 0 || d.NumCPU == 0 {
+			t.Errorf("%s: gomaxprocs %d, num_cpu %d, want both recorded", path, d.GOMAXPROCS, d.NumCPU)
+		}
+		seen := map[rowKey]bool{}
+		for _, r := range d.Results {
+			if k := (rowKey{r.Mode, r.Workers}); r.Mode == "" || seen[k] {
+				t.Errorf("%s: row %+v has an empty or repeated (mode, workers) key", path, r)
+			} else {
+				seen[k] = true
+			}
 		}
 		diffs := diff(d, d, 0)
 		if len(diffs) != len(d.Results) {
@@ -139,5 +164,35 @@ func TestLoadCommittedBaseline(t *testing.T) {
 				t.Errorf("%s: self-diff not clean: %+v", path, r)
 			}
 		}
+	}
+}
+
+// TestDiffDirs pairs files by name: a regression in one file fails the
+// whole diff, and a file the old directory lacks is skipped.
+func TestDiffDirs(t *testing.T) {
+	oldDir, newDir := t.TempDir(), t.TempDir()
+	write := func(dir, name string, d *benchDoc) {
+		b, _ := json.Marshal(d)
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(oldDir, "BENCH_parallel.json", doc(1000, 500))
+	write(newDir, "BENCH_parallel.json", doc(1000, 505))
+	write(oldDir, "BENCH_serve.json", serveDoc(1000, 400))
+	write(newDir, "BENCH_serve.json", serveDoc(1000, 600))
+	write(newDir, "BENCH_fresh.json", doc(1000))
+	var buf bytes.Buffer
+	regressed, err := diffDirs(&buf, oldDir, newDir, 5)
+	if err != nil || !regressed {
+		t.Fatalf("diffDirs = %v, %v; want a regression", regressed, err)
+	}
+	for _, want := range []string{"== BENCH_fresh.json: not in", "== BENCH_parallel.json\nrow", "warm/w1", "REGRESSION"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, buf.String())
+		}
+	}
+	if _, err := diffDirs(io.Discard, oldDir, t.TempDir(), 5); err == nil {
+		t.Error("empty NEW_DIR: want error")
 	}
 }

@@ -205,6 +205,31 @@ func TestColumnarMaliciousFooter(t *testing.T) {
 	}
 }
 
+// FuzzDecodeColumnar feeds arbitrary bytes to DecodeColumnar, the path
+// an uploaded .afc table takes. No input may panic: it either errors, or
+// every cell of the decoded frame reads through IsNull, At, ValueSet and
+// (for non-string columns) Numeric. The committed corpus seeds one
+// encoded mixedFrame and the TestColumnarMaliciousFooter shapes.
+func FuzzDecodeColumnar(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := DecodeColumnar("fuzz", b)
+		if err != nil {
+			return
+		}
+		for ci := 0; ci < fr.NumCols(); ci++ {
+			c := fr.ColumnAt(ci)
+			for i := 0; i < c.Len(); i++ {
+				c.IsNull(i)
+				c.At(i)
+			}
+			c.ValueSet()
+			if c.Kind() != String {
+				c.Numeric()
+			}
+		}
+	})
+}
+
 func TestColumnarAllNullStringColumn(t *testing.T) {
 	f := New("nulls")
 	f.AddColumn(NewStringColumn("s", []string{"", ""}, []bool{false, false}))

@@ -363,10 +363,10 @@ func (c *Coordinator) workerByID(id string) (workerState, bool) {
 
 // ownerFor picks the lake's current owner by rendezvous (highest
 // random weight) hashing over the placeable workers: each worker's
-// score is FNV-1a over (worker id, 0, lake id) and the highest score
-// wins, with the lexically smallest id breaking exact ties. Every node
-// with the same membership view computes the same owner, and removing
-// a worker only moves the lakes that worker owned.
+// score is fmix64 of FNV-1a over (worker id, 0, lake id) and the
+// highest score wins, with the lexically smallest id breaking exact
+// ties. Every node with the same membership view computes the same
+// owner, and removing a worker only moves the lakes that worker owned.
 func (c *Coordinator) ownerFor(lakeID string) (workerState, bool) {
 	var best workerState
 	var bestScore uint64
@@ -379,12 +379,25 @@ func (c *Coordinator) ownerFor(lakeID string) (workerState, bool) {
 		_, _ = io.WriteString(h, w.ID)
 		_, _ = h.Write([]byte{0})
 		_, _ = io.WriteString(h, lakeID)
-		score := h.Sum64()
+		score := fmix64(h.Sum64())
 		if !found || score > bestScore || (score == bestScore && w.ID < best.ID) {
 			best, bestScore, found = w, score, true
 		}
 	}
 	return best, found
+}
+
+// fmix64 is murmur3's 64-bit finaliser. FNV-1a's last input bytes
+// never reach the high bits of its sum, so raw sums would rank workers
+// by their id prefix alone and put every lake on one worker; the
+// finaliser spreads every input bit over the whole score.
+func fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // updateGauges refreshes the cluster-level metrics: live workers, store

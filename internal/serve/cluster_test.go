@@ -496,6 +496,13 @@ func TestJobStoreRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.AddLake(StoredLake{ID: "lake-001", Dir: "/data"})
+	// An id-less registration skips the explicit lake-001.
+	if auto := s1.AddLake(StoredLake{Dir: "/other"}); auto.ID == "lake-001" {
+		t.Errorf("auto-assigned id %q replaced the explicit lake", auto.ID)
+	}
+	if got := s1.Lakes(); len(got) != 2 || s1.LakeByID("lake-001").Dir != "/data" {
+		t.Errorf("lakes after an auto id = %+v, want lake-001 on /data plus one more", got)
+	}
 	now := time.Unix(1_700_000_000, 0)
 	a := s1.AddJob("t1", "lake-001", json.RawMessage(`{"base":"b"}`), "", now)
 	b := s1.AddJob("t1", "lake-001", json.RawMessage(`{"base":"b"}`), "", now)
@@ -564,12 +571,13 @@ func FuzzJobStoreLoad(f *testing.F) {
 }
 
 // TestRendezvousPlacement pins the placement invariants: ownership is
-// deterministic, and removing one worker only moves that worker's
-// lakes.
+// deterministic, sequential lake ids spread over every worker, and
+// removing one worker only moves that worker's lakes.
 func TestRendezvousPlacement(t *testing.T) {
 	cs := newClusterStack(t, 3, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
 	lakes := []string{"lake-001", "lake-002", "lake-003", "lake-004", "lake-005", "lake-006"}
 	before := map[string]string{}
+	owned := map[string]int{}
 	for _, id := range lakes {
 		o1, ok1 := cs.coord.ownerFor(id)
 		o2, ok2 := cs.coord.ownerFor(id)
@@ -577,6 +585,12 @@ func TestRendezvousPlacement(t *testing.T) {
 			t.Fatalf("ownerFor(%s) not deterministic: %v/%v %q/%q", id, ok1, ok2, o1.ID, o2.ID)
 		}
 		before[id] = o1.ID
+		owned[o1.ID]++
+	}
+	for _, w := range []string{"worker-a", "worker-b", "worker-c"} {
+		if owned[w] == 0 {
+			t.Errorf("%s owns none of %v (placement %v)", w, lakes, before)
+		}
 	}
 
 	// Kill worker-b; only its lakes may move, and none may stay on it.

@@ -342,13 +342,12 @@ func atomicWriteFile(path string, b []byte) error {
 }
 
 // AddLake records a lake registration and returns its id (assigning the
-// next "lake-NNN" when l.ID is empty).
+// next free "lake-NNN" when l.ID is empty).
 func (s *JobStore) AddLake(l StoredLake) *StoredLake {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if l.ID == "" {
-		s.nextLake++
-		l.ID = fmt.Sprintf("lake-%03d", s.nextLake)
+		l.ID = nextLakeID(&s.nextLake, func(id string) bool { return s.lakes[id] != nil })
 	}
 	if _, ok := s.lakes[l.ID]; !ok {
 		s.lakeIDs = append(s.lakeIDs, l.ID)
@@ -356,6 +355,18 @@ func (s *JobStore) AddLake(l StoredLake) *StoredLake {
 	s.lakes[l.ID] = &l
 	s.persist()
 	return &l
+}
+
+// nextLakeID advances *counter to the next "lake-NNN" that taken does
+// not report in use, so an auto-assigned id never replaces a lake
+// registered under an explicit one.
+func nextLakeID(counter *int, taken func(id string) bool) string {
+	for {
+		*counter++
+		if id := fmt.Sprintf("lake-%03d", *counter); !taken(id) {
+			return id
+		}
+	}
 }
 
 // LakeByID returns the stored lake record for id, or nil.

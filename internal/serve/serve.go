@@ -287,8 +287,7 @@ func (s *Service) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 	id := req.ID
 	if id == "" {
 		s.mu.Lock()
-		s.nextLake++
-		id = fmt.Sprintf("lake-%03d", s.nextLake)
+		id = nextLakeID(&s.nextLake, func(id string) bool { return s.lakes[id] != nil })
 		s.mu.Unlock()
 	}
 	s.AddLake(id, l)

@@ -129,6 +129,16 @@ func TestServiceEndToEnd(t *testing.T) {
 	if len(lakes.Lakes) != 2 {
 		t.Errorf("listed %d lakes, want 2", len(lakes.Lakes))
 	}
+	// The next auto-assigned id (lake-002, after ld's lake-001) skips
+	// one registered explicitly.
+	const explicit = "lake-002"
+	postJSON(t, st.ts.URL+"/v1/lakes", StoredLake{ID: explicit, Dir: st.dir}, nil)
+	var auto lakeDoc
+	postJSON(t, st.ts.URL+"/v1/lakes", StoredLake{Dir: st.dir}, &auto)
+	getJSON(t, st.ts.URL+"/v1/lakes", &lakes)
+	if auto.ID == explicit || len(lakes.Lakes) != 4 {
+		t.Errorf("auto id %q after explicit %q, %d lakes listed; want a fresh id and 4 lakes", auto.ID, explicit, len(lakes.Lakes))
+	}
 
 	// Submit a full run (ranking + model training) and poll to done.
 	var sub struct {
