@@ -211,6 +211,51 @@ func TestWritePrometheusNilSnapshot(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusGolden pins the single-node exposition byte for
+// byte: unlabelled series, families in sorted name order, cumulative
+// buckets.
+func TestWritePrometheusGolden(t *testing.T) {
+	var b strings.Builder
+	if err := WritePrometheus(&b, populatedSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE autofeat_discovery_paths_explored counter
+autofeat_discovery_paths_explored 7
+# TYPE autofeat_discovery_pruned_quality_below_tau counter
+autofeat_discovery_pruned_quality_below_tau 1
+# TYPE autofeat_relational_joins counter
+autofeat_relational_joins 5
+# TYPE autofeat_discovery_workers gauge
+autofeat_discovery_workers 4
+# TYPE autofeat_span_seconds_relational_left_join histogram
+autofeat_span_seconds_relational_left_join_bucket{le="1e-05"} 1
+autofeat_span_seconds_relational_left_join_bucket{le="2.5e-05"} 1
+autofeat_span_seconds_relational_left_join_bucket{le="5e-05"} 2
+autofeat_span_seconds_relational_left_join_bucket{le="0.0001"} 2
+autofeat_span_seconds_relational_left_join_bucket{le="0.00025"} 2
+autofeat_span_seconds_relational_left_join_bucket{le="0.0005"} 2
+autofeat_span_seconds_relational_left_join_bucket{le="0.001"} 2
+autofeat_span_seconds_relational_left_join_bucket{le="0.0025"} 3
+autofeat_span_seconds_relational_left_join_bucket{le="0.005"} 3
+autofeat_span_seconds_relational_left_join_bucket{le="0.01"} 3
+autofeat_span_seconds_relational_left_join_bucket{le="0.025"} 3
+autofeat_span_seconds_relational_left_join_bucket{le="0.05"} 3
+autofeat_span_seconds_relational_left_join_bucket{le="0.1"} 3
+autofeat_span_seconds_relational_left_join_bucket{le="0.25"} 4
+autofeat_span_seconds_relational_left_join_bucket{le="0.5"} 4
+autofeat_span_seconds_relational_left_join_bucket{le="1"} 4
+autofeat_span_seconds_relational_left_join_bucket{le="2.5"} 4
+autofeat_span_seconds_relational_left_join_bucket{le="5"} 4
+autofeat_span_seconds_relational_left_join_bucket{le="10"} 4
+autofeat_span_seconds_relational_left_join_bucket{le="+Inf"} 5
+autofeat_span_seconds_relational_left_join_sum 100.202031
+autofeat_span_seconds_relational_left_join_count 5
+`
+	if got := b.String(); got != want {
+		t.Fatalf("exposition changed:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestNilRunProgress proves the disabled tracker is fully inert: every
 // method on a nil receiver no-ops and Snapshot yields a zero status.
 func TestNilRunProgress(t *testing.T) {
