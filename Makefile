@@ -50,8 +50,12 @@ docs-check:
 		internal/core internal/relational internal/fselect internal/telemetry \
 		internal/obsrv internal/lake internal/serve internal/frame internal/sketch .
 
-# check is the tier-1 verification gate (see ROADMAP.md).
+# check is the tier-1 verification gate (see ROADMAP.md). It also vets
+# the benchmark/ module, which `go build ./...` skips but which compiles
+# against the root API, and fails when gofmt would reformat any file.
 check: docs-check
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -race ./...

@@ -10,23 +10,6 @@ import (
 	"testing"
 )
 
-// TestNoPanickingModelInToolingAndExamples enforces the API-surface
-// demotion of Model: every compiled-in tool and example must use
-// ModelByName (error-returning) instead of the panicking Model helper,
-// so no shipped entry point can die on a typo'd model name. Model stays
-// available to end users for literal names in short scripts; this repo's
-// own code is held to the stricter form.
-func TestNoPanickingModelInToolingAndExamples(t *testing.T) {
-	walkToolingCalls(t, func(call *ast.CallExpr, sel *ast.SelectorExpr, pos token.Position) {
-		if sel.Sel.Name != "Model" {
-			return
-		}
-		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "autofeat" {
-			t.Errorf("%s: calls autofeat.Model — use autofeat.ModelByName and handle the error", pos)
-		}
-	})
-}
-
 // TestNoRawColumnConstructionInToolingAndExamples enforces the view-based
 // column API: tools and examples load tables through ReadCSV/ReadCSVFile,
 // ReadColumnarFile or lake opens — never by assembling columns from raw

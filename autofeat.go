@@ -20,7 +20,8 @@
 //	fmt.Println(res.Augment.Best.Path, res.Augment.Best.Eval.Accuracy)
 //
 // Graphs and discoveries are built only through a Lake: Lake.DRG returns
-// the memoised graph and Lake.NewDiscovery prepares a two-step run.
+// the memoised graph, Lake.NewDiscovery prepares a two-step run and
+// Lake.AutoTune grid-searches τ and κ.
 // Context-first methods are the canonical pipeline API:
 // Discovery.RunContext and Discovery.AugmentContext (Run and Augment are
 // the same calls under context.Background()).
@@ -28,7 +29,6 @@ package autofeat
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -42,7 +42,6 @@ import (
 	"autofeat/internal/lake"
 	"autofeat/internal/ml"
 	"autofeat/internal/obsrv"
-	"autofeat/internal/relational"
 	"autofeat/internal/telemetry"
 )
 
@@ -143,14 +142,6 @@ type Request = lake.Request
 // warmth indicators.
 type LakeResult = lake.Result
 
-// KeyIndexCache memoises the right-side key→row indexes the join engine
-// builds, shared across runs by a Lake. See Config.KeyCache.
-type KeyIndexCache = relational.KeyIndexCache
-
-// NewKeyIndexCache returns an empty join-key index cache for
-// Config.KeyCache; Lakes create and share one automatically.
-func NewKeyIndexCache() *KeyIndexCache { return relational.NewKeyIndexCache() }
-
 // Format selects the on-disk table format OpenLake reads; see
 // WithFormat.
 type Format = lake.Format
@@ -232,29 +223,12 @@ func Discover(ctx context.Context, dir string, req Request, opts ...LakeOption) 
 	return l.Discover(ctx, req)
 }
 
-// SaveGraph persists a DRG's structure (node names and edges, not table
-// data) as JSON — the offline phase's output. Reload with LoadGraph.
-func SaveGraph(g *Graph, path string) error { return g.SaveFile(path) }
-
-// LoadGraph reconstructs a DRG from a SaveGraph file, re-attaching the
-// given tables (every node must have a matching table).
-func LoadGraph(path string, tables []*Table) (*Graph, error) {
-	return graph.LoadFile(path, tables)
-}
-
-// TuneOutcome reports an AutoTune grid search.
+// TuneOutcome reports a Lake.AutoTune grid search over τ and κ (the
+// paper's future-work "dynamic hyper-parameter tuning").
 type TuneOutcome = core.TuneOutcome
 
-// TuneResult is one configuration evaluated by AutoTune.
+// TuneResult is one configuration evaluated by Lake.AutoTune.
 type TuneResult = core.TuneResult
-
-// AutoTune grid-searches the τ and κ hyper-parameters around cfg (the
-// paper's future-work "dynamic hyper-parameter tuning") and returns the
-// best configuration by model accuracy. Empty grids use the defaults
-// τ ∈ {0.5, 0.65, 0.8}, κ ∈ {10, 15, 20}.
-func AutoTune(g *Graph, base, label string, cfg Config, factory ModelFactory, taus []float64, kappas []int) (*TuneOutcome, error) {
-	return core.AutoTune(g, base, label, cfg, factory, taus, kappas)
-}
 
 // Telemetry is the observability collector of the online pipeline:
 // attach one to Config.Telemetry and every phase of a run (BFS levels,
@@ -266,10 +240,6 @@ type Telemetry = telemetry.Collector
 // counters, gauges and histograms, including the span_seconds.<span>
 // histograms its per-phase breakdown (Phases) is read from.
 type TelemetrySnapshot = telemetry.Snapshot
-
-// TelemetrySink consumes a snapshot: telemetry.NopSink, telemetry.JSONSink
-// or telemetry.ReportSink.
-type TelemetrySink = telemetry.Sink
 
 // PruneStats is the by-reason pruning breakdown of a Ranking
 // (similarity, join_failed, quality_below_tau, beam_evicted,
@@ -318,11 +288,6 @@ func WriteTraceFile(path string, l *SpanLog) error {
 // pruning breakdown and per-phase durations as JSON.
 func WriteMetricsFile(path string, s *TelemetrySnapshot) error {
 	return telemetry.WriteMetricsFile(path, s)
-}
-
-// TelemetryReport renders a snapshot as a human-readable run report.
-func TelemetryReport(w io.Writer, s *TelemetrySnapshot) error {
-	return telemetry.ReportSink{W: w}.Flush(s)
 }
 
 // RunProgress is the live run tracker behind the introspection server's
@@ -401,26 +366,11 @@ func RelevanceMetric(name string) Relevance { return fselect.RelevanceByName(nam
 // redundancy stage.
 func RedundancyMetric(name string) Redundancy { return fselect.RedundancyByName(name) }
 
-// Model returns the named model factory. The supported names are
-// "lightgbm", "xgboost", "randomforest", "extratrees" (tree ensembles)
-// and "knn", "lr_l1" (k-nearest-neighbours, L1-regularised logistic
-// regression). Model panics on an unknown name.
-//
-// Prefer ModelByName, which returns an ErrBadInput-matching error
-// instead of panicking — it is the form every cmd/ tool and example
-// uses (enforced by a repo test). Model remains only for compiled-in
-// literal names in short scripts.
-func Model(name string) ModelFactory {
-	f, ok := ml.FactoryByName(name)
-	if !ok {
-		panic(fmt.Sprintf("autofeat: unknown model %q (see Models())", name))
-	}
-	return f
-}
-
 // ModelByName returns the named model factory, or an ErrBadInput-matching
-// error listing the supported names when the name is unknown. Same name
-// set as Model.
+// error listing the supported names when the name is unknown. The
+// supported names are "lightgbm", "xgboost", "randomforest",
+// "extratrees" (tree ensembles) and "knn", "lr_l1" (k-nearest-neighbours,
+// L1-regularised logistic regression).
 func ModelByName(name string) (ModelFactory, error) {
 	f, ok := ml.FactoryByName(name)
 	if !ok {

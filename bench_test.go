@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"autofeat/internal/bench"
+	"autofeat/internal/core"
 	"autofeat/internal/datagen"
 	"autofeat/internal/discovery"
 	"autofeat/internal/telemetry"
@@ -229,7 +230,7 @@ func BenchmarkMicroLeftJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	disc, err := newDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
+	disc, err := core.New(g, d.Base.Name(), d.Label, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func discoveryOps(tb testing.TB, spec datagen.Spec) func(ctx context.Context, cf
 	}
 	return func(ctx context.Context, cfg func() Config) func() error {
 		return func() error {
-			disc, err := newDiscovery(g, d.Base.Name(), d.Label, cfg())
+			disc, err := core.New(g, d.Base.Name(), d.Label, cfg())
 			if err != nil {
 				return err
 			}

@@ -89,7 +89,6 @@ func main() {
 		metricsOut  = flag.String("metrics-out", "", "write counters/histograms/pruning breakdown as JSON to this file")
 		manifestOut = flag.String("manifest-out", "", "write the run provenance manifest (run_manifest.json) to this file")
 		serveAddr   = flag.String("serve", "", "serve live introspection (/metrics, /healthz, /runs/{id}, /debug/pprof/) on this address")
-		pprofAddr   = flag.String("pprof", "", "alias for -serve (kept for compatibility)")
 		logLevel    = flag.String("log-level", "", "structured log level: debug|info|warn|error (empty = off)")
 		logFormat   = flag.String("log-format", "text", "structured log format: text|json")
 	)
@@ -98,9 +97,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "autofeat: -dir and -base are required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *serveAddr == "" {
-		*serveAddr = *pprofAddr
 	}
 	opts := runOpts{
 		dir: *dir, base: *base, label: *label, model: *model,
@@ -454,7 +450,7 @@ func run(o runOpts) error {
 	}
 
 	if o.autotune {
-		out, err := autofeat.AutoTune(g, base, label, cfg, factory, nil, nil)
+		out, err := l.AutoTune(base, label, cfg, factory, nil, nil)
 		if err != nil {
 			return err
 		}

@@ -22,12 +22,10 @@ func main() {
 	ds, err := datagen.Generate(spec)
 	must(err)
 	l := autofeat.NewLake(ds.Tables, autofeat.WithKFKs(ds.KFKs))
-	g, err := l.DRG()
-	must(err)
 	model, err := autofeat.ModelByName("lightgbm")
 	must(err)
 
-	out, err := autofeat.AutoTune(g, ds.Base.Name(), ds.Label, autofeat.DefaultConfig(),
+	out, err := l.AutoTune(ds.Base.Name(), ds.Label, autofeat.DefaultConfig(),
 		model,
 		[]float64{0.5, 0.65, 0.9},
 		[]int{5, 15})

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"autofeat/internal/core"
 	"autofeat/internal/discovery"
 	"autofeat/internal/frame"
 	"autofeat/internal/graph"
@@ -41,11 +42,11 @@ func TestDiscoveryOnDisconnectedBase(t *testing.T) {
 	}
 	g := graph.New()
 	g.AddTable(base)
-	disc, err := newDiscovery(g, "lonely", "y", DefaultConfig())
+	disc, err := core.New(g, "lonely", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := disc.Augment(Model("lightgbm"))
+	res, err := disc.Augment(mustModel(t, "lightgbm"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,13 @@ func TestDiscoverySingleClassLabelFails(t *testing.T) {
 	base, _ := ReadTable("t", strings.NewReader("id,x,y\n1,0.5,1\n2,0.7,1\n3,0.2,1\n"))
 	g := graph.New()
 	g.AddTable(base)
-	disc, err := newDiscovery(g, "t", "y", DefaultConfig())
+	disc, err := core.New(g, "t", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Single-class data is degenerate: the pipeline must complete
 	// gracefully (a trivial always-positive predictor), never panic.
-	res, err := disc.Augment(Model("lightgbm"))
+	res, err := disc.Augment(mustModel(t, "lightgbm"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDiscoveryNonIntegralLabelFails(t *testing.T) {
 	base, _ := ReadTable("t", strings.NewReader("id,y\n1,0.25\n2,0.75\n"))
 	g := graph.New()
 	g.AddTable(base)
-	disc, err := newDiscovery(g, "t", "y", DefaultConfig())
+	disc, err := core.New(g, "t", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestAllNullJoinColumnIsPruned(t *testing.T) {
 	if err := g.AddEdge(Edge{A: "b", B: "r", ColA: "id", ColB: "k", Weight: 0.8}); err != nil {
 		t.Fatal(err)
 	}
-	disc, err := newDiscovery(g, "b", "y", DefaultConfig())
+	disc, err := core.New(g, "b", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestGraphWithVanishedTable(t *testing.T) {
 	if err := g.AddEdge(Edge{A: "b", B: "r", ColA: "id", ColB: "k", Weight: 1, KFK: true}); err != nil {
 		t.Fatal(err)
 	}
-	disc, err := newDiscovery(g, "b", "y", DefaultConfig())
+	disc, err := core.New(g, "b", "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package autofeat
 import (
 	"testing"
 
+	"autofeat/internal/core"
 	"autofeat/internal/datagen"
 	"autofeat/internal/discovery"
 )
@@ -22,7 +23,7 @@ func TestGoldenRankingPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disc, err := newDiscovery(g, d.Base.Name(), d.Label, DefaultConfig())
+	disc, err := core.New(g, d.Base.Name(), d.Label, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

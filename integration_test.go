@@ -1,6 +1,7 @@
 package autofeat
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -26,13 +27,14 @@ func writeLakeCSVs(t *testing.T, d *datagen.Dataset) string {
 	return dir
 }
 
-// newDiscovery prepares a run over an externally built graph with a
-// fresh join-key index cache, as a single-use Lake session would.
-func newDiscovery(g *Graph, base, label string, cfg Config) (*Discovery, error) {
-	if cfg.KeyCache == nil {
-		cfg.KeyCache = NewKeyIndexCache()
+// mustModel returns the named model factory or fails the test.
+func mustModel(t *testing.T, name string) ModelFactory {
+	t.Helper()
+	f, err := ModelByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return core.New(g, base, label, cfg)
+	return f
 }
 
 func TestEndToEndCSVLakeDiscovery(t *testing.T) {
@@ -60,11 +62,11 @@ func TestEndToEndCSVLakeDiscovery(t *testing.T) {
 	if g.NumEdges() == 0 {
 		t.Fatal("discovery must find edges in the lake")
 	}
-	disc, err := newDiscovery(g, spec.Name, "target", DefaultConfig())
+	disc, err := core.New(g, spec.Name, "target", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := disc.Augment(Model("lightgbm"))
+	res, err := disc.Augment(mustModel(t, "lightgbm"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestEndToEndKFKBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disc, err := newDiscovery(g, spec.Name, d.Label, DefaultConfig())
+	disc, err := core.New(g, spec.Name, d.Label, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestEndToEndKFKBenchmark(t *testing.T) {
 	// Discovery is model-independent: evaluate the same ranking with two
 	// model families and confirm each returns a usable result.
 	for _, name := range []string{"lightgbm", "randomforest"} {
-		res, err := disc.EvaluateRanking(ranking, Model(name))
+		res, err := disc.EvaluateRanking(ranking, mustModel(t, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,12 +119,9 @@ func TestPublicAPIErrors(t *testing.T) {
 	if _, err := OpenLake("/nonexistent-path-xyz", WithFormat(FormatCSV)); err == nil {
 		t.Fatal("missing dir must fail")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown model must panic with guidance")
-		}
-	}()
-	Model("nope")
+	if _, err := ModelByName("nope"); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("unknown model: err = %v, want ErrBadInput", err)
+	}
 }
 
 func TestModelsRegistry(t *testing.T) {
@@ -170,8 +169,8 @@ func TestLeftJoinLabelInvariant(t *testing.T) {
 	spec := datagen.SmallSpecs()[0]
 	d, _ := datagen.Generate(spec)
 	g, _ := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
-	disc, _ := newDiscovery(g, spec.Name, d.Label, DefaultConfig())
-	res, err := disc.Augment(Model("extratrees"))
+	disc, _ := core.New(g, spec.Name, d.Label, DefaultConfig())
+	res, err := disc.Augment(mustModel(t, "extratrees"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +220,7 @@ func TestStratifiedInvariants(t *testing.T) {
 func TestPublicAutoTune(t *testing.T) {
 	spec := datagen.SmallSpecs()[0]
 	d, _ := datagen.Generate(spec)
-	g, _ := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
-	out, err := AutoTune(g, spec.Name, d.Label, DefaultConfig(), Model("lightgbm"),
+	out, err := NewLake(d.Tables, WithKFKs(d.KFKs)).AutoTune(spec.Name, d.Label, DefaultConfig(), mustModel(t, "lightgbm"),
 		[]float64{0.65}, []int{10, 15})
 	if err != nil {
 		t.Fatal(err)
@@ -246,35 +244,5 @@ func TestPublicSketchedDiscovery(t *testing.T) {
 	// The sketched graph should roughly agree with the exact one.
 	if g.NumEdges() < exact.NumEdges()/2 || g.NumEdges() > exact.NumEdges()*2 {
 		t.Fatalf("sketched edges %d too far from exact %d", g.NumEdges(), exact.NumEdges())
-	}
-}
-
-func TestPublicGraphPersistence(t *testing.T) {
-	spec := datagen.SmallSpecs()[0]
-	d, _ := datagen.Generate(spec)
-	g, _ := NewLake(d.Tables).DRG(WithThreshold(0.55))
-	path := t.TempDir() + "/drg.json"
-	if err := SaveGraph(g, path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadGraph(path, d.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges lost: %d vs %d", loaded.NumEdges(), g.NumEdges())
-	}
-	// The loaded graph must drive discovery identically.
-	d1, _ := newDiscovery(g, spec.Name, d.Label, DefaultConfig())
-	d2, _ := newDiscovery(loaded, spec.Name, d.Label, DefaultConfig())
-	r1, _ := d1.Run()
-	r2, _ := d2.Run()
-	if len(r1.Paths) != len(r2.Paths) {
-		t.Fatal("loaded graph must reproduce the ranking")
-	}
-	for i := range r1.Paths {
-		if r1.Paths[i].String() != r2.Paths[i].String() {
-			t.Fatalf("path %d differs after reload", i)
-		}
 	}
 }

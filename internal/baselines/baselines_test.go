@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"autofeat/internal/frame"
@@ -158,6 +159,36 @@ func TestMABRespectsSameNameRestriction(t *testing.T) {
 	}
 	if res.SelectionTime <= 0 {
 		t.Fatal("bandit time must be recorded")
+	}
+}
+
+func TestMABArmOrderIsStable(t *testing.T) {
+	// Four tables in the result, each with one same-name join to a table
+	// outside it. UCB1 breaks ties among unpulled arms by position, so
+	// the arm order must not depend on map iteration.
+	g := graph.New()
+	names := []string{"t0", "t1", "t2", "t3", "u0", "u1", "u2", "u3"}
+	for _, n := range names {
+		f := frame.New(n)
+		addCol(t, f, frame.NewIntColumn("k", []int64{1, 2, 3}, nil))
+		g.AddTable(f)
+	}
+	for i := 0; i < 4; i++ {
+		mustEdge(t, g, graph.Edge{A: names[i], B: names[i+4], ColA: "k", ColB: "k", Weight: 1})
+	}
+	inResult := map[string]bool{"t0": true, "t1": true, "t2": true, "t3": true}
+	order := func() []string {
+		var out []string
+		for _, a := range NewMAB().collectArms(g, inResult) {
+			out = append(out, a.edge.A+"-"+a.edge.B)
+		}
+		return out
+	}
+	want := []string{"t0-u0", "t1-u1", "t2-u2", "t3-u3"}
+	for i := 0; i < 50; i++ {
+		if got := order(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: arm order %v, want %v", i, got, want)
+		}
 	}
 }
 

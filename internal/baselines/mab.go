@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"autofeat/internal/frame"
@@ -138,9 +139,16 @@ func (m *MAB) Augment(g *graph.Graph, base, label string, factory ml.Factory, se
 
 // collectArms lists candidate joins from the current result set to new
 // tables, restricted — like the original MAB — to identical column names.
+// Nodes are walked in sorted order: arm order decides UCB1's tie-break
+// among unpulled arms, so map order would make runs irreproducible.
 func (m *MAB) collectArms(g *graph.Graph, inResult map[string]bool) []*arm {
-	var out []*arm
+	nodes := make([]string, 0, len(inResult))
 	for node := range inResult {
+		nodes = append(nodes, node)
+	}
+	sort.Strings(nodes)
+	var out []*arm
+	for _, node := range nodes {
 		for _, e := range g.EdgesFrom(node) {
 			if inResult[e.B] {
 				continue

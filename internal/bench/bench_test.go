@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"autofeat/internal/datagen"
+	"autofeat/internal/discovery"
+	"autofeat/internal/graph"
 	"autofeat/internal/ml"
 )
 
@@ -79,6 +82,40 @@ func TestRunnerCaching(t *testing.T) {
 	}
 	if _, err := r.Dataset("ghost"); err == nil {
 		t.Fatal("unknown dataset must fail")
+	}
+	// The lake-built graphs equal the reference builds edge for edge,
+	// in the same per-node order.
+	for _, spec := range datagen.SmallSpecs() {
+		d, err := r.Dataset(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			s    Setting
+			want func() (*graph.Graph, error)
+		}{
+			{Lake, func() (*graph.Graph, error) {
+				return discovery.DiscoverDRGQuadratic(d.Tables, LakeThreshold, discovery.NewMatcher())
+			}},
+			{Benchmark, func() (*graph.Graph, error) { return discovery.BuildBenchmarkDRG(d.Tables, d.KFKs) }},
+		} {
+			got, err := r.DRG(spec.Name, tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.want()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
+				t.Fatalf("%s/%s: nodes %v, want %v", spec.Name, tc.s, got.Nodes(), want.Nodes())
+			}
+			for _, n := range want.Nodes() {
+				if !reflect.DeepEqual(got.EdgesFrom(n), want.EdgesFrom(n)) {
+					t.Fatalf("%s/%s: edges of %s:\n got %v\nwant %v", spec.Name, tc.s, n, got.EdgesFrom(n), want.EdgesFrom(n))
+				}
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"autofeat/internal/core"
 	"autofeat/internal/datagen"
 	"autofeat/internal/graph"
+	"autofeat/internal/lake"
 	"autofeat/internal/ml"
 	"autofeat/internal/obsrv"
 	"autofeat/internal/telemetry"
@@ -54,9 +55,10 @@ type MethodResult struct {
 	TotalTime     time.Duration
 }
 
-// Runner caches datasets, DRGs and AutoFeat rankings so the figures can
-// share work: AutoFeat's discovery is model-independent (the paper's core
-// efficiency argument), so one ranking serves all model families.
+// Runner caches datasets, their lakes and AutoFeat rankings so the figures
+// can share work: each dataset's lake memoises its DRG per setting, and
+// AutoFeat's discovery is model-independent (the paper's core efficiency
+// argument), so one ranking serves all model families.
 type Runner struct {
 	// Specs are the datasets to sweep.
 	Specs []datagen.Spec
@@ -91,7 +93,7 @@ type Runner struct {
 	Progress *obsrv.RunProgress
 
 	datasets map[string]*datagen.Dataset
-	drgs     map[string]*graph.Graph
+	lakes    map[string]*lake.Lake
 	rankings map[string]*rankingEntry
 	sweeps   map[string][]MethodResult
 }
@@ -107,7 +109,7 @@ func NewRunner(specs []datagen.Spec, seed int64) *Runner {
 		Specs:    specs,
 		Seed:     seed,
 		datasets: make(map[string]*datagen.Dataset),
-		drgs:     make(map[string]*graph.Graph),
+		lakes:    make(map[string]*lake.Lake),
 		rankings: make(map[string]*rankingEntry),
 		sweeps:   make(map[string][]MethodResult),
 	}
@@ -119,9 +121,10 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// WriteTelemetry flushes the runner's accumulated telemetry (if any) to a
-// JSON file via the JSON sink: counters, gauges, histograms, the pruning
-// breakdown and per-phase timings of every discovery the sweep ran.
+// WriteTelemetry writes the runner's accumulated telemetry (if any) to a
+// JSON file with telemetry.WriteMetricsFile: counters, gauges,
+// histograms, the pruning breakdown and per-phase timings of every
+// discovery the sweep ran.
 func (r *Runner) WriteTelemetry(path string) error {
 	if r.Telemetry == nil {
 		return fmt.Errorf("bench: no telemetry collector attached")
@@ -141,33 +144,25 @@ func (r *Runner) Dataset(name string) (*datagen.Dataset, error) {
 				return nil, err
 			}
 			r.datasets[name] = d
+			r.lakes[name] = lake.New(d.Tables)
 			return d, nil
 		}
 	}
 	return nil, fmt.Errorf("bench: unknown dataset %q", name)
 }
 
-// DRG builds (and caches) the graph for a dataset in a setting.
+// DRG returns the graph for a dataset in a setting, memoised by the
+// dataset's lake: the declared KFKs for Benchmark, the matcher at
+// LakeThreshold for Lake.
 func (r *Runner) DRG(name string, s Setting) (*graph.Graph, error) {
-	key := name + "/" + s.String()
-	if g, ok := r.drgs[key]; ok {
-		return g, nil
-	}
 	d, err := r.Dataset(name)
 	if err != nil {
 		return nil, err
 	}
-	var g *graph.Graph
 	if s == Benchmark {
-		g, err = d.BenchmarkDRG()
-	} else {
-		g, err = d.LakeDRG(LakeThreshold)
+		return r.lakes[name].DRG(lake.WithKFKs(d.KFKs))
 	}
-	if err != nil {
-		return nil, err
-	}
-	r.drgs[key] = g
-	return g, nil
+	return r.lakes[name].DRG(lake.WithThreshold(LakeThreshold))
 }
 
 // autofeatRanking runs (and caches) AutoFeat discovery for a dataset and
@@ -193,6 +188,9 @@ func (r *Runner) autofeatRanking(name string, s Setting, cfg core.Config) (*rank
 	cfg.Workers = r.Workers
 	cfg.Logger = r.Logger
 	cfg.Progress = r.Progress
+	// No shared KeyCache: each config starts from a cold key-index cache,
+	// so the selection times that Figures 8 and 9 compare stay like for
+	// like.
 	disc, err := core.New(g, d.Base.Name(), d.Label, cfg)
 	if err != nil {
 		return nil, err

@@ -354,10 +354,10 @@ func TestAugmentContextCancelledStillReturnsBase(t *testing.T) {
 }
 
 // TestDegenerateMatcherShim drives the offline phase through
-// discovery.DiscoverDRG's injectable matcher with pathological settings
-// (no evidence sources, one sampled value): the DRG degrades to fewer or
-// no edges, and discovery over it still completes with the base-only
-// result rather than failing.
+// discovery.DiscoverDRGQuadratic's injectable scorer with pathological
+// settings (no evidence sources, one sampled value): the DRG degrades to
+// fewer or no edges, and discovery over it still completes with the
+// base-only result rather than failing.
 func TestDegenerateMatcherShim(t *testing.T) {
 	g := testLake(t, 100)
 	var tables []*frame.Frame
@@ -365,7 +365,7 @@ func TestDegenerateMatcherShim(t *testing.T) {
 		tables = append(tables, g.Table(name))
 	}
 	shim := &discovery.Matcher{NameWeight: 0, InstanceWeight: 0, MaxValues: 1}
-	dg, err := discovery.DiscoverDRG(tables, 0.55, shim)
+	dg, err := discovery.DiscoverDRGQuadratic(tables, 0.55, shim)
 	if err != nil {
 		t.Fatalf("degenerate matcher must degrade, not error: %v", err)
 	}

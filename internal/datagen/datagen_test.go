@@ -3,6 +3,7 @@ package datagen
 import (
 	"testing"
 
+	"autofeat/internal/discovery"
 	"autofeat/internal/frame"
 )
 
@@ -173,7 +174,7 @@ func TestDepthStructure(t *testing.T) {
 
 func TestBenchmarkDRG(t *testing.T) {
 	d := gen(t, "credit")
-	g, err := d.BenchmarkDRG()
+	g, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +193,11 @@ func TestBenchmarkDRG(t *testing.T) {
 
 func TestLakeDRGIsDenserMultigraph(t *testing.T) {
 	d := gen(t, "credit")
-	bench, err := d.BenchmarkDRG()
+	bench, err := discovery.BuildBenchmarkDRG(d.Tables, d.KFKs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lake, err := d.LakeDRG(0.55)
+	lake, err := discovery.DiscoverDRGQuadratic(d.Tables, 0.55, discovery.NewMatcher())
 	if err != nil {
 		t.Fatal(err)
 	}

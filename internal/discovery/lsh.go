@@ -61,13 +61,6 @@ func PlanBands(k int, threshold, nameW, instW float64) (bands, rows int, ok bool
 	return k, 1, true
 }
 
-// ColRef names an indexed column for callers that deal in identifiers
-// rather than column pointers.
-type ColRef struct {
-	Table string
-	Col   string
-}
-
 // CandidatePair is one cross-table column pair surfaced by the index.
 // The pair is unordered; callers orient it against their own table
 // ordering before scoring.

@@ -80,10 +80,7 @@ func TestIndexedEdgeIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx := indexFor(tc.s)
-			if idx == nil {
-				t.Fatalf("seed %d %s: indexFor returned nil for a standard scorer", seed, tc.name)
-			}
+			idx := NewLSHIndex(0, -1)
 			if !idx.CoversScorer(0.55, tc.s) {
 				t.Fatalf("seed %d %s: default index must cover the default scorer", seed, tc.name)
 			}
@@ -95,13 +92,6 @@ func TestIndexedEdgeIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameGraph(t, quad, ixg, fmt.Sprintf("seed %d %s", seed, tc.name))
-
-			// discoverWith must route to the same indexed result.
-			viaWith, err := discoverWith(tabs, 0.55, tc.s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameGraph(t, quad, viaWith, fmt.Sprintf("seed %d %s discoverWith", seed, tc.name))
 		}
 	}
 }
@@ -120,7 +110,7 @@ func TestCandidateSupersetProperty(t *testing.T) {
 			{"exact", NewMatcher()},
 			{"sketched", NewSketchMatcher()},
 		} {
-			idx := indexFor(tc.s)
+			idx := NewLSHIndex(0, -1)
 			for _, f := range tabs {
 				idx.Add(f)
 			}

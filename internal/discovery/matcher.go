@@ -22,13 +22,6 @@ import (
 	"autofeat/internal/graph"
 )
 
-// Match is a scored column correspondence between two tables.
-type Match struct {
-	TableA, ColA string
-	TableB, ColB string
-	Score        float64
-}
-
 // Matcher scores column pairs. The zero value is not usable; call
 // NewMatcher for the COMA-style defaults.
 type Matcher struct {
@@ -243,45 +236,6 @@ func (m *Matcher) MatchColumns(a, b *frame.Column) float64 {
 	return (m.NameWeight*name + m.InstanceWeight*inst) / wsum
 }
 
-// MatchTables scores every candidate column pair between two tables and
-// returns the matches at or above threshold, sorted by descending score
-// (ties broken by column names for determinism).
-func (m *Matcher) MatchTables(a, b *frame.Frame, threshold float64) []Match {
-	var out []Match
-	// Pre-filter candidates once per side: joinCandidate scans values, so
-	// checking it per pair would be quadratic in table width.
-	bCands := make([]*frame.Column, 0, b.NumCols())
-	for _, cb := range b.Columns() {
-		if joinCandidate(cb) {
-			bCands = append(bCands, cb)
-		}
-	}
-	for _, ca := range a.Columns() {
-		if !joinCandidate(ca) {
-			continue
-		}
-		for _, cb := range bCands {
-			if s := m.MatchColumns(ca, cb); s >= threshold {
-				out = append(out, Match{
-					TableA: a.Name(), ColA: ca.Name(),
-					TableB: b.Name(), ColB: cb.Name(),
-					Score: s,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].ColA != out[j].ColA {
-			return out[i].ColA < out[j].ColA
-		}
-		return out[i].ColB < out[j].ColB
-	})
-	return out
-}
-
 // KFK declares a known key–foreign-key constraint between two tables.
 type KFK struct {
 	ParentTable, ParentCol string // primary-key side
@@ -307,65 +261,6 @@ func BuildBenchmarkDRG(tables []*frame.Frame, constraints []KFK) (*graph.Graph, 
 		}
 	}
 	return g, nil
-}
-
-// DiscoverDRG constructs the data-lake-setting DRG: KFK metadata is
-// discarded and every table pair is matched with the composite matcher;
-// matches at or above threshold become weighted edges. The result is the
-// dense multigraph the paper evaluates against (threshold 0.55).
-func DiscoverDRG(tables []*frame.Frame, threshold float64, m *Matcher) (*graph.Graph, error) {
-	if m == nil {
-		m = NewMatcher()
-	}
-	return discoverWith(tables, threshold, m)
-}
-
-// discoverWith builds a lake DRG from a Scorer. When the LSH banding
-// derivation covers the scorer at this threshold (CoversScorer), the
-// build goes through the index: O(columns) indexing plus verification
-// of the candidate pairs only. Otherwise — unusual weights where name
-// evidence alone can cross the threshold, a scorer the index has no
-// coverage proof for — it falls back to exhaustive quadratic scoring,
-// which is always correct.
-func discoverWith(tables []*frame.Frame, threshold float64, s Scorer) (*graph.Graph, error) {
-	idx := indexFor(s)
-	if idx == nil || !idx.CoversScorer(threshold, s) {
-		return discoverQuadratic(tables, threshold, s.MatchColumns)
-	}
-	for _, t := range tables {
-		idx.Add(t)
-	}
-	return DiscoverDRGIndexed(tables, threshold, s, idx)
-}
-
-// indexFor builds an empty LSHIndex sized so that CoversScorer can hold
-// for the given scorer: anchor cap at least the exact matcher's sample
-// cap, signature at least the sketched matcher's size (sharing its
-// memoised sketches when the sizes agree). Unknown scorers get nil —
-// there is no coverage proof to size an index for.
-func indexFor(s Scorer) *LSHIndex {
-	switch m := s.(type) {
-	case *Matcher:
-		if m.MaxValues <= 0 {
-			return NewLSHIndex(0, 0) // unlimited sample → unlimited anchors
-		}
-		cap := m.MaxValues
-		if cap < DefaultMaxValues {
-			cap = DefaultMaxValues
-		}
-		return NewLSHIndex(0, cap)
-	case *SketchMatcher:
-		k := m.SketchSize
-		if k < DefaultSketchSize {
-			k = DefaultSketchSize
-		}
-		idx := NewLSHIndex(k, -1)
-		if k == m.SketchSize {
-			idx.Sketcher = m.sketch
-		}
-		return idx
-	}
-	return nil
 }
 
 // DiscoverDRGIndexed builds the lake DRG from a prebuilt index holding
@@ -443,9 +338,8 @@ func DiscoverDRGIndexed(tables []*frame.Frame, threshold float64, s Scorer, idx 
 
 // DiscoverDRGQuadratic builds the lake DRG by scoring every cross-table
 // candidate column pair — the exhaustive reference path the indexed
-// build is verified against (and the fallback when no coverage proof
-// applies). Exported for the edge-identity tests and the index
-// benchmark.
+// build is verified against, and the Lake's fallback when no coverage
+// proof applies.
 func DiscoverDRGQuadratic(tables []*frame.Frame, threshold float64, s Scorer) (*graph.Graph, error) {
 	return discoverQuadratic(tables, threshold, s.MatchColumns)
 }

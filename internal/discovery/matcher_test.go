@@ -140,26 +140,6 @@ func addCol(t *testing.T, f *frame.Frame, c *frame.Column) {
 	}
 }
 
-func TestMatchTablesSortedAndThresholded(t *testing.T) {
-	tabs := lakeTables(t)
-	m := NewMatcher()
-	ms := m.MatchTables(tabs[0], tabs[1], 0.55)
-	if len(ms) == 0 {
-		t.Fatal("applicant_id pair must match")
-	}
-	if ms[0].ColA != "applicant_id" || ms[0].ColB != "applicant_id" {
-		t.Fatalf("top match wrong: %+v", ms[0])
-	}
-	for i := 1; i < len(ms); i++ {
-		if ms[i].Score > ms[i-1].Score {
-			t.Fatal("matches must be sorted descending")
-		}
-	}
-	if got := m.MatchTables(tabs[0], tabs[2], 0.55); len(got) != 0 {
-		t.Fatalf("unrelated tables must not match at 0.55: %+v", got)
-	}
-}
-
 func TestBuildBenchmarkDRG(t *testing.T) {
 	tabs := lakeTables(t)
 	g, err := BuildBenchmarkDRG(tabs, []KFK{{
@@ -184,7 +164,7 @@ func TestBuildBenchmarkDRG(t *testing.T) {
 
 func TestDiscoverDRG(t *testing.T) {
 	tabs := lakeTables(t)
-	g, err := DiscoverDRG(tabs, 0.55, nil)
+	g, err := DiscoverDRGQuadratic(tabs, 0.55, NewMatcher())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +183,7 @@ func TestDiscoverDRG(t *testing.T) {
 		}
 	}
 	// Lower threshold yields at least as many edges (denser multigraph).
-	g2, _ := DiscoverDRG(tabs, 0.3, nil)
+	g2, _ := DiscoverDRGQuadratic(tabs, 0.3, NewMatcher())
 	if g2.NumEdges() < g.NumEdges() {
 		t.Fatal("lower threshold must not remove edges")
 	}

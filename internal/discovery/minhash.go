@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"autofeat/internal/frame"
-	"autofeat/internal/graph"
 	"autofeat/internal/sketch"
 )
 
@@ -150,11 +149,4 @@ func (m *SketchMatcher) MatchColumns(a, b *frame.Column) float64 {
 		return 0
 	}
 	return (m.NameWeight*name + m.InstanceWeight*inst) / wsum
-}
-
-// DiscoverDRGSketched builds the lake DRG with the MinHash-backed matcher;
-// useful when tables are too large for exact value-set intersection.
-func DiscoverDRGSketched(tables []*frame.Frame, threshold float64) (*graph.Graph, error) {
-	m := NewSketchMatcher()
-	return discoverWith(tables, threshold, m)
 }

@@ -130,7 +130,7 @@ func TestDiscoverDRGSketched(t *testing.T) {
 	addCol(t, cust, seqCol("customer", 0, 500))
 	addCol(t, cust, frame.NewFloatColumn("ltv", make([]float64, 500), nil))
 	tabs = []*frame.Frame{base, cust}
-	g, err := DiscoverDRGSketched(tabs, 0.55)
+	g, err := DiscoverDRGQuadratic(tabs, 0.55, NewSketchMatcher())
 	if err != nil {
 		t.Fatal(err)
 	}

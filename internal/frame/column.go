@@ -1,7 +1,7 @@
 // Package frame implements the columnar table substrate used throughout the
 // AutoFeat reproduction. It plays the role the pandas DataFrame plays in the
 // original system: typed columns with null bitmaps, CSV ingestion with schema
-// inference, group-by, imputation, stratified sampling and numeric encoding.
+// inference, imputation, stratified sampling and numeric encoding.
 //
 // Columns are views: the public surface (Len/At/IsNull/ValueSet/Numeric and
 // the typed accessors) is backed by one of two storage engines — in-memory
@@ -565,10 +565,10 @@ func (c *Column) Imputed() *Column {
 }
 
 // ValueSet returns the set of distinct non-null join keys, used by the
-// instance-based discovery matcher and relational.KeyOverlap to estimate
-// joinability. The set is computed once and memoised (columns are
-// immutable inside a Frame), so the returned map is shared: callers must
-// treat it as read-only. Safe for concurrent use.
+// instance-based discovery matcher to estimate joinability. The set is
+// computed once and memoised (columns are immutable inside a Frame), so
+// the returned map is shared: callers must treat it as read-only. Safe
+// for concurrent use.
 func (c *Column) ValueSet() map[string]struct{} {
 	if c.memo == nil {
 		return c.buildValueSet()

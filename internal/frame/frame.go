@@ -3,7 +3,6 @@ package frame
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -140,22 +139,6 @@ func (f *Frame) Select(names ...string) (*Frame, error) {
 	return out, nil
 }
 
-// Drop returns a new frame without the named columns. Missing names are
-// ignored, making Drop convenient for best-effort cleanup.
-func (f *Frame) Drop(names ...string) *Frame {
-	skip := make(map[string]struct{}, len(names))
-	for _, n := range names {
-		skip[n] = struct{}{}
-	}
-	out := New(f.name)
-	for _, c := range f.cols {
-		if _, drop := skip[c.Name()]; !drop {
-			out.add(c)
-		}
-	}
-	return out
-}
-
 // Prefixed returns a copy of the frame whose columns are renamed to
 // "prefix.column". Columns already carrying the prefix keep their name.
 // Join results use this to keep feature provenance unambiguous.
@@ -215,10 +198,6 @@ func (f *Frame) NullRatio() float64 {
 	}
 	return float64(nulls) / float64(cells)
 }
-
-// Completeness returns 1 - NullRatio, the data-quality measure used by the
-// paper's second pruning strategy (Section IV-C).
-func (f *Frame) Completeness() float64 { return 1 - f.NullRatio() }
 
 // Equal reports whether two frames have identical names, schemas and cells.
 func (f *Frame) Equal(g *Frame) bool {
@@ -328,12 +307,4 @@ func (f *Frame) ClassDistribution(label string) (map[int]int, error) {
 		out[v]++
 	}
 	return out, nil
-}
-
-// SortedColumnNames returns column names sorted lexicographically; handy for
-// deterministic iteration in callers that range over schema maps.
-func (f *Frame) SortedColumnNames() []string {
-	names := f.ColumnNames()
-	sort.Strings(names)
-	return names
 }

@@ -3,190 +3,8 @@ package frame
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Filter returns the rows for which keep returns true. keep receives the
-// row index and reads cells through the frame's columns.
-func (f *Frame) Filter(keep func(row int) bool) *Frame {
-	var idx []int
-	for i, n := 0, f.NumRows(); i < n; i++ {
-		if keep(i) {
-			idx = append(idx, i)
-		}
-	}
-	return f.Take(idx)
-}
-
-// SortBy returns a copy of the frame sorted by the named column,
-// ascending (descending when desc). Nulls sort last; string columns sort
-// lexicographically, numeric columns numerically. The sort is stable.
-func (f *Frame) SortBy(col string, desc bool) (*Frame, error) {
-	c := f.Column(col)
-	if c == nil {
-		return nil, fmt.Errorf("frame %q: no column %q to sort by", f.name, col)
-	}
-	idx := make([]int, f.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	less := rowLess(c)
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := idx[a], idx[b]
-		// Nulls sort last regardless of direction.
-		av, bv := c.IsValid(ra), c.IsValid(rb)
-		switch {
-		case !av && !bv:
-			return false
-		case !av:
-			return false
-		case !bv:
-			return true
-		}
-		if desc {
-			return less(rb, ra)
-		}
-		return less(ra, rb)
-	})
-	return f.Take(idx), nil
-}
-
-// rowLess builds a null-last comparator over a column.
-func rowLess(c *Column) func(a, b int) bool {
-	return func(a, b int) bool {
-		av, bv := c.IsValid(a), c.IsValid(b)
-		switch {
-		case !av && !bv:
-			return false
-		case !av:
-			return false // nulls last
-		case !bv:
-			return true
-		}
-		switch c.Kind() {
-		case String:
-			return c.Str(a) < c.Str(b)
-		case Bool:
-			return !c.Bool(a) && c.Bool(b)
-		case Int:
-			return c.Int(a) < c.Int(b)
-		default:
-			return c.Float(a) < c.Float(b)
-		}
-	}
-}
-
-// Agg names an aggregate for GroupBy.
-type Agg uint8
-
-// Supported group-by aggregates.
-const (
-	AggCount Agg = iota // row count per group
-	AggSum              // sum of a numeric column
-	AggMean             // mean of a numeric column
-	AggMin              // minimum of a numeric column
-	AggMax              // maximum of a numeric column
-)
-
-// AggSpec requests one aggregated output column.
-type AggSpec struct {
-	// Col is the input column; ignored for AggCount.
-	Col string
-	// Op is the aggregate.
-	Op Agg
-	// As names the output column; defaults to op_col.
-	As string
-}
-
-func (a AggSpec) outName() string {
-	if a.As != "" {
-		return a.As
-	}
-	op := map[Agg]string{AggCount: "count", AggSum: "sum", AggMean: "mean", AggMin: "min", AggMax: "max"}[a.Op]
-	if a.Col == "" {
-		return op
-	}
-	return op + "_" + a.Col
-}
-
-// GroupBy groups rows by the key column's join key and computes the
-// requested aggregates per group. The result has one row per distinct key
-// (nulls grouped under an empty key are skipped), ordered by key.
-func (f *Frame) GroupBy(key string, specs ...AggSpec) (*Frame, error) {
-	kc := f.Column(key)
-	if kc == nil {
-		return nil, fmt.Errorf("frame %q: no group key %q", f.name, key)
-	}
-	groups := make(map[string][]int)
-	for i, n := 0, kc.Len(); i < n; i++ {
-		if k, ok := kc.Key(i); ok {
-			groups[k] = append(groups[k], i)
-		}
-	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	out := New(f.name + "_by_" + key)
-	keyVals := make([]string, len(keys))
-	copy(keyVals, keys)
-	if err := out.AddColumn(NewStringColumn(key, keyVals, nil)); err != nil {
-		return nil, err
-	}
-	for _, spec := range specs {
-		var vc *Column
-		if spec.Op != AggCount {
-			vc = f.Column(spec.Col)
-			if vc == nil {
-				return nil, fmt.Errorf("frame %q: no aggregate column %q", f.name, spec.Col)
-			}
-		}
-		vals := make([]float64, len(keys))
-		for gi, k := range keys {
-			vals[gi] = aggregate(vc, groups[k], spec.Op)
-		}
-		if err := out.AddColumn(NewFloatColumn(spec.outName(), vals, nil)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func aggregate(c *Column, rows []int, op Agg) float64 {
-	if op == AggCount {
-		return float64(len(rows))
-	}
-	var sum, mn, mx float64
-	mn, mx = math.Inf(1), math.Inf(-1)
-	n := 0
-	fl := c.Floats()
-	for _, r := range rows {
-		v := fl[r]
-		if math.IsNaN(v) {
-			continue
-		}
-		sum += v
-		mn = math.Min(mn, v)
-		mx = math.Max(mx, v)
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	switch op {
-	case AggSum:
-		return sum
-	case AggMean:
-		return sum / float64(n)
-	case AggMin:
-		return mn
-	default:
-		return mx
-	}
-}
 
 // ColumnSummary describes one column for Describe.
 type ColumnSummary struct {

@@ -6,100 +6,6 @@ import (
 	"testing"
 )
 
-func TestFilter(t *testing.T) {
-	f := sampleFrame(t)
-	got := f.Filter(func(row int) bool { return f.Column("id").Int(row)%2 == 0 })
-	if got.NumRows() != 3 {
-		t.Fatalf("filtered rows = %d, want 3", got.NumRows())
-	}
-	if got.Column("id").Int(0) != 2 {
-		t.Fatal("filter order must be preserved")
-	}
-	empty := f.Filter(func(int) bool { return false })
-	if empty.NumRows() != 0 {
-		t.Fatal("empty filter keeps nothing")
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	f := sampleFrame(t)
-	asc, err := f.SortBy("income", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := asc.Column("income")
-	// Valid values ascending, null last.
-	prev := math.Inf(-1)
-	for i := 0; i < inc.Len()-1; i++ {
-		if !inc.IsValid(i) {
-			t.Fatalf("null must sort last, found at %d", i)
-		}
-		if inc.Float(i) < prev {
-			t.Fatal("ascending order violated")
-		}
-		prev = inc.Float(i)
-	}
-	if inc.IsValid(inc.Len() - 1) {
-		t.Fatal("last row must be the null")
-	}
-	desc, _ := f.SortBy("income", true)
-	if desc.Column("income").Float(0) != 60 {
-		t.Fatal("descending order wrong")
-	}
-	if _, err := f.SortBy("ghost", false); err == nil {
-		t.Fatal("missing sort column must fail")
-	}
-	// String sort.
-	byCity, _ := f.SortBy("city", false)
-	if byCity.Column("city").Str(0) != "delft" {
-		t.Fatal("string sort wrong")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	f := sampleFrame(t)
-	g, err := f.GroupBy("city",
-		AggSpec{Op: AggCount},
-		AggSpec{Col: "income", Op: AggMean},
-		AggSpec{Col: "income", Op: AggSum, As: "total"},
-		AggSpec{Col: "income", Op: AggMin},
-		AggSpec{Col: "income", Op: AggMax},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumRows() != 3 {
-		t.Fatalf("3 cities expected, got %d", g.NumRows())
-	}
-	// Sorted keys: delft, haag, leiden.
-	if g.Column("city").Str(0) != "delft" {
-		t.Fatalf("keys must be sorted: %v", g.Column("city").Str(0))
-	}
-	if g.Column("count").Float(0) != 3 {
-		t.Fatalf("delft count = %v", g.Column("count").Float(0))
-	}
-	// delft incomes: 10, 20, 60 -> mean 30, total 90.
-	if g.Column("mean_income").Float(0) != 30 {
-		t.Fatalf("delft mean = %v", g.Column("mean_income").Float(0))
-	}
-	if g.Column("total").Float(0) != 90 {
-		t.Fatalf("custom name total = %v", g.Column("total").Float(0))
-	}
-	if g.Column("min_income").Float(0) != 10 || g.Column("max_income").Float(0) != 60 {
-		t.Fatal("min/max wrong")
-	}
-	// haag has only the null income row -> NaN aggregates.
-	if !math.IsNaN(g.Column("mean_income").Float(1)) {
-		t.Fatalf("all-null group mean must be NaN, got %v", g.Column("mean_income").Float(1))
-	}
-	if _, err := f.GroupBy("ghost"); err == nil {
-		t.Fatal("missing key must fail")
-	}
-	if _, err := f.GroupBy("city", AggSpec{Col: "ghost", Op: AggMean}); err == nil {
-		t.Fatal("missing aggregate column must fail")
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	f := sampleFrame(t)
 	ds := f.Describe()
@@ -127,46 +33,5 @@ func TestDescribe(t *testing.T) {
 	str := f.DescribeString()
 	if !strings.Contains(str, "income") || !strings.Contains(str, "distinct") {
 		t.Fatal("DescribeString rendering broken")
-	}
-}
-
-func TestAggSpecNames(t *testing.T) {
-	if (AggSpec{Op: AggCount}).outName() != "count" {
-		t.Fatal("count default name")
-	}
-	if (AggSpec{Col: "x", Op: AggMean}).outName() != "mean_x" {
-		t.Fatal("mean default name")
-	}
-	if (AggSpec{Col: "x", Op: AggMean, As: "avg"}).outName() != "avg" {
-		t.Fatal("custom name")
-	}
-}
-
-func TestSortByBoolAndInt(t *testing.T) {
-	f := New("t")
-	mustAdd(t, f, NewBoolColumn("b", []bool{true, false, true}, nil))
-	mustAdd(t, f, NewIntColumn("i", []int64{3, 1, 2}, nil))
-	byB, err := f.SortBy("b", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byB.Column("b").Bool(0) != false {
-		t.Fatal("false sorts before true")
-	}
-	byI, _ := f.SortBy("i", false)
-	if byI.Column("i").Int(0) != 1 || byI.Column("i").Int(2) != 3 {
-		t.Fatal("int sort wrong")
-	}
-}
-
-func TestSortByDescNullsLast(t *testing.T) {
-	f := sampleFrame(t)
-	desc, err := f.SortBy("income", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := desc.Column("income")
-	if inc.IsValid(inc.Len() - 1) {
-		t.Fatal("null must sort last in descending order too")
 	}
 }

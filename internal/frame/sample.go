@@ -149,13 +149,3 @@ func (f *Frame) StratifiedSample(label string, n int, rng *rand.Rand) (*Frame, e
 	sort.Ints(pick)
 	return f.Take(pick), nil
 }
-
-// Shuffled returns a row-shuffled copy of the frame.
-func (f *Frame) Shuffled(rng *rand.Rand) *Frame {
-	idx := make([]int, f.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	return f.Take(idx)
-}

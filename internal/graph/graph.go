@@ -217,9 +217,6 @@ func (g *Graph) Neighbors(node string) []string {
 	return out
 }
 
-// Degree returns the number of incident edges (counting parallel edges).
-func (g *Graph) Degree(node string) int { return len(g.adj[node]) }
-
 // BFSLevels returns the nodes reachable from start grouped by hop distance:
 // level 0 is [start], level 1 its neighbours, and so on. This is the level
 // order AutoFeat's traversal follows (Section IV-A).
@@ -266,40 +263,6 @@ func (g *Graph) DFSOrder(start string) []string {
 		}
 	}
 	visit(start)
-	return out
-}
-
-// EnumeratePaths returns every acyclic join path starting at start with
-// 1 ≤ length ≤ maxLen, as edge sequences oriented along the path. Each
-// parallel edge yields a distinct path (Definition IV.4: the DRG is a
-// multigraph and every edge choice is its own join path).
-func (g *Graph) EnumeratePaths(start string, maxLen int) [][]Edge {
-	if !g.HasNode(start) || maxLen < 1 {
-		return nil
-	}
-	var out [][]Edge
-	onPath := map[string]bool{start: true}
-	var cur []Edge
-	var extend func(node string)
-	extend = func(node string) {
-		if len(cur) >= maxLen {
-			return
-		}
-		for _, e := range g.EdgesFrom(node) {
-			if onPath[e.B] {
-				continue
-			}
-			cur = append(cur, e)
-			cp := make([]Edge, len(cur))
-			copy(cp, cur)
-			out = append(out, cp)
-			onPath[e.B] = true
-			extend(e.B)
-			onPath[e.B] = false
-			cur = cur[:len(cur)-1]
-		}
-	}
-	extend(start)
 	return out
 }
 

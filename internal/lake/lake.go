@@ -775,6 +775,24 @@ func (l *Lake) discoveryOn(g *graph.Graph, base, label string, cfg core.Config) 
 	return core.New(g, base, label, cfg)
 }
 
+// AutoTune grid-searches τ and κ around cfg over the Lake's DRG (built
+// or reused under opts, as NewDiscovery does) and returns the best
+// configuration by the factory's model accuracy; see core.AutoTune.
+// Empty grids use τ ∈ {0.5, 0.65, 0.8} and κ ∈ {10, 15, 20}. A nil
+// cfg.KeyCache is filled with the Lake's shared cache, so the grid runs
+// reuse each other's join-key indexes and every run after the first
+// reports a warm SelectionTime.
+func (l *Lake) AutoTune(base, label string, cfg core.Config, factory ml.Factory, taus []float64, kappas []int, opts ...Option) (*core.TuneOutcome, error) {
+	g, _, err := l.drg(l.resolve(opts))
+	if err != nil {
+		return nil, err
+	}
+	if cfg.KeyCache == nil {
+		cfg.KeyCache = l.cache
+	}
+	return core.AutoTune(g, base, label, cfg, factory, taus, kappas)
+}
+
 // Request describes one discovery run against a Lake — the unit of work
 // the long-lived service schedules. The zero value of every optional
 // field means "use the default".

@@ -11,6 +11,7 @@ import (
 	"autofeat/internal/core"
 	"autofeat/internal/datagen"
 	"autofeat/internal/errs"
+	"autofeat/internal/ml"
 )
 
 // writeLakeDir materialises a generated dataset as a CSV directory.
@@ -175,5 +176,49 @@ func TestDiscoverInjectsSharedCache(t *testing.T) {
 	}
 	if c := l.KeyCache(); c == nil {
 		t.Error("KeyCache should never be nil")
+	}
+}
+
+// TestAutoTuneSharesCache checks that Lake.AutoTune tries the same grid
+// with the same outcomes as core.AutoTune over the Lake's DRG with a
+// cold cache per run, while its runs hit the Lake's shared cache.
+func TestAutoTuneSharesCache(t *testing.T) {
+	_, ds := writeLakeDir(t)
+	l := New(ds.Tables, WithKFKs(ds.KFKs))
+	lgbm, ok := ml.FactoryByName("lightgbm")
+	if !ok {
+		t.Fatal("lightgbm factory missing")
+	}
+	taus, kappas := []float64{0.5, 0.65}, []int{10, 15}
+	g, err := l.DRG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.AutoTune(g, ds.Base.Name(), ds.Label, core.DefaultConfig(), lgbm, taus, kappas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits0, _ := l.CacheStats()
+	got, err := l.AutoTune(ds.Base.Name(), ds.Label, core.DefaultConfig(), lgbm, taus, kappas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := l.CacheStats(); hits <= hits0 {
+		t.Errorf("cache hits %d -> %d: the grid runs should share the Lake's cache", hits0, hits)
+	}
+	if len(got.Tried) != len(want.Tried) {
+		t.Fatalf("tried %d configurations, want %d", len(got.Tried), len(want.Tried))
+	}
+	for i := range want.Tried {
+		wt, gt := want.Tried[i], got.Tried[i]
+		wt.SelectionTime, gt.SelectionTime = 0, 0
+		if wt != gt {
+			t.Errorf("configuration %d: got %+v, want %+v", i, gt, wt)
+		}
+	}
+	w, b := want.Best, got.Best
+	w.SelectionTime, b.SelectionTime = 0, 0
+	if w != b {
+		t.Errorf("best %+v, want %+v", b, w)
 	}
 }

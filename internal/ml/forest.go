@@ -16,29 +16,8 @@ type Forest struct {
 	extra     bool // extra-trees: random thresholds, no bootstrap
 	seed      int64
 
-	bn         *binner
-	trees      []*binTree
-	importance []float64
-}
-
-// FeatureImportances returns the mean-decrease-in-impurity importance per
-// feature, normalised to sum to 1 (nil before Fit).
-func (f *Forest) FeatureImportances() []float64 {
-	if f.importance == nil {
-		return nil
-	}
-	out := make([]float64, len(f.importance))
-	total := 0.0
-	for _, v := range f.importance {
-		total += v
-	}
-	if total == 0 {
-		return out
-	}
-	for i, v := range f.importance {
-		out[i] = v / total
-	}
-	return out
+	bn    *binner
+	trees []*binTree
 }
 
 // NewRandomForest builds a Random Forest: 100 bootstrap-sampled gini trees
@@ -76,7 +55,6 @@ func (f *Forest) Fit(X [][]float64, y []int) error {
 		randomThresholds: f.extra,
 	}
 	f.trees = make([]*binTree, f.nTrees)
-	f.importance = make([]float64, d)
 	n := len(X)
 	for t := 0; t < f.nTrees; t++ {
 		rows := make([]int, n)
@@ -89,7 +67,7 @@ func (f *Forest) Fit(X [][]float64, y []int) error {
 				rows[i] = i
 			}
 		}
-		f.trees[t] = buildClassTree(binned, y, rows, f.bn, cfg, rng, f.importance)
+		f.trees[t] = buildClassTree(binned, y, rows, f.bn, cfg, rng)
 	}
 	return nil
 }

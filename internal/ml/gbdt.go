@@ -21,55 +21,10 @@ type GBDT struct {
 	leafWise     bool
 	seed         int64
 
-	// EarlyStopRounds > 0 enables early stopping: training stops when
-	// the held-out logloss has not improved for that many rounds.
-	EarlyStopRounds int
-	// ValidationFrac is the training fraction held out for early
-	// stopping (default 0.1 when early stopping is enabled).
-	ValidationFrac float64
-
-	bn         *binner
-	trees      []*binTree
-	baseline   float64 // initial log-odds
-	importance []float64
-	rounds     int // rounds actually trained (== len(trees))
+	bn       *binner
+	trees    []*binTree
+	baseline float64 // initial log-odds
 }
-
-// WithEarlyStopping enables early stopping: training stops once the
-// held-out logloss has not improved for `rounds` boosting rounds.
-func (g *GBDT) WithEarlyStopping(rounds int, validationFrac float64) *GBDT {
-	g.EarlyStopRounds = rounds
-	if validationFrac <= 0 || validationFrac >= 1 {
-		validationFrac = 0.1
-	}
-	g.ValidationFrac = validationFrac
-	return g
-}
-
-// FeatureImportances returns per-feature split-gain totals accumulated
-// during training, normalised to sum to 1 (nil before Fit, zeros when no
-// split was ever made).
-func (g *GBDT) FeatureImportances() []float64 {
-	if g.importance == nil {
-		return nil
-	}
-	out := make([]float64, len(g.importance))
-	total := 0.0
-	for _, v := range g.importance {
-		total += v
-	}
-	if total == 0 {
-		return out
-	}
-	for i, v := range g.importance {
-		out[i] = v / total
-	}
-	return out
-}
-
-// TrainedRounds reports how many boosting rounds actually ran (fewer than
-// the budget when early stopping triggers).
-func (g *GBDT) TrainedRounds() int { return g.rounds }
 
 // NewLightGBM returns the leaf-wise boosted model (100 rounds, 31 leaves,
 // learning rate 0.1) approximating LightGBM defaults.
@@ -100,27 +55,6 @@ func (g *GBDT) Fit(X [][]float64, y []int) error {
 	g.bn = fitBinner(X, defaultMaxBins)
 	binned := g.bn.transform(X)
 	n := len(X)
-	if len(X) > 0 {
-		g.importance = make([]float64, len(X[0]))
-	}
-
-	// Early-stopping holdout: an evenly strided, class-alternating subset.
-	var valRows []int
-	inVal := make([]bool, n)
-	if g.EarlyStopRounds > 0 {
-		frac := g.ValidationFrac
-		if frac <= 0 || frac >= 1 {
-			frac = 0.1
-		}
-		stride := int(1 / frac)
-		if stride < 2 {
-			stride = 2
-		}
-		for i := stride - 1; i < n; i += stride {
-			valRows = append(valRows, i)
-			inVal[i] = true
-		}
-	}
 
 	// Initial prediction: log-odds of the positive rate.
 	pos := 0
@@ -136,17 +70,12 @@ func (g *GBDT) Fit(X [][]float64, y []int) error {
 	}
 	grad := make([]float64, n)
 	hess := make([]float64, n)
-	rows := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !inVal[i] {
-			rows = append(rows, i)
-		}
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
 	}
 	rng := rand.New(rand.NewSource(g.seed))
 	g.trees = g.trees[:0]
-	bestValLoss := math.Inf(1)
-	sinceBest := 0
-	bestRounds := 0
 	for round := 0; round < g.nRounds; round++ {
 		for i := 0; i < n; i++ {
 			p := sigmoid(scores[i])
@@ -158,30 +87,7 @@ func (g *GBDT) Fit(X [][]float64, y []int) error {
 		for i, row := range binned {
 			scores[i] += g.learningRate * t.predictRow(row)
 		}
-		if g.EarlyStopRounds > 0 && len(valRows) > 0 {
-			loss := 0.0
-			for _, i := range valRows {
-				p := sigmoid(scores[i])
-				if y[i] == 1 {
-					loss -= math.Log(math.Max(p, 1e-12))
-				} else {
-					loss -= math.Log(math.Max(1-p, 1e-12))
-				}
-			}
-			if loss < bestValLoss-1e-9 {
-				bestValLoss = loss
-				sinceBest = 0
-				bestRounds = len(g.trees)
-			} else {
-				sinceBest++
-				if sinceBest >= g.EarlyStopRounds {
-					g.trees = g.trees[:bestRounds]
-					break
-				}
-			}
-		}
 	}
-	g.rounds = len(g.trees)
 	return nil
 }
 
@@ -283,7 +189,6 @@ func (g *GBDT) growLeafWise(t *binTree, binned [][]uint8, grad, hess []float64, 
 	for h.Len() > 0 && leaves < g.maxLeaves {
 		c := heap.Pop(h).(leafCandidate)
 		sp := c.split
-		g.importance[sp.feature] += sp.gain
 		l := len(t.nodes)
 		t.nodes = append(t.nodes, treeNode{left: -1, right: -1, value: g.leafValue(grad, hess, sp.lrows)})
 		r := len(t.nodes)

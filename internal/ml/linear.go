@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // LogRegL1 is logistic regression with L1 regularisation, trained with
 // proximal gradient descent (ISTA) over standardised features. It is the
@@ -112,15 +109,3 @@ func (m *LogRegL1) PredictProba(X [][]float64) []float64 {
 
 // Predict implements Classifier.
 func (m *LogRegL1) Predict(X [][]float64) []int { return hardLabels(m.PredictProba(X)) }
-
-// NonZeroWeights reports how many features carry non-zero weight after
-// training; tests use it to confirm the L1 penalty sparsifies.
-func (m *LogRegL1) NonZeroWeights() int {
-	n := 0
-	for _, w := range m.weights {
-		if math.Abs(w) > 0 {
-			n++
-		}
-	}
-	return n
-}

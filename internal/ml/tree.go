@@ -135,10 +135,8 @@ type classTreeConfig struct {
 	randomThresholds bool
 }
 
-// buildClassTree grows a gini-impurity CART tree on binned rows. When imp
-// is non-nil, each used split adds its row-weighted impurity decrease to
-// imp[feature] (mean-decrease-in-impurity feature importance).
-func buildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg classTreeConfig, rng *rand.Rand, imp []float64) *binTree {
+// buildClassTree grows a gini-impurity CART tree on binned rows.
+func buildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg classTreeConfig, rng *rand.Rand) *binTree {
 	t := &binTree{}
 	var grow func(rows []int, depth int) int
 	grow = func(rows []int, depth int) int {
@@ -152,7 +150,7 @@ func buildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg class
 		if depth >= cfg.maxDepth || len(rows) < 2*cfg.minSamplesLeaf || n1 == 0 || n1 == len(rows) {
 			return id
 		}
-		feat, splitBin, childGini, ok := bestGiniSplit(binned, y, rows, bn, cfg, rng)
+		feat, splitBin, ok := bestGiniSplit(binned, y, rows, bn, cfg, rng)
 		if !ok {
 			return id
 		}
@@ -166,9 +164,6 @@ func buildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg class
 		}
 		if len(lrows) < cfg.minSamplesLeaf || len(rrows) < cfg.minSamplesLeaf {
 			return id
-		}
-		if imp != nil {
-			imp[feat] += float64(len(rows)) * (giniImpurity(len(rows), n1) - childGini)
 		}
 		l := grow(lrows, depth+1)
 		r := grow(rrows, depth+1)
@@ -184,7 +179,7 @@ func buildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg class
 
 // bestGiniSplit scans (feature, bin) candidates and returns the split with
 // the lowest weighted gini impurity.
-func bestGiniSplit(binned [][]uint8, y []int, rows []int, bn *binner, cfg classTreeConfig, rng *rand.Rand) (feat int, splitBin uint8, childGini float64, ok bool) {
+func bestGiniSplit(binned [][]uint8, y []int, rows []int, bn *binner, cfg classTreeConfig, rng *rand.Rand) (feat int, splitBin uint8, ok bool) {
 	d := len(bn.cuts)
 	feats := sampleFeatures(d, cfg.mtry, rng)
 	total := len(rows)
@@ -221,7 +216,7 @@ func bestGiniSplit(binned [][]uint8, y []int, rows []int, bn *binner, cfg classT
 			}
 		}
 	}
-	return feat, splitBin, bestScore, ok
+	return feat, splitBin, ok
 }
 
 // splitScore computes the weighted gini of splitting after bin b.

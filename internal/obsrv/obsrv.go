@@ -1,7 +1,7 @@
 // Package obsrv is the live introspection layer of the AutoFeat
 // reproduction: an embeddable HTTP server that exposes the state of the
 // online pipeline while it runs, instead of only after it finishes (the
-// telemetry sinks' job).
+// job of the -metrics-out and -trace-out files).
 //
 // Endpoints:
 //

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 
 	"autofeat/internal/telemetry"
 )
@@ -53,48 +54,10 @@ func promFloat(v float64) string {
 // WritePrometheus renders the snapshot in Prometheus text exposition
 // format (version 0.0.4): counters and gauges as single series,
 // histograms as cumulative le-bucketed series plus _sum and _count.
-// Families are emitted in sorted name order so the output is stable.
+// Families are emitted in sorted name order so the output is stable. It
+// is WritePrometheusNodes over one node with no node label.
 func WritePrometheus(w io.Writer, s *telemetry.Snapshot) error {
-	if s == nil {
-		return nil
-	}
-	for _, name := range sortedNames(s.Counters) {
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedNames(s.Gauges) {
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(s.Gauges[name])); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedNames(s.Histograms) {
-		h := s.Histograms[name]
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
-			return err
-		}
-		// The telemetry histogram stores per-bucket counts; Prometheus
-		// buckets are cumulative.
-		var cum int64
-		for i, bound := range h.Bounds {
-			if i < len(h.Counts) {
-				cum += h.Counts[i]
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, promFloat(bound), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", pn, promFloat(h.Sum), pn, h.Count); err != nil {
-			return err
-		}
-	}
-	return nil
+	return WritePrometheusNodes(w, []NodeSnapshot{{Snap: s}})
 }
 
 func sortedNames[V any](m map[string]V) []string {
@@ -121,7 +84,8 @@ type NodeSnapshot struct {
 // single "# TYPE" header across all nodes), then one series per node
 // holding it, in node order as given; histogram buckets carry both
 // node and le labels. Families are emitted in sorted name order and
-// nil snapshots are skipped, so the output is stable.
+// nil snapshots are skipped, so the output is stable. A node with an
+// empty Node renders its series without the node label.
 func WritePrometheusNodes(w io.Writer, nodes []NodeSnapshot) error {
 	live := make([]NodeSnapshot, 0, len(nodes))
 	for _, n := range nodes {
@@ -153,7 +117,7 @@ func WritePrometheusNodes(w io.Writer, nodes []NodeSnapshot) error {
 			if !ok {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s{node=%q} %d\n", pn, n.Node, v); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %d\n", pn, labels(n.Node, ""), v); err != nil {
 				return err
 			}
 		}
@@ -168,7 +132,7 @@ func WritePrometheusNodes(w io.Writer, nodes []NodeSnapshot) error {
 			if !ok {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s{node=%q} %s\n", pn, n.Node, promFloat(v)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", pn, labels(n.Node, ""), promFloat(v)); err != nil {
 				return err
 			}
 		}
@@ -183,23 +147,41 @@ func WritePrometheusNodes(w io.Writer, nodes []NodeSnapshot) error {
 			if !ok {
 				continue
 			}
+			// The telemetry histogram stores per-bucket counts; Prometheus
+			// buckets are cumulative.
 			var cum int64
 			for i, bound := range h.Bounds {
 				if i < len(h.Counts) {
 					cum += h.Counts[i]
 				}
-				if _, err := fmt.Fprintf(w, "%s_bucket{node=%q,le=%q} %d\n", pn, n.Node, promFloat(bound), cum); err != nil {
+				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", pn, labels(n.Node, promFloat(bound)), cum); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{node=%q,le=\"+Inf\"} %d\n", pn, n.Node, h.Count); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", pn, labels(n.Node, "+Inf"), h.Count); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s_sum{node=%q} %s\n%s_count{node=%q} %d\n",
-				pn, n.Node, promFloat(h.Sum), pn, n.Node, h.Count); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
+				pn, labels(n.Node, ""), promFloat(h.Sum), pn, labels(n.Node, ""), h.Count); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// labels renders a series' label set: node="..." unless node is empty,
+// then le="..." unless le is empty; "" when neither is present.
+func labels(node, le string) string {
+	var parts []string
+	if node != "" {
+		parts = append(parts, fmt.Sprintf("node=%q", node))
+	}
+	if le != "" {
+		parts = append(parts, fmt.Sprintf("le=%q", le))
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return "{" + strings.Join(parts, ",") + "}"
 }

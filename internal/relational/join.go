@@ -66,15 +66,6 @@ type Result struct {
 	MatchedRows int
 }
 
-// MatchRatio returns the fraction of left rows that matched.
-func (r *Result) MatchRatio() float64 {
-	n := r.Frame.NumRows()
-	if n == 0 {
-		return 0
-	}
-	return float64(r.MatchedRows) / float64(n)
-}
-
 // Quality returns the completeness (non-null ratio) over the columns added
 // by this join — the paper's data-quality measure. A join whose Quality
 // falls below the threshold τ is pruned.
@@ -314,22 +305,4 @@ func buildKeyIndex(rc *frame.Column, opt Options) map[string]int {
 		}
 	}
 	return rowFor
-}
-
-// KeyOverlap returns |keys(a) ∩ keys(b)| / |keys(a)|: the fraction of the
-// left column's distinct values that appear in the right column. Used both
-// by tests and by the discovery matcher as a joinability signal.
-func KeyOverlap(a, b *frame.Column) float64 {
-	as := a.ValueSet()
-	if len(as) == 0 {
-		return 0
-	}
-	bs := b.ValueSet()
-	inter := 0
-	for k := range as {
-		if _, ok := bs[k]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(as))
 }

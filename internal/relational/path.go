@@ -2,7 +2,6 @@ package relational
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"autofeat/internal/frame"
@@ -57,20 +56,4 @@ func (p Path) Materialize(base *frame.Frame, opt Options) (*frame.Frame, [][]str
 		added = append(added, res.AddedColumns)
 	}
 	return cur, added, nil
-}
-
-// MaterializeSampled behaves like Materialize but uses an rng-normalised
-// join at every hop; exposed separately so callers can pass a nil rng
-// through Options without building it themselves.
-func (p Path) MaterializeSampled(base *frame.Frame, rng *rand.Rand) (*frame.Frame, [][]string, error) {
-	return p.Materialize(base, Options{Normalize: true, Rng: rng})
-}
-
-// Tables returns the names of the tables joined along the path, in order.
-func (p Path) Tables() []string {
-	out := make([]string, len(p))
-	for i, h := range p {
-		out[i] = h.To.Name()
-	}
-	return out
 }

@@ -28,23 +28,6 @@ func Mean(x []float64) float64 {
 	return sum / float64(n)
 }
 
-// Variance returns the population variance of the non-NaN entries.
-func Variance(x []float64) float64 {
-	m := Mean(x)
-	if math.IsNaN(m) {
-		return math.NaN()
-	}
-	sum, n := 0.0, 0
-	for _, v := range x {
-		if !math.IsNaN(v) {
-			d := v - m
-			sum += d * d
-			n++
-		}
-	}
-	return sum / float64(n)
-}
-
 // Pearson returns the Pearson correlation coefficient between x and y,
 // computed over rows where both are non-NaN. Returns 0 when either variable
 // is constant (no linear association can be measured) or fewer than two

@@ -34,10 +34,6 @@ func (h nopHandler) WithGroup(string) slog.Handler { return h }
 // nopLogger is shared: the nop handler is stateless.
 var nopLogger = slog.New(nopHandler{})
 
-// NopLogger returns a logger that discards everything — the normalised
-// form of "logging off".
-func NopLogger() *slog.Logger { return nopLogger }
-
 // OrNop returns l unchanged when non-nil, the nop logger otherwise, so
 // pipeline code can log unconditionally without nil checks.
 func OrNop(l *slog.Logger) *slog.Logger {

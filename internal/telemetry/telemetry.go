@@ -12,12 +12,14 @@
 //     overhead, guarded by BenchmarkMicroDiscoveryTelemetry).
 //   - One Collector bundles a Tracer and a Metrics registry; Config
 //     carries a *Collector so a single field enables everything.
-//   - Three sinks: NopSink (default behaviour — nothing collected),
-//     JSONSink (machine-readable snapshot) and ReportSink (human-readable
-//     run report).
+//   - Collector.Snapshot is the metrics export: WriteMetricsFile
+//     writes it for a one-shot run, a cluster worker serves it as JSON,
+//     and internal/obsrv renders it as Prometheus text. Finished spans
+//     go to the attached observers (SpanLog, TraceStore,
+//     FlightRecorder).
 //
 // The span and metric names below are shared across packages so the
-// sinks, docs and tests agree on the vocabulary.
+// exporters, docs and tests agree on the vocabulary.
 package telemetry
 
 import "time"
@@ -333,16 +335,4 @@ func (c *Collector) Snapshot() *Snapshot {
 		s.Counters, s.Gauges, s.Histograms = c.M.snapshot()
 	}
 	return s
-}
-
-// Flush writes the collector's snapshot to every sink, returning the
-// first error.
-func (c *Collector) Flush(sinks ...Sink) error {
-	snap := c.Snapshot()
-	for _, s := range sinks {
-		if err := s.Flush(snap); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,9 +139,6 @@ func TestNilSafety(t *testing.T) {
 	snap := c.Snapshot()
 	if snap == nil || len(snap.Histograms) != 0 || len(snap.Phases()) != 0 {
 		t.Fatal("nil collector snapshot must be empty but valid")
-	}
-	if err := c.Flush(NopSink{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -411,45 +407,17 @@ func TestGoldenSnapshotJSON(t *testing.T) {
 	}
 }
 
-func TestReportSink(t *testing.T) {
-	c := NewWithClock(fakeClock(time.Millisecond))
-	_, s := StartSpan(context.Background(), c, SpanLeftJoin)
-	s.End()
-	c.Meter().Inc(PrunedCounter(PruneSimilarity))
-	c.Meter().SetGauge(GaugeSelectionSeconds, 1.5)
-	c.Meter().Observe(HistQueueWaitSeconds, 0.003)
-
-	var buf bytes.Buffer
-	if err := c.Flush(ReportSink{W: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"telemetry report",
-		"relational.left_join",
-		"pruning breakdown",
-		"similarity",
-		"discovery.selection_seconds",
-		"serve.queue_wait_seconds",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, HistSpanSecondsPrefix) {
-		t.Fatalf("report must show span histograms as phases only:\n%s", out)
-	}
-}
-
+// TestJSONSinkRoundTrip checks that a live collector's snapshot survives
+// a JSON round trip, as it does on the cluster telemetry wire.
 func TestJSONSinkRoundTrip(t *testing.T) {
 	c := New()
 	c.Meter().Inc("x")
-	var buf bytes.Buffer
-	if err := c.Flush(JSONSink{W: &buf}); err != nil {
+	b, err := json.Marshal(c.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+	if err := json.Unmarshal(b, &snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Counters["x"] != 1 {

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"autofeat/internal/core"
 	"autofeat/internal/discovery"
 )
 
@@ -122,7 +123,7 @@ func TestCorruptTablePrunesOnlyItsPaths(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.SampleSize = 0
-	disc, err := newDiscovery(g, "base", "target", cfg)
+	disc, err := core.New(g, "base", "target", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
