@@ -20,6 +20,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 60s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzJobStoreLoad -fuzztime 60s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeColumnar -fuzztime 60s ./internal/frame
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 60s ./internal/frame
+	$(GO) test -run '^$$' -fuzz FuzzKernels -fuzztime 60s ./internal/stats
 
 # bench runs the micro benchmarks (`go test -bench .` adds the slow
 # figure benchmarks), then TestWriteBench, which rewrites every committed

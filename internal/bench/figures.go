@@ -142,7 +142,7 @@ func (r *Runner) redundancyStudy(metric fselect.Redundancy) (float64, time.Durat
 			return 0, 0, err
 		}
 		start := time.Now()
-		idx, _ := metric.Select(cols, nil, y)
+		idx, _ := metric.Select(fselect.Discretize(cols), nil, y)
 		timeSum += time.Since(start)
 		kept := make([]string, len(idx))
 		for i, k := range idx {

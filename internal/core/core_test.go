@@ -21,6 +21,13 @@ import (
 // signal determines y, so AutoFeat must walk the 2-hop path to win.
 func testLake(t *testing.T, n int) *graph.Graph {
 	t.Helper()
+	return testLakeLabels(t, n, 0, 1)
+}
+
+// testLakeLabels is testLake with the label column holding neg for class
+// 0 and pos for class 1; every other value is the same.
+func testLakeLabels(t *testing.T, n int, neg, pos int64) *graph.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	ids := make([]int64, n)
 	noise := make([]float64, n)
@@ -38,10 +45,17 @@ func testLake(t *testing.T, n int) *graph.Graph {
 		key[i] = int64(i + 1000)
 		signal[i] = float64(y[i])*3 + rng.NormFloat64()*0.5
 	}
+	labels := make([]int64, n)
+	for i, c := range y {
+		labels[i] = neg
+		if c == 1 {
+			labels[i] = pos
+		}
+	}
 	base := frame.New("base")
 	addCol(t, base, frame.NewIntColumn("id", ids, nil))
 	addCol(t, base, frame.NewFloatColumn("noise", noise, nil))
-	addCol(t, base, frame.NewIntColumn("y", y, nil))
+	addCol(t, base, frame.NewIntColumn("y", labels, nil))
 
 	bridge := frame.New("bridge")
 	addCol(t, bridge, frame.NewIntColumn("pid", pid, nil))

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -159,12 +160,15 @@ type state struct {
 	// the provenance manifest records the non-null ratio at every
 	// decision point, not just the path minimum.
 	qualities []float64
-	// selCols is R_sel for THIS path: the base features plus the columns
-	// selected along the path, in sample-row space. Redundancy is
-	// "conditioned on a feature subset" (Section III-A); the subset that
-	// matters is the one the path's final model will train on, so R_sel
-	// is tracked per path rather than globally.
-	selCols [][]float64
+	// selCodes is R_sel for THIS path: the Discretize codes of the base
+	// features plus the columns selected along the path, in sample-row
+	// space. Redundancy is "conditioned on a feature subset" (Section
+	// III-A); the subset that matters is the one the path's final model
+	// will train on, so R_sel is tracked per path rather than globally.
+	// Each column is binned once, when it is selected, and the codes are
+	// shared read-only with every state descending from it. It stays
+	// empty when the run has no redundancy stage, which alone reads it.
+	selCodes [][]int
 }
 
 // Run executes Algorithm 1 with no external cancellation; it is exactly
@@ -250,9 +254,13 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		}
 	}
 	// R_sel starts as the base table's features (Section VI).
-	selected := make([][]float64, 0, len(baseFeatures))
-	for _, name := range baseFeatures {
-		selected = append(selected, sample.Column(name).Floats())
+	var selected [][]int
+	if d.cfg.Redundancy != nil {
+		cols := make([][]float64, len(baseFeatures))
+		for i, name := range baseFeatures {
+			cols[i] = sample.Column(name).Floats()
+		}
+		selected = fselect.Discretize(cols)
 	}
 
 	pipeline := &fselect.Pipeline{
@@ -265,11 +273,11 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 
 	rank := &Ranking{Base: base, BaseFeatures: baseFeatures, Label: d.label}
 	frontier := []*state{{
-		node:    d.baseName,
-		f:       sample,
-		visited: map[string]bool{d.baseName: true},
-		quality: 1,
-		selCols: selected,
+		node:     d.baseName,
+		f:        sample,
+		visited:  map[string]bool{d.baseName: true},
+		quality:  1,
+		selCodes: selected,
 	}}
 
 	workers := d.cfg.Workers
@@ -290,6 +298,9 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	if cache == nil {
 		cache = relational.NewKeyIndexCache()
 	}
+
+	// One evalScratch per worker, reused by every join it evaluates.
+	scratch := make([]evalScratch, workers)
 
 	// capped flips once the MaxPaths cap or a budget fires; the rest of
 	// the active frontier is then only counted, never evaluated, and the
@@ -407,8 +418,9 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		outcomes := make([]outcome, allowed)
 		// evalOne evaluates job i; it returns false — without evaluating —
 		// once the context is done, so both the sequential loop and the
-		// workers drain quickly after a cancellation.
-		evalOne := func(i int) bool {
+		// workers drain quickly after a cancellation. sc is the calling
+		// worker's own scratch.
+		evalOne := func(i int, sc *evalScratch) bool {
 			if ctx.Err() != nil {
 				return false
 			}
@@ -424,9 +436,9 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 			var jseed int64
 			if d.cfg.NormalizeJoins {
 				jseed = edgeSeed(d.cfg.Seed, depth, jb.e)
-				jrng = rand.New(rand.NewSource(jseed))
+				jrng = sc.rng(jseed)
 			}
-			child, reason := d.safeExpand(jctx, jb.st, jb.e, y, pipeline, jrng, jseed, cache, joinSpan)
+			child, reason := d.safeExpand(jctx, jb.st, jb.e, y, pipeline, jrng, jseed, cache, sc, joinSpan)
 			if reason != "" {
 				joinSpan.SetStr("pruned", reason)
 			}
@@ -437,7 +449,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		}
 		if w := min(workers, allowed); w <= 1 {
 			for i := 0; i < allowed; i++ {
-				if !evalOne(i) {
+				if !evalOne(i, &scratch[0]) {
 					break
 				}
 			}
@@ -446,6 +458,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 			var wg sync.WaitGroup
 			wg.Add(w)
 			for k := 0; k < w; k++ {
+				sc := &scratch[k]
 				go func() {
 					defer wg.Done()
 					for {
@@ -453,7 +466,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 						if i >= allowed {
 							return
 						}
-						if !evalOne(i) {
+						if !evalOne(i, sc) {
 							return
 						}
 					}
@@ -640,7 +653,7 @@ func edgeSeed(seed int64, depth int, e graph.Edge) int64 {
 // table, injected fault) is converted into a join_failed prune of that
 // one path — recorded under the discovery.join_panics counter — instead
 // of killing the whole process, or the worker pool with it.
-func (d *Discovery) safeExpand(ctx context.Context, st *state, e graph.Edge, y []int, pipeline *fselect.Pipeline, rng *rand.Rand, seed int64, cache *relational.KeyIndexCache, sp telemetry.Span) (child *state, reason string) {
+func (d *Discovery) safeExpand(ctx context.Context, st *state, e graph.Edge, y []int, pipeline *fselect.Pipeline, rng *rand.Rand, seed int64, cache *relational.KeyIndexCache, sc *evalScratch, sp telemetry.Span) (child *state, reason string) {
 	defer func() {
 		if r := recover(); r != nil {
 			d.cfg.Telemetry.Meter().Inc(telemetry.CtrJoinPanics)
@@ -651,7 +664,7 @@ func (d *Discovery) safeExpand(ctx context.Context, st *state, e graph.Edge, y [
 			child, reason = nil, telemetry.PruneJoinFailed
 		}
 	}()
-	return d.expand(ctx, st, e, y, pipeline, rng, seed, cache, sp)
+	return d.expand(ctx, st, e, y, pipeline, rng, seed, cache, sc, sp)
 }
 
 // expand performs one join of Algorithm 1's inner loop: join, data-quality
@@ -660,11 +673,12 @@ func (d *Discovery) safeExpand(ctx context.Context, st *state, e graph.Edge, y [
 // Attributes of the evaluated join (matched rows, quality, features kept)
 // are recorded on sp. rng (with its originating seed) drives join
 // normalisation and must be private to this call; cache may be shared
-// across concurrent expands. ctx flows into the join row loop and the
-// feature-selection stage boundaries; a cancellation observed there prunes
-// the path under the cancelled reason (the caller then discards the whole
-// depth, so the partial ranking stays deterministic).
-func (d *Discovery) expand(ctx context.Context, st *state, e graph.Edge, y []int, pipeline *fselect.Pipeline, rng *rand.Rand, seed int64, cache *relational.KeyIndexCache, sp telemetry.Span) (*state, string) {
+// across concurrent expands; sc is the calling worker's scratch. ctx
+// flows into the join row loop and the feature-selection stage
+// boundaries; a cancellation observed there prunes the path under the
+// cancelled reason (the caller then discards the whole depth, so the
+// partial ranking stays deterministic).
+func (d *Discovery) expand(ctx context.Context, st *state, e graph.Edge, y []int, pipeline *fselect.Pipeline, rng *rand.Rand, seed int64, cache *relational.KeyIndexCache, sc *evalScratch, sp telemetry.Span) (*state, string) {
 	leftKey := e.A + "." + e.ColA
 	if leftKey == d.label {
 		// The label column must never act as a join key: matching rows
@@ -700,14 +714,24 @@ func (d *Discovery) expand(ctx context.Context, st *state, e graph.Edge, y []int
 		return nil, telemetry.PruneQualityBelowTau
 	}
 
-	// Streaming feature selection over the columns this join added.
-	candidates := make([][]float64, 0, len(res.AddedColumns))
+	// Streaming feature selection over the columns this join added. The
+	// candidates are converted into the worker's scratch: nothing keeps
+	// them once the batch has run, since kept features leave as codes.
+	total := 0
+	for _, name := range res.AddedColumns {
+		total += res.Frame.Column(name).Len()
+	}
+	buf := slices.Grow(sc.floats[:0], total) // no append below reallocates
+	candidates := sc.cands[:0]
 	names := make([]string, 0, len(res.AddedColumns))
 	for _, name := range res.AddedColumns {
-		candidates = append(candidates, res.Frame.Column(name).Floats())
+		start := len(buf)
+		buf = res.Frame.Column(name).AppendFloats(buf)
+		candidates = append(candidates, buf[start:len(buf):len(buf)])
 		names = append(names, name)
 	}
-	sel := pipeline.RunContext(ctx, candidates, st.selCols, y)
+	sc.floats, sc.cands = buf, candidates
+	sel := pipeline.RunContext(ctx, candidates, st.selCodes, y)
 	if sel.Cancelled {
 		return nil, telemetry.PruneCancelled
 	}
@@ -729,11 +753,7 @@ func (d *Discovery) expand(ctx context.Context, st *state, e graph.Edge, y []int
 	// Even when the join adds nothing, the path survives as a stepping
 	// stone to multi-hop paths (Section V-A: intermediate joins must not
 	// be pruned).
-	child.selCols = make([][]float64, len(st.selCols), len(st.selCols)+len(sel.Kept))
-	copy(child.selCols, st.selCols)
-	for _, k := range sel.Kept {
-		child.selCols = append(child.selCols, candidates[k])
-	}
+	child.selCodes = append(st.selCodes[:len(st.selCodes):len(st.selCodes)], sel.Codes...)
 	return child, ""
 }
 
@@ -759,4 +779,25 @@ func pick(names []string, idx []int) []string {
 		out[i] = names[k]
 	}
 	return out
+}
+
+// evalScratch is one worker's reusable buffers for evaluating joins: the
+// float form of a join's candidate columns and the random source that
+// join normalisation reseeds per edge. It holds nothing a result keeps,
+// belongs to one run, and is never shared by two goroutines.
+type evalScratch struct {
+	floats []float64
+	cands  [][]float64
+	src    rand.Source
+}
+
+// rng returns a generator whose stream is that of
+// rand.New(rand.NewSource(seed)): Seed fully resets the source.
+func (sc *evalScratch) rng(seed int64) *rand.Rand {
+	if sc.src == nil {
+		sc.src = rand.NewSource(seed)
+	} else {
+		sc.src.Seed(seed)
+	}
+	return rand.New(sc.src)
 }

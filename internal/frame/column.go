@@ -18,6 +18,7 @@ package frame
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -390,8 +391,16 @@ func (c *Column) Take(idx []int) *Column {
 // are sorted lexicographically and mapped to 0..k-1, which preserves rank
 // semantics for ordinal string data and is stable across calls.
 func (c *Column) Floats() []float64 {
-	n := c.Len()
-	out := make([]float64, n)
+	return c.AppendFloats(make([]float64, 0, c.Len()))
+}
+
+// AppendFloats appends the Floats of the column to dst and returns the
+// extended slice, so a caller converting many columns can reuse one
+// buffer.
+func (c *Column) AppendFloats(dst []float64) []float64 {
+	n, k := c.Len(), len(dst)
+	dst = slices.Grow(dst, n)[:k+n]
+	out := dst[k:]
 	switch c.kind {
 	case Float:
 		for i := 0; i < n; i++ {
@@ -416,6 +425,8 @@ func (c *Column) Floats() []float64 {
 				out[i] = math.NaN()
 			case c.data.boolAt(i):
 				out[i] = 1
+			default:
+				out[i] = 0
 			}
 		}
 	case String:
@@ -428,7 +439,7 @@ func (c *Column) Floats() []float64 {
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Numeric returns the column as a dense []float64 with NaN nulls. It is the

@@ -112,6 +112,23 @@ func TestColumnFloatsEncoding(t *testing.T) {
 	if bf[0] != 1 || bf[1] != 0 {
 		t.Fatalf("bool encoding wrong: %v", bf)
 	}
+	// AppendFloats into a reused buffer keeps what is there and writes
+	// every cell, false and null included, as Floats does.
+	cols := []*Column{s, b, NewBoolColumn("f", []bool{false, true, false}, []bool{true, true, false}),
+		NewIntColumn("i", []int64{4, 0, -2}, []bool{true, false, true}), NewFloatColumn("x", []float64{0.5, 0, -1}, []bool{false, true, true})}
+	for _, c := range cols {
+		buf := []float64{9, 9, 9, 9, 9, 9}
+		got := c.AppendFloats(buf[:2])
+		want := c.Floats()
+		if len(got) != 2+len(want) || got[0] != 9 || got[1] != 9 {
+			t.Fatalf("%s: AppendFloats = %v", c.Name(), got)
+		}
+		for i, w := range want {
+			if g := got[2+i]; g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s: AppendFloats = %v, Floats = %v", c.Name(), got, want)
+			}
+		}
+	}
 }
 
 func TestColumnMode(t *testing.T) {

@@ -2,9 +2,12 @@ package frame
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"autofeat/internal/stats"
 )
 
 const sampleCSV = `id,name,score,active
@@ -124,4 +127,40 @@ func TestInferColumnMixedIntFloat(t *testing.T) {
 	if c2.Kind() != String {
 		t.Fatalf("unparseable must infer String, got %v", c2.Kind())
 	}
+}
+
+// FuzzReadCSV feeds arbitrary bytes to ReadCSV. Any input must either
+// fail with an error or give a frame whose every cell reads without
+// panicking, and whose every numeric column discretises (as feature
+// selection bins it) into codes in [−1, bins), −1 exactly for NaN. The
+// committed corpus covers ±Inf, spans that overflow float64, nulls, a
+// byte-order mark, quoting and ragged rows.
+func FuzzReadCSV(f *testing.F) {
+	f.Add([]byte(sampleCSV))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := ReadCSV("fuzz", bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		for ci := 0; ci < fr.NumCols(); ci++ {
+			c := fr.ColumnAt(ci)
+			for i := 0; i < c.Len(); i++ {
+				c.IsNull(i)
+				c.At(i)
+				c.FormatCell(i)
+				c.Key(i)
+			}
+			if !c.Kind().IsNumeric() {
+				continue
+			}
+			vals := c.Floats()
+			for _, bins := range []int{2, stats.DefaultBins} {
+				for i, code := range stats.Discretize(vals, bins) {
+					if code < -1 || code >= bins || (code == -1) != math.IsNaN(vals[i]) {
+						t.Fatalf("column %q, bins %d: %v got code %d", c.Name(), bins, vals[i], code)
+					}
+				}
+			}
+		}
+	})
 }

@@ -1,8 +1,11 @@
 package fselect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"autofeat/internal/stats"
@@ -120,7 +123,7 @@ func TestRedundancyRejectsDuplicate(t *testing.T) {
 	relevant, redundant := cols[0], cols[1]
 	for _, m := range AllRedundancy() {
 		// With relevant already selected, its duplicate must be rejected.
-		accepted, scores := m.Select([][]float64{redundant}, [][]float64{relevant}, y)
+		accepted, scores := m.Select(Discretize([][]float64{redundant}), Discretize([][]float64{relevant}), y)
 		if len(accepted) != 0 {
 			t.Errorf("%s: duplicate feature accepted with scores %v", m.Name(), scores)
 		}
@@ -139,7 +142,7 @@ func TestRedundancyAcceptsFreshRelevant(t *testing.T) {
 		b[i] = float64(y[i])*3 - rng.NormFloat64()*2 + rng.Float64()
 	}
 	for _, m := range AllRedundancy() {
-		accepted, scores := m.Select([][]float64{b}, [][]float64{a}, y)
+		accepted, scores := m.Select(Discretize([][]float64{b}), Discretize([][]float64{a}), y)
 		if len(accepted) != 1 {
 			t.Errorf("%s: fresh informative feature rejected", m.Name())
 			continue
@@ -153,7 +156,7 @@ func TestRedundancyAcceptsFreshRelevant(t *testing.T) {
 func TestRedundancyEmptySelectedAcceptsInformative(t *testing.T) {
 	cols, _, y := synthCols(200, 17)
 	for _, m := range AllRedundancy() {
-		accepted, _ := m.Select([][]float64{cols[0]}, nil, y)
+		accepted, _ := m.Select(Discretize([][]float64{cols[0]}), nil, y)
 		if len(accepted) != 1 {
 			t.Errorf("%s: with empty S, an informative feature must pass", m.Name())
 		}
@@ -165,8 +168,8 @@ func TestRedundancyRejectsPureNoiseCMIMStyle(t *testing.T) {
 	// slightly positive; verify noise scores well below informative.
 	cols, _, y := synthCols(500, 19)
 	m := NewMRMR()
-	accInfo, sInfo := m.Select([][]float64{cols[0]}, nil, y)
-	_, sNoise := m.Select([][]float64{cols[2]}, nil, y)
+	accInfo, sInfo := m.Select(Discretize([][]float64{cols[0]}), nil, y)
+	_, sNoise := m.Select(Discretize([][]float64{cols[2]}), nil, y)
 	if len(accInfo) != 1 {
 		t.Fatal("informative must pass")
 	}
@@ -196,11 +199,11 @@ func TestCLMGreedyUpdatesSelectedSet(t *testing.T) {
 	cols, _, y := synthCols(400, 23)
 	dup := make([]float64, len(cols[0]))
 	copy(dup, cols[0])
-	accepted, _ := NewMRMR().Select([][]float64{cols[0], dup}, nil, y)
+	accepted, _ := NewMRMR().Select(Discretize([][]float64{cols[0], dup}), nil, y)
 	if len(accepted) != 1 || accepted[0] != 0 {
 		t.Fatalf("greedy pass must reject in-batch duplicate: %v", accepted)
 	}
-	acceptedC, _ := NewCMIM().Select([][]float64{cols[0], dup}, nil, y)
+	acceptedC, _ := NewCMIM().Select(Discretize([][]float64{cols[0], dup}), nil, y)
 	if len(acceptedC) != 1 {
 		t.Fatalf("cmim greedy pass must reject in-batch duplicate: %v", acceptedC)
 	}
@@ -305,57 +308,6 @@ func TestPipelineAllIrrelevant(t *testing.T) {
 	}
 }
 
-func TestGroupPipelineAdmitsSignalGroup(t *testing.T) {
-	cols, _, y := synthCols(400, 43)
-	p := &GroupPipeline{
-		Pipeline:     Pipeline{Relevance: SpearmanRelevance{}, Redundancy: NewMRMR(), K: 15},
-		MinGroupGain: 0.01,
-	}
-	res := p.Run(cols, nil, y)
-	if !res.Admitted {
-		t.Fatalf("group with real signal must be admitted (gain %v)", res.GroupGain)
-	}
-	if len(res.Kept) == 0 {
-		t.Fatal("admitted group keeps its features")
-	}
-}
-
-func TestGroupPipelineRejectsNoiseGroup(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	n := 300
-	y := make([]int, n)
-	noise1 := make([]float64, n)
-	noise2 := make([]float64, n)
-	for i := range y {
-		y[i] = rng.Intn(2)
-		noise1[i] = rng.NormFloat64()
-		noise2[i] = rng.NormFloat64()
-	}
-	p := &GroupPipeline{
-		Pipeline:     Pipeline{Relevance: SpearmanRelevance{}, Redundancy: NewMRMR(), K: 15},
-		MinGroupGain: 0.05,
-	}
-	res := p.Run([][]float64{noise1, noise2}, nil, y)
-	if res.Admitted {
-		t.Fatalf("pure-noise group must be rejected (gain %v)", res.GroupGain)
-	}
-	if len(res.Kept) != 0 {
-		t.Fatal("rejected group keeps nothing")
-	}
-}
-
-func TestGroupPipelineRelevanceOnlyGain(t *testing.T) {
-	cols, _, y := synthCols(300, 53)
-	p := &GroupPipeline{
-		Pipeline:     Pipeline{Relevance: SpearmanRelevance{}, K: 15},
-		MinGroupGain: 0.1,
-	}
-	res := p.Run(cols, nil, y)
-	if !res.Admitted || res.GroupGain <= 0 {
-		t.Fatalf("relevance mass must drive the gain when redundancy is off: %+v", res.GroupGain)
-	}
-}
-
 func TestSpearmanRelevanceNulledColumn(t *testing.T) {
 	// A column with nulls must be ranked over the pairwise-complete rows
 	// only. The old path ranked the full column (NaN ranks included) against
@@ -373,5 +325,157 @@ func TestSpearmanRelevanceNulledColumn(t *testing.T) {
 	yf := labelFloats(y)
 	if w := math.Abs(stats.Spearman(clean, yf)); math.Abs(got[1]-w) > 1e-12 {
 		t.Fatalf("clean column fast path = %v, want %v", got[1], w)
+	}
+}
+
+func TestClassIDs(t *testing.T) {
+	binary := []int{0, 1, 1, 0}
+	if got := classIDs(binary); &got[0] != &binary[0] {
+		t.Fatal("0/1 labels must come back as they are")
+	}
+	for _, c := range []struct{ in, want []int }{
+		{[]int{-1, 1, 1, -1}, []int{0, 1, 1, 0}},
+		{[]int{5, 2, 9, 2}, []int{1, 0, 2, 0}},
+		{[]int{0, 2, 2}, []int{0, 1, 1}},
+		{[]int{1, 1}, []int{0, 0}},
+		{nil, nil},
+	} {
+		if got := classIDs(c.in); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("classIDs(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestMIMetricsTreatNegativeLabelsAsClasses checks every MI-based metric
+// on a feature equal to 3·class: with −1/+1 labels it must score the same
+// bits as with 0/1 labels. The estimators read negative codes as missing,
+// so without the class-id mapping every −1 row was dropped and MRMR
+// rejected the feature outright.
+func TestMIMetricsTreatNegativeLabelsAsClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 300
+	y01, ypm := make([]int, n), make([]int, n)
+	feat, noise := make([]float64, n), make([]float64, n)
+	for i := range y01 {
+		y01[i] = rng.Intn(2)
+		ypm[i] = 2*y01[i] - 1
+		feat[i] = 3 * float64(y01[i])
+		noise[i] = rng.NormFloat64()
+	}
+	cols := [][]float64{feat, noise}
+	codes := Discretize(cols)
+	for _, m := range AllRedundancy() {
+		acc01, s01 := m.Select(codes, nil, y01)
+		accPM, sPM := m.Select(codes, nil, ypm)
+		if len(acc01) == 0 || acc01[0] != 0 {
+			t.Fatalf("%s: 3·class must be accepted with 0/1 labels: %v", m.Name(), acc01)
+		}
+		if fmt.Sprint(acc01) != fmt.Sprint(accPM) || !sameBits(s01, sPM) {
+			t.Errorf("%s: 0/1 labels accept %v %v, −1/+1 labels %v %v", m.Name(), acc01, s01, accPM, sPM)
+		}
+	}
+	for _, m := range []Relevance{IGRelevance{}, SURelevance{}, SpearmanRelevance{}} {
+		if a, b := m.Scores(cols, y01), m.Scores(cols, ypm); !sameBits(a, b) {
+			t.Errorf("%s: 0/1 labels score %v, −1/+1 labels %v", m.Name(), a, b)
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSpearmanRelevanceConcurrent scores batches of different lengths on
+// many goroutines at once. Each call borrows its own rank buffers, so
+// every score must match a sequential run (and -race must stay quiet).
+func TestSpearmanRelevanceConcurrent(t *testing.T) {
+	type batch struct {
+		cols [][]float64
+		y    []int
+		want []float64
+	}
+	var batches []batch
+	for i := 0; i < 8; i++ {
+		cols, _, y := synthCols(50+40*i, int64(60+i))
+		cols[2][i] = math.NaN()
+		batches = append(batches, batch{cols: cols, y: y, want: SpearmanRelevance{}.Scores(cols, y)})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				b := batches[(g+r)%len(batches)]
+				if got := (SpearmanRelevance{}).Scores(b.cols, b.y); !sameBits(got, b.want) {
+					t.Errorf("goroutine %d: scores %v, want %v", g, got, b.want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestPipelineCodesSurviveLaterBatches checks that the codes a batch
+// returns are the Discretize codes of its kept candidates, and stay so
+// while later batches, on this goroutine and on others at once, bin
+// their candidates into the reused scratch buffers.
+func TestPipelineCodesSurviveLaterBatches(t *testing.T) {
+	p := &Pipeline{Relevance: SpearmanRelevance{}, Redundancy: NewMRMR(), K: 15}
+	type batch struct {
+		cols [][]float64
+		y    []int
+		res  Result
+	}
+	var batches []batch
+	for i := 0; i < 8; i++ {
+		cols, _, y := synthCols(60+30*i, int64(80+i))
+		batches = append(batches, batch{cols: cols, y: y, res: p.Run(cols, nil, y)})
+	}
+	same := func(a, b Result) bool {
+		if !slices.Equal(a.Kept, b.Kept) || !sameBits(a.RelScores, b.RelScores) ||
+			!sameBits(a.RedScores, b.RedScores) || len(a.Codes) != len(b.Codes) {
+			return false
+		}
+		for j := range a.Codes {
+			if !slices.Equal(a.Codes[j], b.Codes[j]) {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				b := batches[(g+r)%len(batches)]
+				if got := p.Run(b.cols, nil, b.y); !same(got, b.res) {
+					t.Errorf("goroutine %d: result %+v, want %+v", g, got, b.res)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, b := range batches {
+		if len(b.res.Kept) == 0 {
+			t.Fatalf("batch %d kept nothing", i)
+		}
+		for j, k := range b.res.Kept {
+			if want := stats.Discretize(b.cols[k], stats.DefaultBins); !slices.Equal(b.res.Codes[j], want) {
+				t.Fatalf("batch %d: codes of kept column %d changed after later batches", i, k)
+			}
+		}
 	}
 }

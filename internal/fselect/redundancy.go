@@ -1,6 +1,8 @@
 package fselect
 
 import (
+	"slices"
+
 	"autofeat/internal/stats"
 )
 
@@ -14,13 +16,27 @@ import (
 // A candidate is accepted when J(Xk) > 0 — its relevance to the label
 // outweighs its redundancy with the selected set — and accepted candidates
 // immediately join S, making the evaluation a greedy streaming pass.
+// Features arrive as the bin codes of Discretize, so a caller that keeps
+// the codes of its selected set bins each column once.
 type Redundancy interface {
 	// Name identifies the metric ("mrmr", "jmi", ...).
 	Name() string
-	// Select evaluates candidate columns against the selected set and
-	// returns the indices of accepted candidates together with their J
-	// scores, in candidate order.
-	Select(candidates, selected [][]float64, y []int) ([]int, []float64)
+	// Select evaluates the codes of candidate columns against the codes
+	// of the selected set and returns the indices of accepted candidates
+	// together with their J scores, in candidate order. It does not
+	// modify selected, and keeps no candidate after it returns: the
+	// pipeline reuses their storage for the next batch.
+	Select(candidates, selected [][]int, y []int) ([]int, []float64)
+}
+
+// Discretize bins every column with stats.Discretize at
+// stats.DefaultBins, giving the codes Redundancy compares.
+func Discretize(cols [][]float64) [][]int {
+	out := make([][]int, len(cols))
+	for i, c := range cols {
+		out[i] = stats.Discretize(c, stats.DefaultBins)
+	}
+	return out
 }
 
 // CLM is a conditional-likelihood-maximisation redundancy metric
@@ -31,21 +47,20 @@ type CLM struct {
 	MetricName string
 	Beta       func(sizeS int) float64
 	Lambda     func(sizeS int) float64
-	// Bins overrides discretisation granularity; 0 means stats.DefaultBins.
-	Bins int
 }
 
 // Name implements Redundancy.
 func (m CLM) Name() string { return m.MetricName }
 
 // Select implements Redundancy via greedy Equation-(1) scoring.
-func (m CLM) Select(candidates, selected [][]float64, y []int) ([]int, []float64) {
-	b := bins(m.Bins)
-	sel := discretizeAll(selected, b)
+func (m CLM) Select(candidates, selected [][]int, y []int) ([]int, []float64) {
+	y = classIDs(y)
+	// The full slice expression makes the first accept copy, so the
+	// caller's selected set never sees this batch's candidates.
+	sel := selected[:len(selected):len(selected)]
 	var accepted []int
 	var scores []float64
-	for ci, cand := range candidates {
-		xk := stats.Discretize(cand, b)
+	for ci, xk := range candidates {
 		j := stats.CorrectedMutualInformation(xk, y)
 		if len(sel) > 0 {
 			beta := m.Beta(len(sel))
@@ -72,22 +87,18 @@ func (m CLM) Select(candidates, selected [][]float64, y []int) ([]int, []float64
 // case of the framework (Equation (2)):
 //
 //	J(Xk) = I(Xk;Y) − max_{Xj∈S} [ I(Xj;Xk) − I(Xj;Xk|Y) ]
-type CMIM struct {
-	// Bins overrides discretisation granularity; 0 means stats.DefaultBins.
-	Bins int
-}
+type CMIM struct{}
 
 // Name implements Redundancy.
 func (CMIM) Name() string { return "cmim" }
 
 // Select implements Redundancy.
-func (m CMIM) Select(candidates, selected [][]float64, y []int) ([]int, []float64) {
-	b := bins(m.Bins)
-	sel := discretizeAll(selected, b)
+func (CMIM) Select(candidates, selected [][]int, y []int) ([]int, []float64) {
+	y = classIDs(y)
+	sel := selected[:len(selected):len(selected)]
 	var accepted []int
 	var scores []float64
-	for ci, cand := range candidates {
-		xk := stats.Discretize(cand, b)
+	for ci, xk := range candidates {
 		j := stats.CorrectedMutualInformation(xk, y)
 		maxPenalty := 0.0
 		for _, xj := range sel {
@@ -106,10 +117,40 @@ func (m CMIM) Select(candidates, selected [][]float64, y []int) ([]int, []float6
 	return accepted, scores
 }
 
-func discretizeAll(cols [][]float64, b int) [][]int {
-	out := make([][]int, len(cols))
-	for i, c := range cols {
-		out[i] = stats.Discretize(c, b)
+// classIDs maps labels to class ids 0..k−1 in ascending label order, the
+// form every MI-based metric is handed the label in. The estimators read
+// negative codes as missing, so a −1/+1 label would otherwise lose all of
+// its −1 rows. Labels that already are class ids, such as 0/1, come back
+// as they are.
+func classIDs(y []int) []int {
+	lo, hi := 0, -1
+	for i, v := range y {
+		if i == 0 || v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	if lo == 0 && hi < len(y) {
+		seen := make([]bool, hi+1)
+		k := 0
+		for _, v := range y {
+			if !seen[v] {
+				seen[v] = true
+				k++
+			}
+		}
+		if k == hi+1 {
+			return y
+		}
+	}
+	classes := slices.Clone(y)
+	slices.Sort(classes)
+	classes = slices.Compact(classes)
+	out := make([]int, len(y))
+	for i, v := range y {
+		out[i], _ = slices.BinarySearch(classes, v)
 	}
 	return out
 }

@@ -6,14 +6,17 @@
 // feature-selection pipeline AutoFeat builds on.
 //
 // Features are passed column-major as []float64 with NaN nulls; labels are
-// integer class codes. Entropy-based metrics discretise continuous columns
-// with stats.Discretize.
+// integer class codes, which every MI-based metric first maps to class ids
+// 0..k−1. Entropy-based relevance metrics discretise continuous columns
+// with stats.Discretize; redundancy metrics take the codes of Discretize,
+// so a caller bins each selected column once.
 package fselect
 
 import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"autofeat/internal/stats"
 )
@@ -41,18 +44,35 @@ func (SpearmanRelevance) Name() string { return "spearman" }
 // ranks computed over all rows. Null-free columns reuse the label ranks
 // computed once for the whole batch.
 func (SpearmanRelevance) Scores(cols [][]float64, y []int) []float64 {
-	yf := labelFloats(y)
-	yr := stats.Ranks(yf)
+	sc := spearmanScratch.Get().(*rankScratch)
+	defer spearmanScratch.Put(sc)
+	sc.yf = sc.yf[:0]
+	for _, v := range y {
+		sc.yf = append(sc.yf, float64(v))
+	}
+	sc.yr = append(sc.yr[:0], sc.r.Ranks(sc.yf)...)
 	out := make([]float64, len(cols))
 	for i, c := range cols {
 		if hasNaN(c) {
-			out[i] = math.Abs(stats.Spearman(c, yf))
+			out[i] = math.Abs(sc.r.Spearman(c, sc.yf))
 		} else {
-			out[i] = math.Abs(stats.Pearson(stats.Ranks(c), yr))
+			out[i] = math.Abs(stats.Pearson(sc.r.Ranks(c), sc.yr))
 		}
 	}
 	return out
 }
+
+// rankScratch is the buffers one SpearmanRelevance.Scores call ranks in:
+// the label as floats, its ranks, and a Ranker for the columns.
+type rankScratch struct {
+	r      stats.Ranker
+	yf, yr []float64
+}
+
+// spearmanScratch lends each Scores call its own rankScratch, so batches
+// stop allocating a rank buffer per column. The buffers hold no results
+// between calls, and no two goroutines ever hold the same one.
+var spearmanScratch = sync.Pool{New: func() any { return new(rankScratch) }}
 
 func hasNaN(x []float64) bool {
 	for _, v := range x {
@@ -92,6 +112,7 @@ func (IGRelevance) Name() string { return "ig" }
 
 // Scores implements Relevance.
 func (m IGRelevance) Scores(cols [][]float64, y []int) []float64 {
+	y = classIDs(y)
 	out := make([]float64, len(cols))
 	for i, c := range cols {
 		out[i] = stats.InformationGain(stats.Discretize(c, bins(m.Bins)), y)
@@ -112,6 +133,7 @@ func (SURelevance) Name() string { return "su" }
 
 // Scores implements Relevance.
 func (m SURelevance) Scores(cols [][]float64, y []int) []float64 {
+	y = classIDs(y)
 	out := make([]float64, len(cols))
 	for i, c := range cols {
 		out[i] = stats.SymmetricUncertainty(stats.Discretize(c, bins(m.Bins)), y)

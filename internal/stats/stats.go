@@ -9,7 +9,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -68,34 +70,8 @@ func Pearson(x, y []float64) float64 {
 // tied values the mean of the ranks they span. NaN entries receive NaN
 // ranks, so downstream Pearson skips them.
 func Ranks(x []float64) []float64 {
-	type iv struct {
-		i int
-		v float64
-	}
-	vals := make([]iv, 0, len(x))
-	for i, v := range x {
-		if !math.IsNaN(v) {
-			vals = append(vals, iv{i, v})
-		}
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	for i := 0; i < len(vals); {
-		j := i
-		for j < len(vals) && vals[j].v == vals[i].v {
-			j++
-		}
-		// average rank for the tie group [i, j)
-		avg := (float64(i+1) + float64(j)) / 2
-		for k := i; k < j; k++ {
-			out[vals[k].i] = avg
-		}
-		i = j
-	}
-	return out
+	var r Ranker
+	return r.Ranks(x)
 }
 
 // Spearman returns the Spearman rank correlation coefficient: Pearson
@@ -107,8 +83,88 @@ func Ranks(x []float64) []float64 {
 // coefficient whenever the deletion changes the tie structure or spacing
 // of the surviving ranks.
 func Spearman(x, y []float64) float64 {
-	x, y = pairwiseComplete(x, y)
-	return Pearson(Ranks(x), Ranks(y))
+	var r Ranker
+	return r.Spearman(x, y)
+}
+
+// Ranker computes Ranks and Spearman into buffers it keeps between calls,
+// so ranking many columns allocates once. The zero value is ready to use.
+// A Ranker must not be shared between goroutines, and the slice its Ranks
+// returns is overwritten by its next call.
+type Ranker struct {
+	pairs          []rankPair
+	cx, cy, rx, ry []float64
+}
+
+// rankPair is a non-NaN value of the column being ranked and its row.
+type rankPair struct {
+	v float64
+	i int
+}
+
+// Ranks is the package-level Ranks, written into r's buffer.
+func (r *Ranker) Ranks(x []float64) []float64 {
+	r.rx = r.ranksInto(r.rx, x)
+	return r.rx
+}
+
+// Spearman is the package-level Spearman, computed in r's buffers.
+func (r *Ranker) Spearman(x, y []float64) float64 {
+	x, y = commonPrefix(x, y)
+	if !allPresent(x, y) {
+		r.cx, r.cy = slices.Grow(r.cx[:0], len(x)), slices.Grow(r.cy[:0], len(x))
+		for i := range x {
+			if !math.IsNaN(x[i]) && !math.IsNaN(y[i]) {
+				r.cx = append(r.cx, x[i])
+				r.cy = append(r.cy, y[i])
+			}
+		}
+		x, y = r.cx, r.cy
+	}
+	r.rx = r.ranksInto(r.rx, x)
+	r.ry = r.ranksInto(r.ry, y)
+	return Pearson(r.rx, r.ry)
+}
+
+// ranksInto writes the ranks of x into dst, grown to len(x). Tied values
+// get the mean of the ranks they span, so the order a sort leaves equal
+// values in cannot change the output.
+func (r *Ranker) ranksInto(dst, x []float64) []float64 {
+	r.pairs = slices.Grow(r.pairs[:0], len(x))
+	for i, v := range x {
+		if !math.IsNaN(v) {
+			r.pairs = append(r.pairs, rankPair{v, i})
+		}
+	}
+	vals := r.pairs
+	slices.SortFunc(vals, func(a, b rankPair) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
+	dst = slices.Grow(dst[:0], len(x))[:len(x)]
+	if len(vals) < len(x) {
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+	}
+	for i := 0; i < len(vals); {
+		j := i
+		for j < len(vals) && vals[j].v == vals[i].v {
+			j++
+		}
+		// average rank for the tie group [i, j)
+		avg := (float64(i+1) + float64(j)) / 2
+		for k := i; k < j; k++ {
+			dst[vals[k].i] = avg
+		}
+		i = j
+	}
+	return dst
 }
 
 // commonPrefix truncates both slices to the shorter length. Length
@@ -122,29 +178,14 @@ func commonPrefix(x, y []float64) ([]float64, []float64) {
 	return x[:n], y[:n]
 }
 
-// pairwiseComplete returns x and y restricted to rows where both are
-// non-NaN. When every row is complete the inputs are returned as-is.
-// Mismatched lengths degrade to the common prefix (see commonPrefix).
-func pairwiseComplete(x, y []float64) ([]float64, []float64) {
-	x, y = commonPrefix(x, y)
-	n := 0
+// allPresent reports whether no row of x or y is NaN.
+func allPresent(x, y []float64) bool {
 	for i := range x {
-		if !math.IsNaN(x[i]) && !math.IsNaN(y[i]) {
-			n++
+		if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
+			return false
 		}
 	}
-	if n == len(x) {
-		return x, y
-	}
-	cx := make([]float64, 0, n)
-	cy := make([]float64, 0, n)
-	for i := range x {
-		if !math.IsNaN(x[i]) && !math.IsNaN(y[i]) {
-			cx = append(cx, x[i])
-			cy = append(cy, y[i])
-		}
-	}
-	return cx, cy
+	return true
 }
 
 // MinMaxNormalize rescales non-NaN entries to [0, 1] in place and returns
@@ -181,66 +222,153 @@ const DefaultBins = 10
 // binning with the given bin count. NaN entries map to code -1 (treated as
 // "missing" by the entropy estimators). Values with few distinct levels
 // (≤ bins) keep one code per level, so already-discrete features are not
-// distorted.
+// distorted. Otherwise the bins span the finite values, −Inf and +Inf go
+// to the first and last bin, and a span too wide for float64 is binned on
+// halved values, so every non-NaN value gets a code in [0, bins).
 func Discretize(x []float64, bins int) []int {
+	return AppendDiscretize(make([]int, 0, len(x)), x, bins)
+}
+
+// AppendDiscretize appends the Discretize codes of x to dst and returns
+// the extended slice, so a caller binning many columns can reuse one
+// buffer.
+func AppendDiscretize(dst []int, x []float64, bins int) []int {
 	if bins < 2 {
 		bins = 2
 	}
-	distinct := make(map[float64]struct{}, bins+1)
+	// Up to bins+1 distinct values, kept sorted; the (bins+1)-th tells the
+	// binned case from the discrete one. == folds −0 into +0.
+	var buf [16]float64
+	distinct := buf[:0]
+	if bins+1 > len(buf) {
+		distinct = make([]float64, 0, bins+1)
+	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range x {
 		if math.IsNaN(v) {
 			continue
 		}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-		if len(distinct) <= bins {
-			distinct[v] = struct{}{}
-		}
-	}
-	out := make([]int, len(x))
-	if len(distinct) <= bins {
-		// Already discrete: stable code per sorted distinct value.
-		vals := make([]float64, 0, len(distinct))
-		for v := range distinct {
-			vals = append(vals, v)
-		}
-		sort.Float64s(vals)
-		code := make(map[float64]int, len(vals))
-		for i, v := range vals {
-			code[v] = i
-		}
-		for i, v := range x {
-			if math.IsNaN(v) {
-				out[i] = -1
-			} else {
-				out[i] = code[v]
+		if !math.IsInf(v, 0) {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
 			}
 		}
-		return out
+		if len(distinct) <= bins {
+			distinct = insertSorted(distinct, v)
+		}
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(x))[:n+len(x)]
+	out := dst[n:]
+	if len(distinct) <= bins {
+		// Already discrete: stable code per sorted distinct value.
+		for i, v := range x {
+			out[i] = -1
+			for c, d := range distinct {
+				if d == v {
+					out[i] = c
+					break
+				}
+			}
+		}
+		return dst
 	}
 	span := hi - lo
+	// float64(bins)*(v-lo) overflows only when bins·span does.
+	halved := math.IsInf(float64(bins)*span, 1)
 	for i, v := range x {
 		switch {
 		case math.IsNaN(v):
 			out[i] = -1
+		case math.IsInf(v, -1):
+			out[i] = 0
+		case math.IsInf(v, 1):
+			out[i] = bins - 1
 		case span == 0:
 			out[i] = 0
 		default:
-			b := int(float64(bins) * (v - lo) / span)
+			var b int
+			if halved {
+				b = int(float64(bins) * ((v/2 - lo/2) / (hi/2 - lo/2)))
+			} else {
+				b = int(float64(bins) * (v - lo) / span)
+			}
 			if b >= bins {
 				b = bins - 1
 			}
 			out[i] = b
 		}
 	}
-	return out
+	return dst
+}
+
+// insertSorted adds v to the ascending slice s unless an equal value is
+// already there.
+func insertSorted(s []float64, v float64) []float64 {
+	i := 0
+	for i < len(s) && s[i] < v {
+		i++
+	}
+	if i < len(s) && s[i] == v {
+		return s
+	}
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// The kernels below count codes into dense tables indexed by code and sum
+// them cell by cell in ascending code order, skipping empty cells. That is
+// the sorted-key order in which map counting would sum, so both give the
+// same bits; the map forms remain only for code ranges whose table would
+// exceed maxDenseCells. Discretize emits fewer than bins codes, and feature
+// selection hands labels over as class ids 0..k−1, so every table it
+// builds is dense. Tables of up to stackCells cells (four times that for
+// the z×x×y tables of conditional MI), and count vectors of up to
+// stackCounts entries, live on the stack.
+const (
+	maxDenseCells = 1 << 14
+	stackCells    = 256
+	stackCounts   = 64
+)
+
+// zeroed returns buf[:n] cleared, or a fresh slice when buf is too short.
+func zeroed(buf []int, n int) []int {
+	if n > len(buf) {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// maxCode returns the largest code in x, or -1 when every code is missing.
+func maxCode(x []int) int {
+	m := -1
+	for _, v := range x {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 // Entropy returns the Shannon entropy (nats) of the discrete variable x.
 // Codes < 0 (missing) are skipped.
 func Entropy(x []int) float64 {
-	counts := make(map[int]int, 16)
+	m := maxCode(x)
+	if m < 0 {
+		return 0
+	}
+	if m >= maxDenseCells {
+		return entropyMap(x)
+	}
+	var buf [stackCounts]int
+	counts := zeroed(buf[:], m+1)
 	n := 0
 	for _, v := range x {
 		if v >= 0 {
@@ -248,8 +376,25 @@ func Entropy(x []int) float64 {
 			n++
 		}
 	}
-	if n == 0 {
-		return 0
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / float64(n)
+		h -= p * math.Log(p)
+	}
+	return h
+}
+
+func entropyMap(x []int) float64 {
+	counts := make(map[int]int, 16)
+	n := 0
+	for _, v := range x {
+		if v >= 0 {
+			counts[v]++
+			n++
+		}
 	}
 	// Sum in sorted-key order: float addition is not associative, and map
 	// iteration order would make results differ between identical runs.
@@ -266,52 +411,36 @@ func Entropy(x []int) float64 {
 	return h
 }
 
+// supportSize returns the number of distinct non-missing codes in z.
+func supportSize(z []int) int {
+	m := maxCode(z)
+	if m >= maxDenseCells {
+		s := make(map[int]struct{}, 16)
+		for _, v := range z {
+			if v >= 0 {
+				s[v] = struct{}{}
+			}
+		}
+		return len(s)
+	}
+	var buf [stackCounts]int
+	seen := zeroed(buf[:], m+1)
+	k := 0
+	for _, v := range z {
+		if v >= 0 && seen[v] == 0 {
+			seen[v] = 1
+			k++
+		}
+	}
+	return k
+}
+
 // MutualInformation returns I(X;Y) in nats for discrete variables, skipping
 // rows where either code is < 0. I is symmetric and zero for independent
 // variables; this is the paper's "information gain" relevance metric.
 // Mismatched lengths degrade to the common prefix instead of panicking.
 func MutualInformation(x, y []int) float64 {
-	if n := min(len(x), len(y)); n != len(x) || n != len(y) {
-		x, y = x[:n], y[:n]
-	}
-	joint := make(map[[2]int]int, 64)
-	mx := make(map[int]int, 16)
-	my := make(map[int]int, 16)
-	n := 0
-	for i := range x {
-		if x[i] < 0 || y[i] < 0 {
-			continue
-		}
-		joint[[2]int{x[i], y[i]}]++
-		mx[x[i]]++
-		my[y[i]]++
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	fn := float64(n)
-	// Deterministic summation order (see Entropy).
-	keys := make([][2]int, 0, len(joint))
-	for k := range joint {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	mi := 0.0
-	for _, k := range keys {
-		pxy := float64(joint[k]) / fn
-		px := float64(mx[k[0]]) / fn
-		py := float64(my[k[1]]) / fn
-		mi += pxy * math.Log(pxy/(px*py))
-	}
-	if mi < 0 {
-		mi = 0 // floating point guard; MI is non-negative
-	}
+	mi, _, _, _ := mutualInformation(x, y)
 	return mi
 }
 
@@ -319,10 +448,9 @@ func MutualInformation(x, y []int) float64 {
 // estimate: the maximum-likelihood estimator overestimates by roughly
 // (kx−1)(ky−1)/(2n) nats, which matters when many near-independent feature
 // pairs are compared (the MRMR penalty term sums exactly such pairs).
-// Clamped at zero.
+// Clamped at zero. Mismatched lengths degrade to the common prefix.
 func CorrectedMutualInformation(x, y []int) float64 {
-	mi := MutualInformation(x, y)
-	kx, ky, n := jointSupport(x, y)
+	mi, kx, ky, n := mutualInformation(x, y)
 	if n == 0 {
 		return 0
 	}
@@ -335,10 +463,12 @@ func CorrectedMutualInformation(x, y []int) float64 {
 
 // CorrectedConditionalMutualInformation applies the Miller–Madow-style
 // correction to I(X;Y|Z): the bias grows with the number of conditioning
-// strata, approximately (kx−1)(ky−1)·kz/(2n). Clamped at zero.
+// strata, approximately (kx−1)(ky−1)·kz/(2n). kx, ky and n count the rows
+// where x and y are both present, and kz the codes z takes anywhere.
+// Clamped at zero. Mismatched lengths degrade to the common prefix.
 func CorrectedConditionalMutualInformation(x, y, z []int) float64 {
-	cmi := ConditionalMutualInformation(x, y, z)
-	kx, ky, n := jointSupport(x, y)
+	x, y, z = commonPrefix3(x, y, z)
+	cmi, kx, ky, n := conditionalMutualInformation(x, y, z)
 	kz := supportSize(z)
 	if n == 0 || kz == 0 {
 		return 0
@@ -350,59 +480,208 @@ func CorrectedConditionalMutualInformation(x, y, z []int) float64 {
 	return cmi
 }
 
-// jointSupport returns the observed support sizes of x and y and the
-// number of complete (non-missing) rows.
-func jointSupport(x, y []int) (kx, ky, n int) {
-	sx := make(map[int]struct{}, 16)
-	sy := make(map[int]struct{}, 16)
-	for i := range x {
-		if x[i] < 0 || y[i] < 0 {
-			continue
-		}
-		sx[x[i]] = struct{}{}
-		sy[y[i]] = struct{}{}
-		n++
-	}
-	return len(sx), len(sy), n
-}
-
-func supportSize(z []int) int {
-	s := make(map[int]struct{}, 16)
-	for _, v := range z {
-		if v >= 0 {
-			s[v] = struct{}{}
-		}
-	}
-	return len(s)
-}
-
 // ConditionalMutualInformation returns I(X;Y|Z) in nats for discrete
 // variables: sum_z p(z) * I(X;Y | Z=z). Rows with any negative code are
 // skipped. Mismatched lengths degrade to the common prefix instead of
 // panicking.
 func ConditionalMutualInformation(x, y, z []int) float64 {
-	if n := min(len(x), min(len(y), len(z))); n != len(x) || n != len(y) || n != len(z) {
-		x, y, z = x[:n], y[:n], z[:n]
+	cmi, _, _, _ := conditionalMutualInformation(commonPrefix3(x, y, z))
+	return cmi
+}
+
+// commonPrefix3 truncates three code slices to the shortest length (see
+// commonPrefix).
+func commonPrefix3(x, y, z []int) ([]int, []int, []int) {
+	if n := min(len(x), len(y), len(z)); n != len(x) || n != len(y) || n != len(z) {
+		return x[:n], y[:n], z[:n]
 	}
+	return x, y, z
+}
+
+// mutualInformation returns I(X;Y) together with the support sizes of x
+// and y and the number of rows where both are present, all from one count.
+func mutualInformation(x, y []int) (mi float64, kx, ky, n int) {
+	if n := min(len(x), len(y)); n != len(x) || n != len(y) {
+		x, y = x[:n], y[:n]
+	}
+	mx, my := -1, -1
+	for i := range x {
+		if x[i] < 0 || y[i] < 0 {
+			continue
+		}
+		mx = max(mx, x[i])
+		my = max(my, y[i])
+	}
+	if mx < 0 {
+		return 0, 0, 0, 0
+	}
+	if mx >= maxDenseCells || my >= maxDenseCells || (mx+1)*(my+1) > maxDenseCells {
+		return mutualInformationMap(x, y)
+	}
+	rx, ry := mx+1, my+1
+	var tbuf [stackCells]int
+	var mbuf [stackCounts]int
+	t := zeroed(tbuf[:], rx*ry)
+	for i := range x {
+		if x[i] < 0 || y[i] < 0 {
+			continue
+		}
+		t[x[i]*ry+y[i]]++
+	}
+	return tableMI(t, rx, ry, mbuf[:])
+}
+
+// tableMI returns I(X;Y), the support sizes and the row count of a dense
+// rx×ry count table, using scratch for the marginals.
+func tableMI(t []int, rx, ry int, scratch []int) (mi float64, kx, ky, n int) {
+	m := zeroed(scratch, rx+ry)
+	mx, my := m[:rx], m[rx:]
+	for xi := 0; xi < rx; xi++ {
+		row := t[xi*ry : (xi+1)*ry]
+		for yi, c := range row {
+			mx[xi] += c
+			my[yi] += c
+		}
+		if mx[xi] > 0 {
+			kx++
+			n += mx[xi]
+		}
+	}
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	for _, c := range my {
+		if c > 0 {
+			ky++
+		}
+	}
+	fn := float64(n)
+	for xi := 0; xi < rx; xi++ {
+		row := t[xi*ry : (xi+1)*ry]
+		for yi, c := range row {
+			if c == 0 {
+				continue
+			}
+			pxy := float64(c) / fn
+			px := float64(mx[xi]) / fn
+			py := float64(my[yi]) / fn
+			mi += pxy * math.Log(pxy/(px*py))
+		}
+	}
+	if mi < 0 {
+		mi = 0 // floating point guard; MI is non-negative
+	}
+	return mi, kx, ky, n
+}
+
+func mutualInformationMap(x, y []int) (mi float64, kx, ky, n int) {
+	joint := make(map[[2]int]int, 64)
+	mx := make(map[int]int, 16)
+	my := make(map[int]int, 16)
+	for i := range x {
+		if x[i] < 0 || y[i] < 0 {
+			continue
+		}
+		joint[[2]int{x[i], y[i]}]++
+		mx[x[i]]++
+		my[y[i]]++
+		n++
+	}
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	fn := float64(n)
+	// Deterministic summation order (see entropyMap).
+	keys := make([][2]int, 0, len(joint))
+	for k := range joint {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return cmp.Compare(a[0], b[0])
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	for _, k := range keys {
+		pxy := float64(joint[k]) / fn
+		px := float64(mx[k[0]]) / fn
+		py := float64(my[k[1]]) / fn
+		mi += pxy * math.Log(pxy/(px*py))
+	}
+	if mi < 0 {
+		mi = 0 // floating point guard; MI is non-negative
+	}
+	return mi, len(mx), len(my), n
+}
+
+// conditionalMutualInformation returns I(X;Y|Z) of equal-length codes,
+// and the support sizes and row count of x and y over the rows where both
+// are present (whatever z holds there), all from one count.
+func conditionalMutualInformation(x, y, z []int) (cmi float64, kx, ky, n int) {
+	mx, my, mz := -1, -1, -1
+	for i := range x {
+		if x[i] < 0 || y[i] < 0 {
+			continue
+		}
+		mx = max(mx, x[i])
+		my = max(my, y[i])
+		mz = max(mz, z[i])
+	}
+	if mx < 0 {
+		return 0, 0, 0, 0
+	}
+	if mx >= maxDenseCells || my >= maxDenseCells || mz >= maxDenseCells ||
+		(mx+1)*(my+1) > maxDenseCells/(mz+2) {
+		return conditionalMutualInformationMap(x, y, z)
+	}
+	// Slab 0 counts the rows whose z is missing, slab z+1 those with z.
+	rx, ry, slab := mx+1, my+1, (mx+1)*(my+1)
+	var tbuf [4 * stackCells]int
+	var mbuf [stackCounts]int
+	t := zeroed(tbuf[:], (mz+2)*slab)
+	rows := 0
+	for i := range x {
+		if x[i] < 0 || y[i] < 0 {
+			continue
+		}
+		s := max(z[i]+1, 0)
+		if s > 0 {
+			rows++
+		}
+		t[s*slab+x[i]*ry+y[i]]++
+	}
+	for s := 1; s <= mz+1 && rows > 0; s++ {
+		miz, _, _, nz := tableMI(t[s*slab:(s+1)*slab], rx, ry, mbuf[:])
+		if nz > 0 {
+			cmi += float64(nz) / float64(rows) * miz
+		}
+	}
+	// Fold every slab into the first for the support of x and y.
+	for s := 1; s <= mz+1; s++ {
+		for c, v := range t[s*slab : (s+1)*slab] {
+			t[c] += v
+		}
+	}
+	_, kx, ky, n = tableMI(t[:slab], rx, ry, mbuf[:])
+	return cmi, kx, ky, n
+}
+
+func conditionalMutualInformationMap(x, y, z []int) (cmi float64, kx, ky, n int) {
 	// Group rows by z, then compute MI within each group.
 	groups := make(map[int][]int, 8)
-	n := 0
+	complete := 0
 	for i := range x {
 		if x[i] < 0 || y[i] < 0 || z[i] < 0 {
 			continue
 		}
 		groups[z[i]] = append(groups[z[i]], i)
-		n++
-	}
-	if n == 0 {
-		return 0
+		complete++
 	}
 	zs := make([]int, 0, len(groups))
 	for z := range groups {
 		zs = append(zs, z)
 	}
 	sort.Ints(zs)
-	cmi := 0.0
 	for _, zv := range zs {
 		rows := groups[zv]
 		gx := make([]int, len(rows))
@@ -411,9 +690,10 @@ func ConditionalMutualInformation(x, y, z []int) float64 {
 			gx[j] = x[i]
 			gy[j] = y[i]
 		}
-		cmi += float64(len(rows)) / float64(n) * MutualInformation(gx, gy)
+		cmi += float64(len(rows)) / float64(complete) * MutualInformation(gx, gy)
 	}
-	return cmi
+	_, kx, ky, n = mutualInformation(x, y)
+	return cmi, kx, ky, n
 }
 
 // SymmetricUncertainty returns SU(X,Y) = 2*I(X;Y)/(H(X)+H(Y)), a normalised
