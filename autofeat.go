@@ -212,11 +212,13 @@ func ReadTableCSV(path string) (*Table, error) { return frame.ReadCSVFile(path) 
 func ReadTable(name string, r io.Reader) (*Table, error) { return frame.ReadCSV(name, r) }
 
 // Discover is the one-call convenience over the Lake path: open dir,
-// build (or reuse) the DRG and run one request. Long-lived callers
-// should hold the Lake from OpenLake instead, so consecutive requests
-// hit its caches.
+// build the DRG and run one request. The lake lives only for the call,
+// so its columnar tables are read into memory rather than mapped, and
+// all of it is garbage once the caller drops the result. Long-lived
+// callers should hold the Lake from OpenLake instead, so consecutive
+// requests hit its caches.
 func Discover(ctx context.Context, dir string, req Request, opts ...LakeOption) (*LakeResult, error) {
-	l, err := OpenLake(dir, opts...)
+	l, err := lake.OpenInMemory(dir, opts...)
 	if err != nil {
 		return nil, err
 	}

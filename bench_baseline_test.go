@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"autofeat/internal/core"
 	"autofeat/internal/datagen"
 	"autofeat/internal/discovery"
 	"autofeat/internal/frame"
@@ -178,9 +179,10 @@ func generateLake(t *testing.T, spec datagen.Spec) (*datagen.Dataset, string) {
 	return ds, writeLakeCSVs(t, ds)
 }
 
-// benchParallel is worker-pool scaling of one discovery over the wide
-// lake. The speedup is bounded by the cores available, so it has no
-// floor.
+// benchParallel is worker-pool scaling over the wide lake: one discovery
+// ("discovery"), and lightgbm trained on the base table and the top-k
+// paths of one ranking ("evaluate"). The speedups are bounded by the
+// cores available, so they have no floor.
 func benchParallel(t *testing.T) benchDoc {
 	spec := datagen.ParallelSpec()
 	op := discoveryOps(t, spec)
@@ -188,6 +190,39 @@ func benchParallel(t *testing.T) benchDoc {
 	rows := []benchRow{base}
 	for _, w := range []int{4, 8} {
 		rows = append(rows, timeRow(t, "discovery", w, 10, op(context.Background(), workersConfig(w))).vs(base))
+	}
+
+	ds, err := datagen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := discovery.BuildBenchmarkDRG(ds.Tables, ds.KFKs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	discoveryAt := func(workers int) *core.Discovery {
+		d, err := core.New(g, ds.Base.Name(), ds.Label, workersConfig(workers)())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	ranking, err := discoveryAt(1).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lightgbm := mustModel(t, "lightgbm")
+	var seq benchRow
+	for _, w := range []int{1, 2, 4} {
+		d := discoveryAt(w)
+		row := timeRow(t, "evaluate", w, 5, func() error {
+			_, err := d.EvaluateRanking(ranking, lightgbm)
+			return err
+		})
+		if w == 1 {
+			seq = row
+		}
+		rows = append(rows, row.vs(seq))
 	}
 	return specDoc("BenchmarkMicroDiscoveryWorkers", spec, rows...)
 }

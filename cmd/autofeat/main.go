@@ -76,7 +76,7 @@ func main() {
 		depth       = flag.Int("depth", 3, "max join path length")
 		threshold   = flag.Float64("threshold", 0.55, "matcher threshold when no constraints file exists")
 		seed        = flag.Int64("seed", 1, "random seed")
-		workers     = flag.Int("workers", 0, "parallel join-evaluation workers (0 = GOMAXPROCS, 1 = sequential)")
+		workers     = flag.Int("workers", 0, "parallel workers for join evaluation and top-k model training (0 = GOMAXPROCS, 1 = sequential)")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); on expiry the best partial ranking is returned")
 		budgetJ     = flag.Int("budget-joins", 0, "max joins to evaluate (0 = unlimited); exhaustion yields a partial ranking")
 		budgetR     = flag.Int64("budget-rows", 0, "max cumulative joined rows to materialise during discovery (0 = unlimited)")

@@ -30,7 +30,7 @@ func main() {
 		scale     = flag.String("scale", "quick", "quick | full")
 		only      = flag.String("only", "all", "comma-separated experiment ids (table1,table2,figure1,figure3a,figure3b,figure4..figure9,ablations) or 'all'")
 		seed      = flag.Int64("seed", 7, "random seed")
-		workers   = flag.Int("workers", 0, "parallel join-evaluation workers per discovery (0 = GOMAXPROCS, 1 = sequential)")
+		workers   = flag.Int("workers", 0, "parallel workers per discovery, for join evaluation and top-k model training (0 = GOMAXPROCS, 1 = sequential)")
 		verbose   = flag.Bool("v", false, "print per-run progress")
 		telOut    = flag.String("telemetry-out", "", "write accumulated discovery telemetry as JSON to this file")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget per discovery (0 = none); expiry truncates rankings (partial)")

@@ -33,7 +33,9 @@ type AugmentResult struct {
 	// Features is the trained feature set: base features plus the best
 	// path's selected features.
 	Features []string
-	// Evaluated lists every top-k path with its model score.
+	// Evaluated lists the base table and every top-k path with its model
+	// score, in candidate order. When evaluation stopped early it holds
+	// the candidates before the first one that did not run.
 	Evaluated []PathEval
 	// Ranking is the discovery output the evaluation started from.
 	Ranking *Ranking
@@ -90,11 +92,22 @@ func (d *Discovery) EvaluateRanking(ranking *Ranking, factory ml.Factory) (*Augm
 // separately so harnesses can time discovery and evaluation independently
 // and reuse one ranking across model families.
 //
+// The candidates — the base table alone, then the top-k paths — are
+// independent (each seeds its own model and split from Config.Seed), so
+// they train on the Config.Workers pool and are folded in candidate order
+// with a strict >: the result is bit-identical at every worker count, and
+// on a tie the earlier candidate wins. Each worker drops its joined table
+// once its candidate has trained; the best path is materialised once more
+// at the end, so at most Workers joined tables are alive at a time.
+//
 // The base-table candidate (index 0) is always evaluated, even under an
 // already-cancelled context — AutoFeat's floor guarantee that augmentation
-// never silently loses the un-augmented baseline. ctx is checked between
-// the remaining candidates; a cancellation flags the result Partial and
-// returns what was evaluated so far instead of erroring.
+// never silently loses the un-augmented baseline. Every other candidate
+// checks ctx before it starts. A cancellation flags the result Partial and
+// keeps the evaluations before the first candidate that did not run, so
+// Evaluated is always a prefix of the candidate order starting with the
+// base table. A failing or panicking materialisation or model returns an
+// error (the first in candidate order) instead of crashing the caller.
 func (d *Discovery) EvaluateRankingContext(ctx context.Context, ranking *Ranking, factory ml.Factory) (*AugmentResult, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -102,62 +115,53 @@ func (d *Discovery) EvaluateRankingContext(ctx context.Context, ranking *Ranking
 	}
 	res := &AugmentResult{Ranking: ranking, SelectionTime: ranking.SelectionTime}
 	res.Partial, res.PartialReason = ranking.Partial, ranking.PartialReason
-	base := ranking.Base
 
 	// Candidate 0 is always the base table alone, so AutoFeat never
 	// returns an augmentation that hurts the model.
 	candidates := []RankedPath{{Quality: 1}}
 	candidates = append(candidates, ranking.TopK(d.cfg.TopK)...)
 
-	tr := d.cfg.Telemetry.Trace()
 	prog := d.cfg.Progress
 	lg := d.cfg.log()
+	outcomes := make([]candidateOutcome, len(candidates))
+	runPool(len(candidates), d.cfg.workers(), func(i, _ int) bool {
+		if i > 0 && ctx.Err() != nil {
+			return false
+		}
+		outcomes[i] = d.evaluateCandidate(ctx, i, candidates[i], ranking, factory)
+		return true
+	})
+
+	// Fold in candidate order: the first candidate that did not run ends
+	// Evaluated, the first error wins, and a strict > keeps the earliest
+	// of equally accurate candidates — exactly the sequential loop.
 	bestAcc := -1.0
-	for i, p := range candidates {
-		// The base candidate materialises without joins; detach it from
-		// ctx's cancellation (keeping its trace) so the floor guarantee
-		// holds even when ctx is already done.
-		candCtx := ctx
-		if i == 0 {
-			candCtx = context.WithoutCancel(ctx)
-		} else if err := ctx.Err(); err != nil {
-			markPartialResult(res, partialReason(err))
+	for i, oc := range outcomes {
+		if oc.err != nil {
+			return nil, oc.err
+		}
+		if !oc.done {
+			markPartialResult(res, partialReason(ctx.Err()))
 			prog.MarkPartial(res.PartialReason)
 			lg.Warn("evaluation stopped early", "reason", res.PartialReason, "evaluated", len(res.Evaluated), "candidates", len(candidates))
 			break
 		}
-		prog.SetPhase(obsrv.PhaseMaterialize)
-		candCtx, matSpan := tr.StartSpan(candCtx, telemetry.SpanMaterialize)
-		table, features, err := d.MaterializePathContext(candCtx, p, base)
-		matSpan.SetInt("hops", len(p.Edges))
-		matSpan.End()
-		if err != nil {
-			if errors.Is(err, errs.ErrCancelled) {
-				markPartialResult(res, partialReason(ctx.Err()))
-				prog.MarkPartial(res.PartialReason)
-				lg.Warn("materialisation cancelled", "reason", res.PartialReason, "evaluated", len(res.Evaluated))
-				break
-			}
-			return nil, err
-		}
-		prog.SetPhase(obsrv.PhaseTrain)
-		_, trainSpan := tr.StartSpan(ctx, telemetry.SpanTrainEval)
-		trainSpan.SetStr("model", factory.Name)
-		trainSpan.SetInt("features", len(features))
-		eval, err := ml.EvaluateFrameLogged(table, features, ranking.Label, factory.New(d.cfg.Seed), d.cfg.Seed, d.cfg.Logger)
-		trainSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		pe := PathEval{Path: p, Eval: eval}
+		pe := PathEval{Path: candidates[i], Eval: oc.eval}
 		res.Evaluated = append(res.Evaluated, pe)
-		if eval.Accuracy > bestAcc {
-			bestAcc = eval.Accuracy
+		if oc.eval.Accuracy > bestAcc {
+			bestAcc = oc.eval.Accuracy
 			res.Best = pe
-			res.Table = table
-			res.Features = features
+			res.Features = oc.features
 		}
 	}
+	// Materialising a path is deterministic (the join RNG is reseeded
+	// from Config.Seed on every call and the graph is an immutable
+	// snapshot), so this rebuilds exactly the table the winner trained on.
+	table, err := d.materializeBest(ctx, res.Best.Path, ranking.Base)
+	if err != nil {
+		return nil, err
+	}
+	res.Table = table
 	res.TotalTime = ranking.SelectionTime + time.Since(start)
 	if res.Partial && !ranking.Partial {
 		// A partial ranking already counted itself in RunContext; only an
@@ -170,6 +174,76 @@ func (d *Discovery) EvaluateRankingContext(ctx context.Context, ranking *Ranking
 		"best_accuracy", res.Best.Eval.Accuracy, "partial", res.Partial,
 		"total_time", res.TotalTime)
 	return res, nil
+}
+
+// candidateOutcome is what one worker leaves in a candidate's slot: the
+// trained feature set and score when done, an error, or neither when the
+// candidate did not run (the context was done before or during its
+// materialisation).
+type candidateOutcome struct {
+	done     bool
+	features []string
+	eval     ml.EvalResult
+	err      error
+}
+
+// evaluateCandidate materialises candidate i at full size and trains the
+// factory's model on it; the joined table is garbage once it returns. A
+// panic — in a join, in Fit, anywhere — becomes the candidate's error,
+// as safeExpand does for the joins of the search, so a pool goroutine
+// never takes the process down.
+func (d *Discovery) evaluateCandidate(ctx context.Context, i int, p RankedPath, ranking *Ranking, factory ml.Factory) (oc candidateOutcome) {
+	defer recoverInto(&oc.err, fmt.Sprintf("evaluating candidate %d", i))
+	tr := d.cfg.Telemetry.Trace()
+	prog := d.cfg.Progress
+	// The base candidate materialises without joins; detach it from
+	// ctx's cancellation (keeping its trace) so the floor guarantee
+	// holds even when ctx is already done.
+	candCtx := ctx
+	if i == 0 {
+		candCtx = context.WithoutCancel(ctx)
+	}
+	prog.SetPhase(obsrv.PhaseMaterialize)
+	candCtx, matSpan := tr.StartSpan(candCtx, telemetry.SpanMaterialize)
+	table, features, err := d.MaterializePathContext(candCtx, p, ranking.Base)
+	matSpan.SetInt("hops", len(p.Edges))
+	matSpan.End()
+	if errors.Is(err, errs.ErrCancelled) {
+		return candidateOutcome{}
+	}
+	if err != nil {
+		return candidateOutcome{err: err}
+	}
+	prog.SetPhase(obsrv.PhaseTrain)
+	_, trainSpan := tr.StartSpan(ctx, telemetry.SpanTrainEval)
+	trainSpan.SetStr("model", factory.Name)
+	trainSpan.SetInt("features", len(features))
+	eval, err := ml.EvaluateFrameLogged(table, features, ranking.Label, factory.New(d.cfg.Seed), d.cfg.Seed, d.cfg.Logger)
+	trainSpan.End()
+	if err != nil {
+		return candidateOutcome{err: err}
+	}
+	return candidateOutcome{done: true, features: features, eval: eval}
+}
+
+// materializeBest rebuilds the winning path's table for the result. It
+// ignores ctx's cancellation, like the base candidate: the winner was
+// already chosen, and the result must carry its table.
+func (d *Discovery) materializeBest(ctx context.Context, p RankedPath, base *frame.Frame) (table *frame.Frame, err error) {
+	defer recoverInto(&err, "materialising the best path")
+	ctx, span := d.cfg.Telemetry.Trace().StartSpan(context.WithoutCancel(ctx), telemetry.SpanMaterialize)
+	defer span.End()
+	span.SetInt("hops", len(p.Edges))
+	table, _, err = d.MaterializePathContext(ctx, p, base)
+	return table, err
+}
+
+// recoverInto, deferred, turns a panic into *err, naming what was being
+// done.
+func recoverInto(err *error, what string) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("core: %s: panic: %v", what, r)
+	}
 }
 
 // markPartialResult flags the result Partial under reason, first cause

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"log/slog"
+	"runtime"
 	"time"
 
 	"autofeat/internal/frame"
@@ -72,12 +73,15 @@ type Config struct {
 	// Seed drives every random choice (sampling, join normalisation,
 	// model training), making runs reproducible.
 	Seed int64
-	// Workers bounds the worker pool that evaluates candidate joins of
-	// one BFS depth concurrently. 0 means GOMAXPROCS; 1 forces the fully
-	// sequential path. The ranking is bit-identical for every worker
-	// count: results are folded in deterministic edge order and join
-	// normalisation derives a per-edge RNG stream from (Seed, depth, edge)
-	// rather than sharing one generator.
+	// Workers bounds the worker pool that evaluates the candidate joins
+	// of one BFS depth concurrently, and then trains the model on the
+	// base table and the top-k paths concurrently. 0 means GOMAXPROCS;
+	// 1 forces the fully sequential path. Rankings, evaluations, the
+	// chosen table and manifests are bit-identical for every worker
+	// count: results are folded in deterministic candidate order, join
+	// normalisation derives a per-edge RNG stream from (Seed, depth,
+	// edge) rather than sharing one generator, and every top-k candidate
+	// seeds its own model and split from Seed.
 	Workers int
 	// Telemetry, when non-nil, receives spans and metrics from every
 	// phase of the run (BFS levels, joins, relevance/redundancy,
@@ -146,6 +150,14 @@ func DefaultConfig() Config {
 		NormalizeJoins:    true,
 		Seed:              1,
 	}
+}
+
+// workers resolves Workers: 0 means GOMAXPROCS.
+func (c Config) workers() int {
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
 }
 
 // log returns the configured logger, normalised so call sites never

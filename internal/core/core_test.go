@@ -731,10 +731,11 @@ func TestTelemetryAugmentSpans(t *testing.T) {
 		counts[p.Name] = p.Count
 	}
 	// Base-only candidate plus every evaluated top-k path gets one
-	// materialise + one train span.
-	if want := len(res.Evaluated); counts[telemetry.SpanMaterialize] != want || counts[telemetry.SpanTrainEval] != want {
-		t.Fatalf("want %d materialize/train spans, got %d/%d",
-			want, counts[telemetry.SpanMaterialize], counts[telemetry.SpanTrainEval])
+	// materialise + one train span, and the winner is materialised once
+	// more for the result.
+	if want := len(res.Evaluated); counts[telemetry.SpanMaterialize] != want+1 || counts[telemetry.SpanTrainEval] != want {
+		t.Fatalf("want %d materialize and %d train spans, got %d/%d",
+			want+1, want, counts[telemetry.SpanMaterialize], counts[telemetry.SpanTrainEval])
 	}
 	if counts[telemetry.SpanRun] != 1 || counts[telemetry.SpanRank] != 1 {
 		t.Fatalf("want exactly one run and rank span: %v", counts)

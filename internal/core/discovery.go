@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -280,10 +279,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		selCodes: selected,
 	}}
 
-	workers := d.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := d.cfg.workers()
 	runSpan.SetInt("workers", workers)
 	mx.SetGauge(telemetry.GaugeWorkers, float64(workers))
 	prog.SetWorkers(workers)
@@ -416,11 +412,11 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 			reason string
 		}
 		outcomes := make([]outcome, allowed)
-		// evalOne evaluates job i; it returns false — without evaluating —
-		// once the context is done, so both the sequential loop and the
-		// workers drain quickly after a cancellation. sc is the calling
-		// worker's own scratch.
-		evalOne := func(i int, sc *evalScratch) bool {
+		// evalOne evaluates job i on worker k, with that worker's own
+		// scratch; it returns false — without evaluating — once the
+		// context is done, so the pool drains quickly after a
+		// cancellation.
+		evalOne := func(i, k int) bool {
 			if ctx.Err() != nil {
 				return false
 			}
@@ -436,9 +432,9 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 			var jseed int64
 			if d.cfg.NormalizeJoins {
 				jseed = edgeSeed(d.cfg.Seed, depth, jb.e)
-				jrng = sc.rng(jseed)
+				jrng = scratch[k].rng(jseed)
 			}
-			child, reason := d.safeExpand(jctx, jb.st, jb.e, y, pipeline, jrng, jseed, cache, sc, joinSpan)
+			child, reason := d.safeExpand(jctx, jb.st, jb.e, y, pipeline, jrng, jseed, cache, &scratch[k], joinSpan)
 			if reason != "" {
 				joinSpan.SetStr("pruned", reason)
 			}
@@ -447,33 +443,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 			outcomes[i] = outcome{child: child, reason: reason}
 			return true
 		}
-		if w := min(workers, allowed); w <= 1 {
-			for i := 0; i < allowed; i++ {
-				if !evalOne(i, &scratch[0]) {
-					break
-				}
-			}
-		} else {
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(w)
-			for k := 0; k < w; k++ {
-				sc := &scratch[k]
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= allowed {
-							return
-						}
-						if !evalOne(i, sc) {
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		}
+		runPool(allowed, workers, evalOne)
 
 		// A cancellation observed during this depth discards the depth
 		// wholesale: which jobs finished before the stop depends on
@@ -647,6 +617,41 @@ func edgeSeed(seed int64, depth int, e graph.Edge) int64 {
 		h.Write([]byte{0})
 	}
 	return int64(h.Sum64())
+}
+
+// runPool calls work(i, k) for every i in [0, n), handing items out in
+// order to at most workers goroutines; k (< workers) names the calling
+// worker, so callers can give each one its own scratch. A worker stops
+// taking items once work returns false. With one worker or one item it
+// runs inline on the caller's goroutine. runPool returns when every
+// started item has finished. work must not panic: the BFS joins run
+// behind safeExpand and the top-k candidates behind evaluateCandidate,
+// which turn a panic into a pruned path or an error.
+func runPool(n, workers int, work func(i, k int) bool) {
+	w := min(workers, n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			if !work(i, 0) {
+				return
+			}
+		}
+		return
+	}
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for k := 0; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= n || !work(i, k) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // safeExpand runs expand behind a panic guard: a panicking join (corrupt

@@ -536,9 +536,13 @@ func decodeDict(buf []byte, m colrColMeta, limit int) ([]string, error) {
 // ReadColumnarFile opens a columnar table file; like ReadCSVFile, the table
 // name is the base filename without its extension. On platforms with mmap
 // the column data is served from the mapping without being read up front;
-// elsewhere the file is read into memory. The mapping is never unmapped —
-// lake tables live for the process, and a dropped table's mapping is
-// reclaimed when the kernel evicts its pages.
+// elsewhere the file is read into memory. The mapping is never unmapped,
+// so it is for tables that live for the process: a resident lake's, where
+// a dropped table's mapping only costs the pages the kernel has not yet
+// evicted. A caller that loads tables for one request and drops them
+// reads the file with os.ReadFile and decodes it with DecodeColumnar, so
+// the garbage collector reclaims it all; one-shot lake opens and
+// Writer.Append do that.
 func ReadColumnarFile(path string) (*Frame, error) {
 	buf, err := mapFile(path)
 	if err != nil {

@@ -9,9 +9,12 @@ import (
 
 // mapFile maps path read-only and returns the mapping. The mapping is
 // intentionally never unmapped: the zero-copy columns returned by
-// DecodeColumnar hold references into it for the life of the process (see
-// ReadColumnarFile). Empty files fall back to a heap buffer because mmap
-// rejects zero-length mappings.
+// DecodeColumnar hold references into it, and the garbage collector
+// cannot tell when the last one is gone. That suits a resident lake,
+// whose tables live for the process; a lake opened for one request
+// reads its files into the heap instead (see ReadColumnarFile). Empty
+// files fall back to a heap buffer because mmap rejects zero-length
+// mappings.
 func mapFile(path string) ([]byte, error) {
 	fh, err := os.Open(path)
 	if err != nil {

@@ -218,7 +218,19 @@ func New(tables []*frame.Frame, opts ...Option) *Lake {
 // same name; WithFormat pins one format. A directory without table
 // files is an error; a file that fails to parse aborts with an
 // errs.ErrBadInput-matching error naming it.
-func Open(dir string, opts ...Option) (*Lake, error) {
+func Open(dir string, opts ...Option) (*Lake, error) { return open(dir, true, opts) }
+
+// OpenInMemory loads dir like Open, but reads columnar tables into the
+// heap instead of mapping them. A mapping is never unmapped (see
+// frame.ReadColumnarFile), so a caller that opens a lake for a single
+// request — the root package's one-shot Discover — would keep one
+// mapping per table per call for the life of the process. Everything
+// OpenInMemory loads is garbage once the caller drops the Lake and the
+// results it returned. Resident lakes use Open.
+func OpenInMemory(dir string, opts ...Option) (*Lake, error) { return open(dir, false, opts) }
+
+// open loads dir's tables, mapping columnar files when mapped is set.
+func open(dir string, mapped bool, opts []Option) (*Lake, error) {
 	def := defaultSettings()
 	for _, o := range opts {
 		o(&def)
@@ -232,7 +244,7 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 	}
 	tables := make([]*frame.Frame, 0, len(paths))
 	for _, p := range paths {
-		t, err := readTableFile(p)
+		t, err := readTableFile(p, mapped)
 		if err != nil {
 			return nil, errs.BadInput("autofeat: read %q: %w", p, err)
 		}
@@ -258,7 +270,7 @@ func OpenLenient(dir string, opts ...Option) (l *Lake, errors []error) {
 	}
 	var tables []*frame.Frame
 	for _, p := range paths {
-		t, rerr := readTableFile(p)
+		t, rerr := readTableFile(p, true)
 		if rerr != nil {
 			errors = append(errors, errs.BadInput("autofeat: read %q: %w", p, rerr))
 			continue
@@ -282,12 +294,20 @@ func formatNoun(f Format) string {
 	}
 }
 
-// readTableFile loads one table, dispatching on extension.
-func readTableFile(path string) (*frame.Frame, error) {
-	if strings.HasSuffix(path, frame.FormatExt) {
+// readTableFile loads one table, dispatching on extension. A columnar
+// file is mapped when mapped is set and read into the heap otherwise.
+func readTableFile(path string, mapped bool) (*frame.Frame, error) {
+	switch {
+	case !strings.HasSuffix(path, frame.FormatExt):
+		return frame.ReadCSVFile(path)
+	case mapped:
 		return frame.ReadColumnarFile(path)
 	}
-	return frame.ReadCSVFile(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return frame.DecodeColumnar(strings.TrimSuffix(filepath.Base(path), frame.FormatExt), raw)
 }
 
 // lakePaths lists dir's table files for the given format, sorted by
