@@ -10,14 +10,14 @@ import (
 	"testing"
 )
 
-// TestNoRawColumnConstructionInToolingAndExamples enforces the view-based
-// column API: tools and examples load tables through ReadCSV/ReadCSVFile,
-// ReadColumnarFile or lake opens — never by assembling columns from raw
-// slices with the New*Column constructors. Raw construction bakes the
-// in-memory backend into caller code; the view methods (Len/At/IsNull/
-// ValueSet/Numeric) work identically over CSV-backed and zero-copy
-// columnar-backed tables, and keeping tooling on them is what lets the
-// storage engine change without touching a single caller.
+// TestNoRawColumnConstructionInToolingAndExamples keeps tools and
+// examples on the table readers: they load tables through
+// ReadCSV/ReadCSVFile, ReadColumnarFile or lake opens — never by
+// assembling columns from raw slices with the New*Column constructors.
+// The readers are where each file format is decoded and a packed
+// table's persisted statistics are attached; raw construction would bake
+// the column storage layout into caller code, and keeping tooling off it
+// is what lets that layout change without touching a single caller.
 func TestNoRawColumnConstructionInToolingAndExamples(t *testing.T) {
 	rawCtors := map[string]bool{
 		"NewFloatColumn":  true,
@@ -27,7 +27,7 @@ func TestNoRawColumnConstructionInToolingAndExamples(t *testing.T) {
 	}
 	walkToolingCalls(t, func(call *ast.CallExpr, sel *ast.SelectorExpr, pos token.Position) {
 		if rawCtors[sel.Sel.Name] {
-			t.Errorf("%s: constructs a column from raw slices via %s — tooling and examples must go through the view API (table readers), not the storage constructors",
+			t.Errorf("%s: constructs a column from raw slices via %s — tooling and examples must go through the table readers, not the storage constructors",
 				pos, sel.Sel.Name)
 		}
 	})

@@ -160,10 +160,10 @@ const (
 
 // OpenLake loads every table file in dir (sorted by table name) as a
 // resident Lake session. By default both *.csv and packed columnar
-// *.afc tables load (WithFormat pins one); packed tables open
-// zero-copy with their discovery sketches precomputed, which is what
-// makes cold opens of large lakes cheap — see PackLake. Options set the
-// lake-wide DRG defaults: matcher kind (WithMatcher), threshold
+// *.afc tables load (WithFormat pins one); packed tables are decoded
+// without parsing, with their discovery sketches precomputed, which is
+// what makes cold opens of large lakes cheap — see PackLake. Options
+// set the lake-wide DRG defaults: matcher kind (WithMatcher), threshold
 // (WithThreshold) or declared constraints (WithKFKs). A directory
 // without table files is an error; an unparsable file aborts with an
 // ErrBadInput-matching error naming it.
@@ -212,13 +212,11 @@ func ReadTableCSV(path string) (*Table, error) { return frame.ReadCSVFile(path) 
 func ReadTable(name string, r io.Reader) (*Table, error) { return frame.ReadCSV(name, r) }
 
 // Discover is the one-call convenience over the Lake path: open dir,
-// build the DRG and run one request. The lake lives only for the call,
-// so its columnar tables are read into memory rather than mapped, and
-// all of it is garbage once the caller drops the result. Long-lived
-// callers should hold the Lake from OpenLake instead, so consecutive
-// requests hit its caches.
+// build the DRG and run one request. The lake lives only for the call.
+// Long-lived callers should hold the Lake from OpenLake instead, so
+// consecutive requests hit its caches.
 func Discover(ctx context.Context, dir string, req Request, opts ...LakeOption) (*LakeResult, error) {
-	l, err := lake.OpenInMemory(dir, opts...)
+	l, err := lake.Open(dir, opts...)
 	if err != nil {
 		return nil, err
 	}

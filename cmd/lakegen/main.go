@@ -90,9 +90,8 @@ func writeDataset(spec datagen.Spec, dir, format string) error {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		w := frame.NewWriter(dir)
 		for _, t := range d.Tables {
-			if _, err := w.Put(t); err != nil {
+			if err := frame.WriteColumnarFile(t, filepath.Join(dir, t.Name()+frame.FormatExt)); err != nil {
 				return err
 			}
 		}

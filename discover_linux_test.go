@@ -5,13 +5,19 @@ package autofeat
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"autofeat/internal/datagen"
 	"autofeat/internal/frame"
+	"autofeat/internal/obsrv"
+	"autofeat/internal/serve"
 )
 
 // afcMappings counts the file mappings of columnar tables under dir that
@@ -43,12 +49,13 @@ func tableCells(t *testing.T, tables ...*Table) string {
 	return b.String()
 }
 
-// TestDiscoverLeavesNoMappings runs one-shot Discover repeatedly on a
-// packed lake. A mapping is never unmapped, so a one-shot open that
-// mapped its tables would leave one per table per call for the life of
-// the process; the count must not grow. The result must stay whole after
-// a collection: every cell of the best table and of the base table reads
-// as in a run over the CSV lake.
+// TestDiscoverLeavesNoMappings opens a packed lake, repeatedly, every
+// way the module opens one: one-shot Discover, OpenLake dropped in a
+// loop, table replaces and drops on a resident lake, and a served lake
+// registered again and again under one id. A mapping would outlive the
+// tables read through it, so none of these may add a mapping of an .afc
+// file. The tables each case still holds must stay whole after a
+// collection: every cell reads as in the CSV lake.
 func TestDiscoverLeavesNoMappings(t *testing.T) {
 	d, err := datagen.Generate(datagen.SmallSpecs()[0])
 	if err != nil {
@@ -70,25 +77,101 @@ func TestDiscoverLeavesNoMappings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tableCells(t, ref.Augment.Table, ref.Ranking.Base)
-
-	before := afcMappings(t, dir)
-	var res *LakeResult
-	for i := 0; i < 10; i++ {
-		if res, err = Discover(ctx, dir, req); err != nil {
-			t.Fatal(err)
+	csvTables := csvLake.Tables()
+	// The replace-drop case replaces one non-base table and drops another.
+	var others []int
+	for i, tab := range csvTables {
+		if tab.Name() != d.Base.Name() {
+			others = append(others, i)
 		}
 	}
-	if after := afcMappings(t, dir); after != before {
-		t.Fatalf("10 one-shot Discover calls left %d columnar mappings behind (%d before)", after, before)
+	if len(others) < 2 {
+		t.Fatalf("lake has %d non-base tables, want 2", len(others))
 	}
-	runtime.GC()
-	// Churn the heap so memory the collector freed is reused.
-	for i := 0; i < 64; i++ {
-		_ = bytes.Repeat([]byte{0xff}, 1<<16)
+	replaced, drop := csvTables[others[0]].Name(), others[1]
+
+	cases := []struct {
+		name string
+		// run opens the packed lake its way and returns the tables it
+		// still holds and their twins in the CSV lake.
+		run func(t *testing.T) (held, want []*Table)
+	}{
+		{"discover", func(t *testing.T) ([]*Table, []*Table) {
+			var res *LakeResult
+			for i := 0; i < 10; i++ {
+				var err error
+				if res, err = Discover(ctx, dir, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return []*Table{res.Augment.Table, res.Ranking.Base}, []*Table{ref.Augment.Table, ref.Ranking.Base}
+		}},
+		{"open-lake", func(t *testing.T) ([]*Table, []*Table) {
+			var l *Lake
+			for i := 0; i < 10; i++ {
+				var err error
+				if l, err = OpenLake(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return l.Tables(), csvTables
+		}},
+		{"replace-drop", func(t *testing.T) ([]*Table, []*Table) {
+			l, err := OpenLake(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				f, err := frame.ReadColumnarFile(filepath.Join(dir, replaced+frame.FormatExt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := l.ReplaceTable(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.DropTable(csvTables[drop].Name()); err != nil {
+				t.Fatal(err)
+			}
+			want := append(append([]*Table(nil), csvTables[:drop]...), csvTables[drop+1:]...)
+			return l.Tables(), want
+		}},
+		{"serve-reregister", func(t *testing.T) ([]*Table, []*Table) {
+			svc := serve.New(serve.Config{Workers: 1})
+			srv := obsrv.NewServer(obsrv.Config{})
+			svc.Mount(srv)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			body := fmt.Sprintf(`{"id":"packed","dir":%q}`, dir)
+			for i := 0; i < 10; i++ {
+				resp, err := http.Post(ts.URL+"/v1/lakes", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated {
+					t.Fatalf("POST /v1/lakes: %s", resp.Status)
+				}
+			}
+			return svc.Lake("packed").Tables(), csvTables
+		}},
 	}
-	runtime.GC()
-	if got := tableCells(t, res.Augment.Table, res.Ranking.Base); got != want {
-		t.Fatal("after a collection the one-shot result's cells no longer read as the CSV lake's")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := afcMappings(t, dir)
+			held, want := tc.run(t)
+			if after := afcMappings(t, dir); after != before {
+				t.Fatalf("left %d columnar mappings behind (%d before)", after, before)
+			}
+			runtime.GC()
+			// Churn the heap so memory the collector freed is reused.
+			for i := 0; i < 64; i++ {
+				_ = bytes.Repeat([]byte{0xff}, 1<<16)
+			}
+			runtime.GC()
+			if got := tableCells(t, held...); got != tableCells(t, want...) {
+				t.Fatal("after a collection the held tables' cells no longer read as the CSV lake's")
+			}
+		})
 	}
 }

@@ -84,6 +84,26 @@ type PruneStats struct {
 	Cancelled int `json:"cancelled"`
 }
 
+// add counts n prunes under the given telemetry reason.
+func (p *PruneStats) add(reason string, n int) {
+	switch reason {
+	case telemetry.PruneSimilarity:
+		p.Similarity += n
+	case telemetry.PruneJoinFailed:
+		p.JoinFailed += n
+	case telemetry.PruneQualityBelowTau:
+		p.QualityBelowTau += n
+	case telemetry.PruneBeamEvicted:
+		p.BeamEvicted += n
+	case telemetry.PruneMaxPathsCap:
+		p.MaxPathsCap += n
+	case telemetry.PruneBudgetExhausted:
+		p.BudgetExhausted += n
+	case telemetry.PruneCancelled:
+		p.Cancelled += n
+	}
+}
+
 // Discarded is the number of evaluated joins that were discarded —
 // exactly PathsExplored - len(Paths), the old PathsPruned semantics.
 func (p PruneStats) Discarded() int { return p.JoinFailed + p.QualityBelowTau }
@@ -271,6 +291,14 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	}
 
 	rank := &Ranking{Base: base, BaseFeatures: baseFeatures, Label: d.label}
+	// prune records n candidates pruned for reason everywhere a prune
+	// shows: the ranking's PruneStats, the pruned counter and the live
+	// tracker p.
+	prune := func(p *obsrv.RunProgress, reason string, n int) {
+		rank.Prune.add(reason, n)
+		mx.Add(telemetry.PrunedCounter(reason), int64(n))
+		p.AddPruned(reason, n)
+	}
 	frontier := []*state{{
 		node:     d.baseName,
 		f:        sample,
@@ -335,9 +363,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 				enumSpan.SetStr("to", nb)
 				enumSpan.SetInt("edges", len(edges))
 				enumSpan.End()
-				rank.Prune.Similarity += simPruned
-				mx.Add(telemetry.PrunedCounter(telemetry.PruneSimilarity), int64(simPruned))
-				prog.AddPruned(telemetry.PruneSimilarity, simPruned)
+				prune(prog, telemetry.PruneSimilarity, simPruned)
 				for _, e := range edges {
 					jobs = append(jobs, job{st: st, e: e})
 				}
@@ -358,9 +384,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 				capped = true
 				skipped := allowed - room
 				allowed = room
-				rank.Prune.MaxPathsCap += skipped
-				mx.Add(telemetry.PrunedCounter(telemetry.PruneMaxPathsCap), int64(skipped))
-				prog.AddPruned(telemetry.PruneMaxPathsCap, skipped)
+				prune(prog, telemetry.PruneMaxPathsCap, skipped)
 			}
 		}
 
@@ -376,9 +400,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 				capped = true
 				skipped := allowed - room
 				allowed = room
-				rank.Prune.BudgetExhausted += skipped
-				mx.Add(telemetry.PrunedCounter(telemetry.PruneBudgetExhausted), int64(skipped))
-				prog.AddPruned(telemetry.PruneBudgetExhausted, skipped)
+				prune(prog, telemetry.PruneBudgetExhausted, skipped)
 				markPartial(rank, prog, "max_eval_joins")
 			}
 		}
@@ -396,9 +418,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 				capped = true
 				skipped := allowed - fit
 				allowed = fit
-				rank.Prune.BudgetExhausted += skipped
-				mx.Add(telemetry.PrunedCounter(telemetry.PruneBudgetExhausted), int64(skipped))
-				prog.AddPruned(telemetry.PruneBudgetExhausted, skipped)
+				prune(prog, telemetry.PruneBudgetExhausted, skipped)
 				markPartial(rank, prog, "max_joined_rows")
 			}
 		}
@@ -452,9 +472,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		// paths — that is what makes the partial result bit-identical at
 		// every worker count.
 		if err := ctx.Err(); err != nil {
-			rank.Prune.Cancelled += allowed
-			mx.Add(telemetry.PrunedCounter(telemetry.PruneCancelled), int64(allowed))
-			prog.AddPruned(telemetry.PruneCancelled, allowed)
+			prune(prog, telemetry.PruneCancelled, allowed)
 			markPartial(rank, prog, partialReason(err))
 			depthSpan.SetStr("discarded", partialReason(err))
 			depthSpan.End()
@@ -472,8 +490,8 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 			rank.PathsExplored++
 			oc := outcomes[i]
 			if oc.reason != "" {
-				d.countPrune(rank, oc.reason)
-				mx.Inc(telemetry.PrunedCounter(oc.reason))
+				// JoinDone already counted this prune in the live tracker.
+				prune(nil, oc.reason, 1)
 				continue
 			}
 			rank.Paths = append(rank.Paths, RankedPath{
@@ -497,9 +515,7 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 					computeScore(next[j].relScores, next[j].redScores)
 			})
 			evicted := len(next) - d.cfg.BeamWidth
-			rank.Prune.BeamEvicted += evicted
-			mx.Add(telemetry.PrunedCounter(telemetry.PruneBeamEvicted), int64(evicted))
-			prog.AddPruned(telemetry.PruneBeamEvicted, evicted)
+			prune(prog, telemetry.PruneBeamEvicted, evicted)
 			next = next[:d.cfg.BeamWidth]
 		}
 		foldSpan.SetInt("kept", len(next))
@@ -558,21 +574,6 @@ func partialReason(err error) string {
 		return "deadline"
 	}
 	return "cancelled"
-}
-
-// countPrune folds one evaluated-join prune reason into the stats.
-func (d *Discovery) countPrune(rank *Ranking, reason string) {
-	switch reason {
-	case telemetry.PruneJoinFailed:
-		rank.Prune.JoinFailed++
-	case telemetry.PruneQualityBelowTau:
-		rank.Prune.QualityBelowTau++
-	case telemetry.PruneCancelled:
-		// Normally unreachable — a cancelled expand implies ctx is done
-		// and the whole depth is discarded before folding — but an
-		// injected joinFn may surface a cancellation of its own.
-		rank.Prune.Cancelled++
-	}
 }
 
 // candidateEdges applies the first pruning strategy (Section IV-C): with

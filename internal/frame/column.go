@@ -3,12 +3,11 @@
 // original system: typed columns with null bitmaps, CSV ingestion with schema
 // inference, imputation, stratified sampling and numeric encoding.
 //
-// Columns are views: the public surface (Len/At/IsNull/ValueSet/Numeric and
-// the typed accessors) is backed by one of two storage engines — in-memory
-// slices for CSV-ingested and derived columns, or a zero-copy window into a
-// mapped columnar lake file (see columnar.go) for packed lakes. Callers
-// cannot tell the backends apart; join, selection and discovery code reads
-// through the same methods either way.
+// Every column holds its cells in Go slices, whether it was parsed from
+// CSV, decoded from a packed columnar lake file (see columnar.go) or
+// derived by a join. A decoded column keeps no reference to the bytes it
+// was read from; what it adds over a CSV column is the statistics its
+// file persisted (see ColStats).
 //
 // The package is deliberately self-contained (stdlib plus the sibling sketch
 // package) and deterministic: every operation that involves randomness takes
@@ -57,55 +56,14 @@ func (k Kind) String() string {
 // numeric features without label encoding.
 func (k Kind) IsNumeric() bool { return k == Float || k == Int || k == Bool }
 
-// View is the read surface every column backend provides. *Column is the
-// only implementation handed out by this package — the concrete type stays
-// exported because downstream caches key on *Column identity — but tooling
-// and examples are held to this interface (see api_guard_test.go) so they
-// never depend on which storage engine backs a table.
-type View interface {
-	// Name returns the column name.
-	Name() string
-	// Kind returns the physical type of the column.
-	Kind() Kind
-	// Len returns the number of cells.
-	Len() int
-	// At returns cell i boxed as any, nil for null cells.
-	At(i int) any
-	// IsNull reports whether cell i is null.
-	IsNull(i int) bool
-	// ValueSet returns the distinct non-null join keys (read-only).
-	ValueSet() map[string]struct{}
-	// Numeric returns the column as a dense []float64 with NaN nulls.
-	Numeric() []float64
-}
-
-var _ View = (*Column)(nil)
-
-// colData is the storage engine behind a Column: either in-memory slices
-// (memData, the CSV/derived path) or a zero-copy window into a mapped
-// columnar file (the colr* types in columnar.go). Accessors for the wrong
-// kind panic, matching the out-of-range panic the slice-backed column
-// always had; Column's public methods dispatch on kind first.
-type colData interface {
-	len() int
-	// allValid reports that no cell is null (the nil-bitmap fast path).
-	allValid() bool
-	valid(i int) bool
-	float(i int) float64
-	intAt(i int) int64
-	str(i int) string
-	boolAt(i int) bool
-}
-
-// Column is a single named, typed column view with an optional null bitmap.
-// The storage behind it is one of two engines (see colData); everything
-// above the data field is backend-agnostic.
+// Column is a single named, typed column with an optional null bitmap.
 type Column struct {
 	name string
 	kind Kind
-	data colData
+	data *memData
 	// stats holds per-column statistics persisted in a columnar footer
-	// (distinct count, min/max, MinHash sketch); nil for in-memory columns.
+	// (distinct count, null count, MinHash sketch); nil for columns that
+	// were not decoded from a columnar file.
 	stats *ColStats
 	// memo caches derived read-only views of the column. It lives behind a
 	// pointer so WithName copies share the cache (the backing storage is
@@ -115,27 +73,23 @@ type Column struct {
 
 // ColStats carries the per-column statistics a columnar lake file persists
 // in its footer. Discovery reads them to skip whole-column scans on cold
-// open: Distinct seeds DistinctCount, Sketch stands in for a fresh MinHash
-// signature (bit-identical by construction — both sides use
-// internal/sketch), and Min/Max support quick range pruning.
+// open: Distinct seeds DistinctCount and Sketch stands in for a fresh
+// MinHash signature (bit-identical by construction — both sides use
+// internal/sketch).
 type ColStats struct {
 	// Distinct is the exact distinct non-null key count.
 	Distinct int
 	// Nulls is the null-cell count.
 	Nulls int
-	// Min and Max bound the numeric values (valid only when HasRange;
-	// string and all-null columns have no range).
-	Min, Max float64
-	// HasRange reports whether Min/Max are meaningful.
-	HasRange bool
 	// Sketch is the persisted MinHash signature of the distinct key set,
 	// or nil when the file predates sketch persistence.
 	Sketch *sketch.MinHash
 }
 
-// Stats returns the persisted statistics for a columnar-backed column, or
-// nil for in-memory columns (derive stats via DistinctCount/ValueSet
-// instead). The returned struct is shared and read-only.
+// Stats returns the persisted statistics of a column decoded from a
+// columnar file, or nil for any other column (derive stats via
+// DistinctCount/ValueSet instead). The returned struct is shared and
+// read-only.
 func (c *Column) Stats() *ColStats { return c.stats }
 
 // colMemo holds lazily computed, immutable derivations of a column.
@@ -146,9 +100,9 @@ type colMemo struct {
 	distinct     int
 }
 
-// memData is the in-memory storage engine: exactly one of the value slices
-// is populated, matching the column kind. A nil validB means every cell is
-// valid.
+// memData is the storage behind every column: exactly one of the value
+// slices is populated, matching the column kind. A nil validB means every
+// cell is valid.
 type memData struct {
 	floats []float64
 	ints   []int64
@@ -170,15 +124,10 @@ func (m *memData) len() int {
 	}
 }
 
-func (m *memData) allValid() bool      { return m.validB == nil }
-func (m *memData) valid(i int) bool    { return m.validB == nil || m.validB[i] }
-func (m *memData) float(i int) float64 { return m.floats[i] }
-func (m *memData) intAt(i int) int64   { return m.ints[i] }
-func (m *memData) str(i int) string    { return m.strs[i] }
-func (m *memData) boolAt(i int) bool   { return m.bools[i] }
+func (m *memData) valid(i int) bool { return m.validB == nil || m.validB[i] }
 
-// newMemColumn assembles an in-memory column; the d.len() must already
-// agree with the valid bitmap (use normalizeValid).
+// newMemColumn assembles a column; d.len() must already agree with the
+// valid bitmap (use normalizeValid).
 func newMemColumn(name string, kind Kind, d *memData) *Column {
 	return &Column{name: name, kind: kind, data: d, memo: new(colMemo)}
 }
@@ -236,13 +185,9 @@ func (c *Column) WithName(name string) *Column {
 // IsValid reports whether cell i holds a non-null value.
 func (c *Column) IsValid(i int) bool { return c.data.valid(i) }
 
-// IsNull reports whether cell i is null — the View-facing negation of
-// IsValid.
-func (c *Column) IsNull(i int) bool { return !c.data.valid(i) }
-
 // NullCount returns the number of null cells.
 func (c *Column) NullCount() int {
-	if c.data.allValid() {
+	if c.data.validB == nil {
 		return 0
 	}
 	if c.stats != nil {
@@ -267,16 +212,16 @@ func (c *Column) NullRatio() float64 {
 }
 
 // Float returns cell i as float64. The column must be of kind Float.
-func (c *Column) Float(i int) float64 { return c.data.float(i) }
+func (c *Column) Float(i int) float64 { return c.data.floats[i] }
 
 // Int returns cell i as int64. The column must be of kind Int.
-func (c *Column) Int(i int) int64 { return c.data.intAt(i) }
+func (c *Column) Int(i int) int64 { return c.data.ints[i] }
 
 // Str returns cell i as string. The column must be of kind String.
-func (c *Column) Str(i int) string { return c.data.str(i) }
+func (c *Column) Str(i int) string { return c.data.strs[i] }
 
 // Bool returns cell i as bool. The column must be of kind Bool.
-func (c *Column) Bool(i int) bool { return c.data.boolAt(i) }
+func (c *Column) Bool(i int) bool { return c.data.bools[i] }
 
 // Value returns cell i boxed as any, or nil when the cell is null.
 func (c *Column) Value(i int) any {
@@ -285,19 +230,15 @@ func (c *Column) Value(i int) any {
 	}
 	switch c.kind {
 	case Float:
-		return c.data.float(i)
+		return c.data.floats[i]
 	case Int:
-		return c.data.intAt(i)
+		return c.data.ints[i]
 	case String:
-		return c.data.str(i)
+		return c.data.strs[i]
 	default:
-		return c.data.boolAt(i)
+		return c.data.bools[i]
 	}
 }
-
-// At returns cell i boxed as any, or nil when the cell is null. It is the
-// View-interface name for Value.
-func (c *Column) At(i int) any { return c.Value(i) }
 
 // FormatCell renders cell i for CSV output. Nulls render as the empty string.
 func (c *Column) FormatCell(i int) string {
@@ -306,13 +247,13 @@ func (c *Column) FormatCell(i int) string {
 	}
 	switch c.kind {
 	case Float:
-		return strconv.FormatFloat(c.data.float(i), 'g', -1, 64)
+		return strconv.FormatFloat(c.data.floats[i], 'g', -1, 64)
 	case Int:
-		return strconv.FormatInt(c.data.intAt(i), 10)
+		return strconv.FormatInt(c.data.ints[i], 10)
 	case String:
-		return c.data.str(i)
+		return c.data.strs[i]
 	default:
-		return strconv.FormatBool(c.data.boolAt(i))
+		return strconv.FormatBool(c.data.bools[i])
 	}
 }
 
@@ -325,27 +266,26 @@ func (c *Column) Key(i int) (string, bool) {
 	}
 	switch c.kind {
 	case Float:
-		f := c.data.float(i)
+		f := c.data.floats[i]
 		if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15 {
 			return strconv.FormatInt(int64(f), 10), true
 		}
 		return strconv.FormatFloat(f, 'g', -1, 64), true
 	case Int:
-		return strconv.FormatInt(c.data.intAt(i), 10), true
+		return strconv.FormatInt(c.data.ints[i], 10), true
 	case String:
-		return c.data.str(i), true
+		return c.data.strs[i], true
 	default:
-		return strconv.FormatBool(c.data.boolAt(i)), true
+		return strconv.FormatBool(c.data.bools[i]), true
 	}
 }
 
 // Take returns a new column containing the cells at the given row indices, in
 // order. An index of -1 yields a null cell (used by left joins for unmatched
-// rows). The result is always in-memory, regardless of the source backend:
-// join outputs are request-scoped, not lake-resident.
+// rows).
 func (c *Column) Take(idx []int) *Column {
 	d := &memData{}
-	needValid := !c.data.allValid()
+	needValid := c.data.validB != nil
 	for _, i := range idx {
 		if i < 0 {
 			needValid = true
@@ -371,13 +311,13 @@ func (c *Column) Take(idx []int) *Column {
 		}
 		switch c.kind {
 		case Float:
-			d.floats[j] = c.data.float(i)
+			d.floats[j] = c.data.floats[i]
 		case Int:
-			d.ints[j] = c.data.intAt(i)
+			d.ints[j] = c.data.ints[i]
 		case String:
-			d.strs[j] = c.data.str(i)
+			d.strs[j] = c.data.strs[i]
 		default:
-			d.bools[j] = c.data.boolAt(i)
+			d.bools[j] = c.data.bools[i]
 		}
 		if d.validB != nil {
 			d.validB[j] = c.data.valid(i)
@@ -405,7 +345,7 @@ func (c *Column) AppendFloats(dst []float64) []float64 {
 	case Float:
 		for i := 0; i < n; i++ {
 			if c.data.valid(i) {
-				out[i] = c.data.float(i)
+				out[i] = c.data.floats[i]
 			} else {
 				out[i] = math.NaN()
 			}
@@ -413,7 +353,7 @@ func (c *Column) AppendFloats(dst []float64) []float64 {
 	case Int:
 		for i := 0; i < n; i++ {
 			if c.data.valid(i) {
-				out[i] = float64(c.data.intAt(i))
+				out[i] = float64(c.data.ints[i])
 			} else {
 				out[i] = math.NaN()
 			}
@@ -423,7 +363,7 @@ func (c *Column) AppendFloats(dst []float64) []float64 {
 			switch {
 			case !c.data.valid(i):
 				out[i] = math.NaN()
-			case c.data.boolAt(i):
+			case c.data.bools[i]:
 				out[i] = 1
 			default:
 				out[i] = 0
@@ -442,17 +382,13 @@ func (c *Column) AppendFloats(dst []float64) []float64 {
 	return dst
 }
 
-// Numeric returns the column as a dense []float64 with NaN nulls. It is the
-// View-interface name for Floats.
-func (c *Column) Numeric() []float64 { return c.Floats() }
-
 // stringCodes label-encodes a string column by sorted distinct value.
 func (c *Column) stringCodes() []int {
 	n := c.Len()
 	distinct := make(map[string]struct{}, 16)
 	for i := 0; i < n; i++ {
 		if c.data.valid(i) {
-			distinct[c.data.str(i)] = struct{}{}
+			distinct[c.data.strs[i]] = struct{}{}
 		}
 	}
 	vals := make([]string, 0, len(distinct))
@@ -467,7 +403,7 @@ func (c *Column) stringCodes() []int {
 	out := make([]int, n)
 	for i := 0; i < n; i++ {
 		if c.data.valid(i) {
-			out[i] = code[c.data.str(i)]
+			out[i] = code[c.data.strs[i]]
 		}
 	}
 	return out
@@ -516,10 +452,9 @@ func (c *Column) Mode() (string, bool) {
 
 // Imputed returns a copy of the column with nulls replaced by the most
 // frequent value (the paper's imputation strategy). Columns without nulls
-// are returned unchanged. If every cell is null, zeros are imputed. The
-// copy is in-memory regardless of the source backend.
+// are returned unchanged. If every cell is null, zeros are imputed.
 func (c *Column) Imputed() *Column {
-	if c.data.allValid() || c.NullCount() == 0 {
+	if c.data.validB == nil || c.NullCount() == 0 {
 		return c
 	}
 	mode, ok := c.Mode()
@@ -534,7 +469,7 @@ func (c *Column) Imputed() *Column {
 		d.floats = make([]float64, n)
 		for i := 0; i < n; i++ {
 			if c.data.valid(i) {
-				d.floats[i] = c.data.float(i)
+				d.floats[i] = c.data.floats[i]
 			} else {
 				d.floats[i] = fill
 			}
@@ -547,7 +482,7 @@ func (c *Column) Imputed() *Column {
 		d.ints = make([]int64, n)
 		for i := 0; i < n; i++ {
 			if c.data.valid(i) {
-				d.ints[i] = c.data.intAt(i)
+				d.ints[i] = c.data.ints[i]
 			} else {
 				d.ints[i] = fill
 			}
@@ -556,7 +491,7 @@ func (c *Column) Imputed() *Column {
 		d.strs = make([]string, n)
 		for i := 0; i < n; i++ {
 			if c.data.valid(i) {
-				d.strs[i] = c.data.str(i)
+				d.strs[i] = c.data.strs[i]
 			} else {
 				d.strs[i] = mode
 			}
@@ -566,7 +501,7 @@ func (c *Column) Imputed() *Column {
 		d.bools = make([]bool, n)
 		for i := 0; i < n; i++ {
 			if c.data.valid(i) {
-				d.bools[i] = c.data.boolAt(i)
+				d.bools[i] = c.data.bools[i]
 			} else {
 				d.bools[i] = fill
 			}
@@ -600,8 +535,8 @@ func (c *Column) buildValueSet() map[string]struct{} {
 
 // Equal reports deep equality of names, kinds, validity and values.
 // Float cells compare with exact equality except that two NaNs are equal.
-// Backends are not compared: a CSV-backed and a columnar-backed column
-// holding the same cells are equal.
+// Persisted stats are not compared: a column read from CSV and one decoded
+// from a columnar file holding the same cells are equal.
 func (c *Column) Equal(o *Column) bool {
 	if c.name != o.name || c.kind != o.kind || c.Len() != o.Len() {
 		return false
@@ -615,20 +550,20 @@ func (c *Column) Equal(o *Column) bool {
 		}
 		switch c.kind {
 		case Float:
-			a, b := c.data.float(i), o.data.float(i)
+			a, b := c.data.floats[i], o.data.floats[i]
 			if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
 				return false
 			}
 		case Int:
-			if c.data.intAt(i) != o.data.intAt(i) {
+			if c.data.ints[i] != o.data.ints[i] {
 				return false
 			}
 		case String:
-			if c.data.str(i) != o.data.str(i) {
+			if c.data.strs[i] != o.data.strs[i] {
 				return false
 			}
 		case Bool:
-			if c.data.boolAt(i) != o.data.boolAt(i) {
+			if c.data.bools[i] != o.data.bools[i] {
 				return false
 			}
 		}

@@ -15,12 +15,12 @@ import (
 )
 
 // The columnar lake format (one file per table, extension FormatExt) lays a
-// table out as typed column blocks plus a JSON footer, so a lake open reads
-// the footer and serves cell accesses straight out of the mapped file —
-// no per-column Go slices, no CSV parsing, and no re-sketching (the footer
-// carries each column's distinct count, numeric range and MinHash
-// signature). The full byte-level specification lives in DESIGN.md §14;
-// the constants below are audited against it by cmd/doccheck.
+// table out as typed column blocks plus a JSON footer, so a lake open
+// decodes each column in one pass over its block — no CSV parsing, no type
+// inference and no re-sketching (the footer carries each column's distinct
+// count, null count and MinHash signature). The full byte-level
+// specification lives in DESIGN.md §14; the constants below are audited
+// against it by cmd/doccheck.
 const (
 	// FormatMagic opens and closes every columnar table file.
 	FormatMagic = "AFCL"
@@ -35,25 +35,25 @@ const (
 	FormatExt = ".afc"
 )
 
-// colrHeaderSize is the fixed prelude: magic + version byte.
-const colrHeaderSize = len(FormatMagic) + 1
+// headerSize is the fixed prelude: magic + version byte.
+const headerSize = len(FormatMagic) + 1
 
-// colrTrailerSize is the fixed epilogue: uint32 footer length + version
+// trailerSize is the fixed epilogue: uint32 footer length + version
 // byte + magic. The trailer repeats the version and magic so a truncated
 // or overwritten file fails fast at both ends.
-const colrTrailerSize = 4 + 1 + len(FormatMagic)
+const trailerSize = 4 + 1 + len(FormatMagic)
 
-// colrFooter is the JSON footer: everything a reader needs to serve the
-// table without scanning the column blocks. Compatibility policy is
+// fileFooter is the JSON footer: everything a reader needs to locate and
+// decode the column blocks. Compatibility policy is
 // additive-only within a version — readers must ignore unknown fields,
 // writers may add fields but never change the meaning of existing ones.
-type colrFooter struct {
-	Rows    int           `json:"rows"`
-	Columns []colrColMeta `json:"columns"`
+type fileFooter struct {
+	Rows    int          `json:"rows"`
+	Columns []columnMeta `json:"columns"`
 }
 
-// colrColMeta locates one column's blocks and carries its persisted stats.
-type colrColMeta struct {
+// columnMeta locates one column's blocks and carries its persisted stats.
+type columnMeta struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
 	// Nulls is the null-cell count; 0 means ValidOff is -1 and no bitmap
@@ -76,83 +76,11 @@ type colrColMeta struct {
 	// Distinct is the exact distinct non-null key count (doubles as the
 	// sketch cardinality).
 	Distinct int `json:"distinct"`
-	// Min/Max bound the numeric values when HasRange is true.
+	// Min/Max bound the numeric values when HasRange is true. The writer
+	// keeps them so the format stays as it is; the reader ignores them.
 	Min      float64 `json:"min,omitempty"`
 	Max      float64 `json:"max,omitempty"`
 	HasRange bool    `json:"has_range,omitempty"`
-}
-
-// colrBase is the shared backing of every zero-copy column: a window into
-// the mapped file plus the validity bitmap location. The accessors for
-// kinds the concrete type does not shadow panic, matching the behaviour of
-// a slice-backed column indexed with the wrong typed accessor.
-type colrBase struct {
-	buf      []byte
-	n        int
-	validOff int // -1 = all valid
-}
-
-func (b *colrBase) len() int       { return b.n }
-func (b *colrBase) allValid() bool { return b.validOff < 0 }
-
-func (b *colrBase) valid(i int) bool {
-	if b.validOff < 0 {
-		return true
-	}
-	if i < 0 || i >= b.n {
-		panic("frame: column index out of range")
-	}
-	return b.buf[b.validOff+(i>>3)]&(1<<(uint(i)&7)) != 0
-}
-
-func (b *colrBase) float(int) float64 { panic("frame: not a float column") }
-func (b *colrBase) intAt(int) int64   { panic("frame: not an int column") }
-func (b *colrBase) str(int) string    { panic("frame: not a string column") }
-func (b *colrBase) boolAt(int) bool   { panic("frame: not a bool column") }
-
-type colrFloatData struct {
-	colrBase
-	off int
-}
-
-func (d *colrFloatData) float(i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off+8*i:]))
-}
-
-type colrIntData struct {
-	colrBase
-	off int
-}
-
-func (d *colrIntData) intAt(i int) int64 {
-	return int64(binary.LittleEndian.Uint64(d.buf[d.off+8*i:]))
-}
-
-type colrBoolData struct {
-	colrBase
-	off int
-}
-
-func (d *colrBoolData) boolAt(i int) bool { return d.buf[d.off+i] != 0 }
-
-type colrStringData struct {
-	colrBase
-	// dict is the decoded sorted dictionary (the only materialised part
-	// of a string column; codes stay in the mapped file).
-	dict     []string
-	codesOff int
-}
-
-func (d *colrStringData) str(i int) string {
-	code := binary.LittleEndian.Uint32(d.buf[d.codesOff+4*i:])
-	// decodeColumn validated the codes of every valid row, so this guard
-	// can only fire on null rows, whose codes bulk readers (Take) may
-	// fetch before checking validity — e.g. the empty dictionary of an
-	// all-null column. Returning "" there never masks corruption.
-	if int(code) >= len(d.dict) {
-		return ""
-	}
-	return d.dict[code]
 }
 
 // kindName maps a Kind to its footer spelling; kindFromName inverts it.
@@ -181,7 +109,7 @@ func EncodeColumnar(f *Frame) ([]byte, error) {
 	buf.WriteByte(FormatVersion)
 
 	rows := f.NumRows()
-	footer := colrFooter{Rows: rows}
+	footer := fileFooter{Rows: rows}
 	for ci := 0; ci < f.NumCols(); ci++ {
 		c := f.ColumnAt(ci)
 		if c.Len() != rows {
@@ -209,9 +137,9 @@ func EncodeColumnar(f *Frame) ([]byte, error) {
 
 // writeColumnBlocks appends one column's bitmap, data, dictionary and
 // sketch blocks and returns the footer entry locating them.
-func writeColumnBlocks(buf *bytes.Buffer, c *Column) (colrColMeta, error) {
+func writeColumnBlocks(buf *bytes.Buffer, c *Column) (columnMeta, error) {
 	n := c.Len()
-	meta := colrColMeta{Name: c.Name(), Kind: kindName(c.Kind()), ValidOff: -1}
+	meta := columnMeta{Name: c.Name(), Kind: kindName(c.Kind()), ValidOff: -1}
 
 	if nulls := c.NullCount(); nulls > 0 {
 		meta.Nulls = nulls
@@ -362,13 +290,13 @@ func stringDict(c *Column) ([]string, []uint32) {
 	return dict, codes
 }
 
-// DecodeColumnar opens a columnar-format byte buffer as a Frame whose
-// columns read straight out of buf (zero-copy for numeric data and string
-// codes; only the string dictionaries are materialised). The buffer must
-// stay immutable and alive for the life of the frame — the reader keeps
-// references into it.
+// DecodeColumnar decodes a columnar-format byte buffer into a Frame. Every
+// column is decoded into the same Go slices ReadCSV builds, so the frame
+// keeps no reference to buf. buf is untrusted (serve decodes uploaded
+// tables): every block is bounds-checked, and the blocks the footer names
+// may not claim more bytes than the file holds between header and footer.
 func DecodeColumnar(name string, buf []byte) (*Frame, error) {
-	if len(buf) < colrHeaderSize+colrTrailerSize {
+	if len(buf) < headerSize+trailerSize {
 		return nil, fmt.Errorf("frame: %q: file too short for columnar format", name)
 	}
 	if string(buf[:len(FormatMagic)]) != FormatMagic {
@@ -377,16 +305,16 @@ func DecodeColumnar(name string, buf []byte) (*Frame, error) {
 	if v := buf[len(FormatMagic)]; v != FormatVersion {
 		return nil, fmt.Errorf("frame: %q: columnar format version %d is not %d", name, v, FormatVersion)
 	}
-	tail := buf[len(buf)-colrTrailerSize:]
+	tail := buf[len(buf)-trailerSize:]
 	if string(tail[5:]) != FormatMagic || tail[4] != FormatVersion {
 		return nil, fmt.Errorf("frame: %q: bad trailer, truncated or corrupt columnar file", name)
 	}
 	flen := int(binary.LittleEndian.Uint32(tail[:4]))
-	fstart := len(buf) - colrTrailerSize - flen
-	if flen < 0 || fstart < colrHeaderSize {
+	fstart := len(buf) - trailerSize - flen
+	if flen < 0 || fstart < headerSize {
 		return nil, fmt.Errorf("frame: %q: footer length %d out of bounds", name, flen)
 	}
-	var footer colrFooter
+	var footer fileFooter
 	if err := json.Unmarshal(buf[fstart:fstart+flen], &footer); err != nil {
 		return nil, fmt.Errorf("frame: %q: decode columnar footer: %w", name, err)
 	}
@@ -399,8 +327,9 @@ func DecodeColumnar(name string, buf []byte) (*Frame, error) {
 	}
 
 	f := New(name)
+	budget := blockBudget(fstart - headerSize)
 	for _, m := range footer.Columns {
-		c, err := decodeColumn(buf, footer.Rows, fstart, m)
+		c, err := decodeColumn(buf, footer.Rows, fstart, &budget, m)
 		if err != nil {
 			return nil, fmt.Errorf("frame: %q: column %q: %w", name, m.Name, err)
 		}
@@ -414,28 +343,59 @@ func DecodeColumnar(name string, buf []byte) (*Frame, error) {
 	return f, nil
 }
 
-// decodeColumn builds one zero-copy column view after bounds-checking every
-// block against the footer start (nothing may read into the footer).
-func decodeColumn(buf []byte, rows, limit int, m colrColMeta) (*Column, error) {
+// blockBudget counts the bytes between the header and the footer that no
+// block has claimed yet. EncodeColumnar lays blocks out disjointly, so the
+// blocks of every file it writes use up exactly these bytes. A footer
+// whose blocks claim more names some bytes twice, and decoding them once
+// per claim would let a small file allocate many times its size.
+type blockBudget int
+
+// take claims size bytes for one block.
+func (b *blockBudget) take(size int, what string) error {
+	if size > int(*b) {
+		return fmt.Errorf("%s block (%d bytes) overlaps other blocks: only %d block bytes are unclaimed", what, size, int(*b))
+	}
+	*b -= blockBudget(size)
+	return nil
+}
+
+// decodeColumn decodes one column into slices after bounds-checking every
+// block against the footer start (nothing may read into the footer) and
+// claiming its bytes from budget.
+func decodeColumn(buf []byte, rows, limit int, budget *blockBudget, m columnMeta) (*Column, error) {
 	kind, err := kindFromName(m.Kind)
 	if err != nil {
 		return nil, err
 	}
-	base := colrBase{buf: buf, n: rows, validOff: m.ValidOff}
 	// The footer is untrusted input (serve accepts uploaded buffers), so
 	// the bound is phrased as off > limit-size rather than off+size > limit:
 	// with size >= 0 and limit <= len(buf) the subtraction cannot overflow,
 	// whereas a huge off or size could wrap off+size negative and slip past.
 	check := func(off, size int, what string) error {
-		if size < 0 || off < colrHeaderSize || off > limit-size {
+		if size < 0 || off < headerSize || off > limit-size {
 			return fmt.Errorf("%s block (%d bytes at %d) out of bounds", what, size, off)
 		}
-		return nil
+		return budget.take(size, what)
 	}
+	d := &memData{}
+	nulls := 0
 	if m.ValidOff >= 0 {
 		if err := check(m.ValidOff, (rows+7)/8, "validity"); err != nil {
 			return nil, err
 		}
+		d.validB = make([]bool, rows)
+		for i := range d.validB {
+			d.validB[i] = buf[m.ValidOff+(i>>3)]&(1<<(uint(i)&7)) != 0
+			if !d.validB[i] {
+				nulls++
+			}
+		}
+	}
+	// NullCount answers from the footer's count, so a count the bitmap
+	// does not bear out would misreport the column and leave its nulls
+	// unimputed.
+	if m.Nulls != nulls {
+		return nil, fmt.Errorf("footer counts %d nulls, validity bitmap has %d", m.Nulls, nulls)
 	}
 	if m.SketchK < 0 || m.SketchK > 1<<20 {
 		return nil, fmt.Errorf("implausible sketch size %d", m.SketchK)
@@ -444,52 +404,55 @@ func decodeColumn(buf []byte, rows, limit int, m colrColMeta) (*Column, error) {
 		return nil, err
 	}
 
-	var data colData
 	switch kind {
 	case Float:
 		if err := check(m.DataOff, rows*8, "float data"); err != nil {
 			return nil, err
 		}
-		data = &colrFloatData{colrBase: base, off: m.DataOff}
+		d.floats = make([]float64, rows)
+		for i := range d.floats {
+			d.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[m.DataOff+8*i:]))
+		}
 	case Int:
 		if err := check(m.DataOff, rows*8, "int data"); err != nil {
 			return nil, err
 		}
-		data = &colrIntData{colrBase: base, off: m.DataOff}
+		d.ints = make([]int64, rows)
+		for i := range d.ints {
+			d.ints[i] = int64(binary.LittleEndian.Uint64(buf[m.DataOff+8*i:]))
+		}
 	case Bool:
 		if err := check(m.DataOff, rows, "bool data"); err != nil {
 			return nil, err
 		}
-		data = &colrBoolData{colrBase: base, off: m.DataOff}
+		d.bools = make([]bool, rows)
+		for i := range d.bools {
+			d.bools[i] = buf[m.DataOff+i] != 0
+		}
 	case String:
 		if err := check(m.DataOff, rows*4, "string codes"); err != nil {
 			return nil, err
 		}
-		dict, err := decodeDict(buf, m, limit)
+		dict, err := decodeDict(buf, m, limit, budget)
 		if err != nil {
 			return nil, err
 		}
-		// Validate every valid row's code against the dictionary now, so
-		// corruption surfaces as a decode error here instead of a panic or
-		// a silent empty string at first access.
-		for i := 0; i < rows; i++ {
-			if !base.valid(i) {
+		// A valid row's code out of the dictionary is a decode error, not a
+		// cell; null rows' codes are unconstrained and read as "".
+		d.strs = make([]string, rows)
+		for i := range d.strs {
+			if !d.valid(i) {
 				continue
 			}
-			if code := binary.LittleEndian.Uint32(buf[m.DataOff+4*i:]); int(code) >= len(dict) {
+			code := binary.LittleEndian.Uint32(buf[m.DataOff+4*i:])
+			if uint64(code) >= uint64(len(dict)) {
 				return nil, fmt.Errorf("row %d dictionary code %d out of range (%d entries)", i, code, len(dict))
 			}
+			d.strs[i] = dict[code]
 		}
-		data = &colrStringData{colrBase: base, dict: dict, codesOff: m.DataOff}
 	}
 
-	stats := &ColStats{
-		Distinct: m.Distinct,
-		Nulls:    m.Nulls,
-		Min:      m.Min,
-		Max:      m.Max,
-		HasRange: m.HasRange,
-	}
+	stats := &ColStats{Distinct: m.Distinct, Nulls: nulls}
 	if m.SketchK > 0 {
 		mins := make([]uint64, m.SketchK)
 		for j := range mins {
@@ -497,20 +460,20 @@ func decodeColumn(buf []byte, rows, limit int, m colrColMeta) (*Column, error) {
 		}
 		stats.Sketch = &sketch.MinHash{Mins: mins, Cardinality: m.Distinct}
 	}
-	return &Column{name: m.Name, kind: kind, data: data, stats: stats, memo: new(colMemo)}, nil
+	return &Column{name: m.Name, kind: kind, data: d, stats: stats, memo: new(colMemo)}, nil
 }
 
-// decodeDict materialises a string column's sorted dictionary. The entries
-// are copied out of the buffer: Go strings must not alias a mapping whose
-// lifetime the garbage collector cannot see.
-func decodeDict(buf []byte, m colrColMeta, limit int) ([]string, error) {
+// decodeDict decodes a string column's sorted dictionary and claims the
+// bytes its entries use from budget.
+func decodeDict(buf []byte, m columnMeta, limit int, budget *blockBudget) ([]string, error) {
 	if m.DictLen == 0 {
 		return nil, nil
 	}
 	// Each entry costs at least its one-byte length prefix, so DictLen can
-	// never exceed the bytes between DictOff and the footer; checking that
-	// first also bounds the allocation below against a corrupt footer.
-	if m.DictLen < 0 || m.DictOff < colrHeaderSize || m.DictOff > limit || m.DictLen > limit-m.DictOff {
+	// never exceed the bytes between DictOff and the footer, nor the block
+	// bytes unclaimed; checking that first also bounds the allocation below
+	// against a corrupt footer.
+	if m.DictLen < 0 || m.DictOff < headerSize || m.DictOff > limit || m.DictLen > limit-m.DictOff || m.DictLen > int(*budget) {
 		return nil, fmt.Errorf("dictionary (%d entries at %d) out of bounds", m.DictLen, m.DictOff)
 	}
 	dict := make([]string, 0, m.DictLen)
@@ -530,27 +493,19 @@ func decodeDict(buf []byte, m colrColMeta, limit int) ([]string, error) {
 		dict = append(dict, string(buf[off:off+int(l)]))
 		off += int(l)
 	}
-	return dict, nil
+	return dict, budget.take(off-m.DictOff, "dictionary")
 }
 
-// ReadColumnarFile opens a columnar table file; like ReadCSVFile, the table
-// name is the base filename without its extension. On platforms with mmap
-// the column data is served from the mapping without being read up front;
-// elsewhere the file is read into memory. The mapping is never unmapped,
-// so it is for tables that live for the process: a resident lake's, where
-// a dropped table's mapping only costs the pages the kernel has not yet
-// evicted. A caller that loads tables for one request and drops them
-// reads the file with os.ReadFile and decodes it with DecodeColumnar, so
-// the garbage collector reclaims it all; one-shot lake opens and
-// Writer.Append do that.
+// ReadColumnarFile reads a columnar table file and decodes it with
+// DecodeColumnar; like ReadCSVFile, the table name is the base filename
+// without its extension.
 func ReadColumnarFile(path string) (*Frame, error) {
-	buf, err := mapFile(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	base := filepath.Base(path)
-	name := strings.TrimSuffix(base, filepath.Ext(base))
-	return DecodeColumnar(name, buf)
+	return DecodeColumnar(strings.TrimSuffix(base, filepath.Ext(base)), buf)
 }
 
 // WriteColumnarFile writes the frame to path atomically: the bytes land in
@@ -586,126 +541,4 @@ func WriteColumnarFile(f *Frame, path string) error {
 		return err
 	}
 	return nil
-}
-
-// Writer is the append/compact write path for a columnar lake directory:
-// Put writes a table file atomically (tmp+rename), Append merges new rows
-// into an existing table and rewrites it compactly (dictionaries rebuilt,
-// stats and sketches recomputed). One Writer per directory; concurrent
-// Puts of different tables are safe, concurrent writes of the same table
-// race on the final rename (last writer wins, each version complete).
-type Writer struct {
-	dir string
-}
-
-// NewWriter returns a Writer that writes table files into dir.
-func NewWriter(dir string) *Writer { return &Writer{dir: dir} }
-
-// Path returns the file path Put would write for a table name.
-func (w *Writer) Path(table string) string { return filepath.Join(w.dir, table+FormatExt) }
-
-// Put writes the frame as <dir>/<name>.afc atomically and returns the
-// path.
-func (w *Writer) Put(f *Frame) (string, error) {
-	path := w.Path(f.Name())
-	if err := WriteColumnarFile(f, path); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// Append merges the frame's rows onto the existing table of the same name
-// (matching schemas column-for-column) and rewrites the file compactly; if
-// no file exists yet it behaves like Put.
-func (w *Writer) Append(f *Frame) (string, error) {
-	path := w.Path(f.Name())
-	// The old table is read with os.ReadFile, not the mmap fast path: the
-	// decoded frame only lives until the merge below materialises every
-	// cell, and ReadColumnarFile's mappings are process-lifetime — going
-	// through it here would leak a whole-file mapping per Append.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return w.Put(f)
-		}
-		return "", err
-	}
-	base, err := DecodeColumnar(f.Name(), raw)
-	if err != nil {
-		return "", err
-	}
-	merged, err := appendRows(base, f)
-	if err != nil {
-		return "", err
-	}
-	if err := WriteColumnarFile(merged, path); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// appendRows concatenates b's rows under a's schema. Column names, order
-// and kinds must match exactly — the append path is for homogeneous table
-// growth, not schema evolution.
-func appendRows(a, b *Frame) (*Frame, error) {
-	if a.NumCols() != b.NumCols() {
-		return nil, fmt.Errorf("frame: append %q: %d columns onto %d", a.Name(), b.NumCols(), a.NumCols())
-	}
-	out := New(a.Name())
-	an, bn := a.NumRows(), b.NumRows()
-	for ci := 0; ci < a.NumCols(); ci++ {
-		ca, cb := a.ColumnAt(ci), b.ColumnAt(ci)
-		if ca.Name() != cb.Name() || ca.Kind() != cb.Kind() {
-			return nil, fmt.Errorf("frame: append %q: column %d is %s %s, existing table has %s %s",
-				a.Name(), ci, cb.Kind(), cb.Name(), ca.Kind(), ca.Name())
-		}
-		d := &memData{}
-		if !ca.data.allValid() || !cb.data.allValid() {
-			d.validB = make([]bool, an+bn)
-			for i := 0; i < an; i++ {
-				d.validB[i] = ca.IsValid(i)
-			}
-			for i := 0; i < bn; i++ {
-				d.validB[an+i] = cb.IsValid(i)
-			}
-		}
-		switch ca.Kind() {
-		case Float:
-			d.floats = make([]float64, an+bn)
-			for i := 0; i < an; i++ {
-				d.floats[i] = ca.Float(i)
-			}
-			for i := 0; i < bn; i++ {
-				d.floats[an+i] = cb.Float(i)
-			}
-		case Int:
-			d.ints = make([]int64, an+bn)
-			for i := 0; i < an; i++ {
-				d.ints[i] = ca.Int(i)
-			}
-			for i := 0; i < bn; i++ {
-				d.ints[an+i] = cb.Int(i)
-			}
-		case String:
-			d.strs = make([]string, an+bn)
-			for i := 0; i < an; i++ {
-				d.strs[i] = ca.Str(i)
-			}
-			for i := 0; i < bn; i++ {
-				d.strs[an+i] = cb.Str(i)
-			}
-		case Bool:
-			d.bools = make([]bool, an+bn)
-			for i := 0; i < an; i++ {
-				d.bools[i] = ca.Bool(i)
-			}
-			for i := 0; i < bn; i++ {
-				d.bools[an+i] = cb.Bool(i)
-			}
-		}
-		if err := out.AddColumn(newMemColumn(ca.Name(), ca.Kind(), d)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

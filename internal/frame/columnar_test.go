@@ -2,9 +2,11 @@ package frame
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -43,7 +45,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	for ci := 0; ci < src.NumCols(); ci++ {
 		cs, cg := src.ColumnAt(ci), got.ColumnAt(ci)
 		for i := 0; i < cs.Len(); i++ {
-			if cs.IsNull(i) != cg.IsNull(i) {
+			if cs.IsValid(i) != cg.IsValid(i) {
 				t.Fatalf("col %q row %d: null bit differs", cs.Name(), i)
 			}
 			ks, oks := cs.Key(i)
@@ -139,7 +141,7 @@ func TestColumnarCorruptInputs(t *testing.T) {
 		"short":      b[:8],
 		"bad magic":  append([]byte("NOPE"), b[4:]...),
 		"truncated":  b[:len(b)-3],
-		"footer cut": b[:len(b)-colrTrailerSize],
+		"footer cut": b[:len(b)-trailerSize],
 	}
 	for name, buf := range cases {
 		if _, err := DecodeColumnar(name, buf); err == nil {
@@ -162,6 +164,18 @@ func craftColumnar(payload []byte, footerJSON string) []byte {
 	b = append(b, FormatVersion)
 	b = append(b, FormatMagic...)
 	return b
+}
+
+// sharedBlockColumnar assembles a file of one row whose cols float
+// columns all name the same value block and the same sketch block of k
+// slots. EncodeColumnar would lay out cols of each, so the file is about
+// cols times smaller than what a decoder honouring it would allocate.
+func sharedBlockColumnar(cols, k int) []byte {
+	meta := make([]string, cols)
+	for i := range meta {
+		meta[i] = fmt.Sprintf(`{"name":"c%d","kind":"float","valid_off":-1,"data_off":5,"sketch_off":13,"sketch_k":%d}`, i, k)
+	}
+	return craftColumnar(make([]byte, 8+8*k), `{"rows":1,"columns":[`+strings.Join(meta, ",")+`]}`)
 }
 
 // TestColumnarMaliciousFooter pins the decoder against hostile footers:
@@ -196,6 +210,14 @@ func TestColumnarMaliciousFooter(t *testing.T) {
 		// not read as "".
 		"code out of range": craftColumnar(smallDict,
 			`{"rows":1,"columns":[{"name":"s","kind":"string","valid_off":-1,"dict_off":5,"dict_len":1,"data_off":7,"sketch_off":5,"sketch_k":0}]}`),
+		// Blocks claimed by several columns would be decoded once per
+		// claim (see TestColumnarSharedBlocksBoundAllocation).
+		"shared blocks": sharedBlockColumnar(8, 16),
+		// A null count the bitmap does not bear out: bits 4-7 are unset,
+		// so NullCount would read 0 over 4 nulls and imputation would
+		// skip them.
+		"nulls disagree": craftColumnar(append([]byte{0x0f}, make([]byte, 64)...),
+			`{"rows":8,"columns":[{"name":"x","kind":"int","nulls":0,"valid_off":5,"data_off":6,"sketch_off":70,"sketch_k":0}]}`),
 	}
 	for name, buf := range cases {
 		f, err := DecodeColumnar(name, buf)
@@ -205,11 +227,31 @@ func TestColumnarMaliciousFooter(t *testing.T) {
 	}
 }
 
+// TestColumnarSharedBlocksBoundAllocation decodes a 1 MiB file whose 100
+// columns all name one 1 MiB sketch block and one value block. Decoding
+// each claim would allocate about 100 times the file; the decoder must
+// reject it having allocated a small multiple of it at most.
+func TestColumnarSharedBlocksBoundAllocation(t *testing.T) {
+	buf := sharedBlockColumnar(100, 1<<17)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeColumnar("shared", buf)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("columns sharing one block decoded without error")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(buf)) {
+		t.Fatalf("decoding a %d-byte file allocated %d bytes", len(buf), alloc)
+	}
+}
+
 // FuzzDecodeColumnar feeds arbitrary bytes to DecodeColumnar, the path
 // an uploaded .afc table takes. No input may panic: it either errors, or
-// every cell of the decoded frame reads through IsNull, At, ValueSet and
-// (for non-string columns) Numeric. The committed corpus seeds one
-// encoded mixedFrame and the TestColumnarMaliciousFooter shapes.
+// every cell of the decoded frame reads through IsValid, Value, ValueSet
+// and (for non-string columns) Floats, its NullCount equals the nulls its
+// cells hold, and it survives EncodeColumnar and a second decode as an
+// Equal frame. The committed corpus seeds one encoded mixedFrame and the
+// TestColumnarMaliciousFooter shapes.
 func FuzzDecodeColumnar(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeColumnar("fuzz", b)
@@ -218,14 +260,31 @@ func FuzzDecodeColumnar(f *testing.F) {
 		}
 		for ci := 0; ci < fr.NumCols(); ci++ {
 			c := fr.ColumnAt(ci)
+			nulls := 0
 			for i := 0; i < c.Len(); i++ {
-				c.IsNull(i)
-				c.At(i)
+				if !c.IsValid(i) {
+					nulls++
+				}
+				c.Value(i)
+			}
+			if c.NullCount() != nulls {
+				t.Fatalf("column %q: NullCount %d, cells hold %d nulls", c.Name(), c.NullCount(), nulls)
 			}
 			c.ValueSet()
 			if c.Kind() != String {
-				c.Numeric()
+				c.Floats()
 			}
+		}
+		enc, err := EncodeColumnar(fr)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := DecodeColumnar("fuzz", enc)
+		if err != nil {
+			t.Fatalf("decode of re-encoded frame: %v", err)
+		}
+		if !fr.Equal(again) {
+			t.Fatal("frame changed through EncodeColumnar and DecodeColumnar")
 		}
 	})
 }
@@ -253,16 +312,12 @@ func TestColumnarAllNullStringColumn(t *testing.T) {
 	}
 }
 
-func TestWriterPutAndReadFile(t *testing.T) {
+func TestWriteColumnarFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := NewWriter(dir)
 	src := mixedFrame("tbl")
-	path, err := w.Put(src)
-	if err != nil {
+	path := filepath.Join(dir, "tbl"+FormatExt)
+	if err := WriteColumnarFile(src, path); err != nil {
 		t.Fatal(err)
-	}
-	if filepath.Base(path) != "tbl"+FormatExt {
-		t.Fatalf("unexpected path %q", path)
 	}
 	got, err := ReadColumnarFile(path)
 	if err != nil {
@@ -280,50 +335,6 @@ func TestWriterPutAndReadFile(t *testing.T) {
 		if strings.HasPrefix(e.Name(), ".afc-tmp-") {
 			t.Fatalf("leftover temp file %q", e.Name())
 		}
-	}
-}
-
-func TestWriterAppendCompacts(t *testing.T) {
-	dir := t.TempDir()
-	w := NewWriter(dir)
-	a := New("t")
-	a.AddColumn(NewIntColumn("k", []int64{1, 2}, nil))
-	a.AddColumn(NewStringColumn("s", []string{"x", "y"}, nil))
-	if _, err := w.Append(a); err != nil { // no file yet: behaves as Put
-		t.Fatal(err)
-	}
-	b := New("t")
-	b.AddColumn(NewIntColumn("k", []int64{3}, []bool{false}))
-	b.AddColumn(NewStringColumn("s", []string{"z"}, nil))
-	if _, err := w.Append(b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadColumnarFile(w.Path("t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 3 {
-		t.Fatalf("appended table has %d rows, want 3", got.NumRows())
-	}
-	k := got.Column("k")
-	if !k.IsNull(2) || k.Int(0) != 1 || k.Int(1) != 2 {
-		t.Fatal("appended int column wrong")
-	}
-	s := got.Column("s")
-	if s.Str(0) != "x" || s.Str(2) != "z" {
-		t.Fatal("appended string column wrong")
-	}
-	// Stats were recomputed over the merged table (compact rewrite).
-	if st := k.Stats(); st == nil || st.Distinct != 2 {
-		t.Fatalf("merged stats not recomputed: %+v", k.Stats())
-	}
-
-	// Schema drift is rejected.
-	c := New("t")
-	c.AddColumn(NewFloatColumn("k", []float64{9}, nil))
-	c.AddColumn(NewStringColumn("s", []string{"w"}, nil))
-	if _, err := w.Append(c); err == nil {
-		t.Fatal("kind drift must be rejected")
 	}
 }
 
@@ -360,19 +371,20 @@ func TestColumnarCSVRoundTripProperty(t *testing.T) {
 	for ci := 0; ci < f.NumCols(); ci++ {
 		cs, cg := f.ColumnAt(ci), got.ColumnAt(ci)
 		for i := 0; i < cs.Len(); i++ {
-			if cs.IsNull(i) != cg.IsNull(i) {
-				t.Fatalf("col %q row %d: null bitmap disagrees between CSV and columnar backends", cs.Name(), i)
+			if cs.IsValid(i) != cg.IsValid(i) {
+				t.Fatalf("col %q row %d: null bitmap disagrees between CSV and columnar files", cs.Name(), i)
 			}
-			if av, gv := cs.At(i), cg.At(i); av != gv {
+			if av, gv := cs.Value(i), cg.Value(i); av != gv {
 				t.Fatalf("col %q row %d: %v != %v", cs.Name(), i, av, gv)
 			}
 		}
 	}
 }
 
-// TestColumnarViewInterface pins the public view contract both backends
-// satisfy.
-func TestColumnarViewInterface(t *testing.T) {
+// TestColumnarFloatsAndValueSetMatchSource pins the reads selection and
+// matching make: a decoded column's Floats and ValueSet equal its
+// source's.
+func TestColumnarFloatsAndValueSetMatchSource(t *testing.T) {
 	src := mixedFrame("view")
 	b, _ := EncodeColumnar(src)
 	got, err := DecodeColumnar("view", b)
@@ -380,18 +392,17 @@ func TestColumnarViewInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ci := 0; ci < src.NumCols(); ci++ {
-		var mem View = src.ColumnAt(ci)
-		var colr View = got.ColumnAt(ci)
-		if mem.Len() != colr.Len() || mem.Kind() != colr.Kind() {
-			t.Fatal("view shape differs between backends")
+		mem, dec := src.ColumnAt(ci), got.ColumnAt(ci)
+		if mem.Len() != dec.Len() || mem.Kind() != dec.Kind() {
+			t.Fatal("column shape differs after decoding")
 		}
-		mn, cn := mem.Numeric(), colr.Numeric()
+		mn, cn := mem.Floats(), dec.Floats()
 		for i := range mn {
 			if mn[i] != cn[i] && !(math.IsNaN(mn[i]) && math.IsNaN(cn[i])) {
-				t.Fatalf("col %q Numeric()[%d]: %v vs %v", mem.Name(), i, mn[i], cn[i])
+				t.Fatalf("col %q Floats()[%d]: %v vs %v", mem.Name(), i, mn[i], cn[i])
 			}
 		}
-		ms, cs := mem.ValueSet(), colr.ValueSet()
+		ms, cs := mem.ValueSet(), dec.ValueSet()
 		if len(ms) != len(cs) {
 			t.Fatalf("col %q value sets differ", mem.Name())
 		}

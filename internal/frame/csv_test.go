@@ -145,8 +145,8 @@ func FuzzReadCSV(f *testing.F) {
 		for ci := 0; ci < fr.NumCols(); ci++ {
 			c := fr.ColumnAt(ci)
 			for i := 0; i < c.Len(); i++ {
-				c.IsNull(i)
-				c.At(i)
+				c.IsValid(i)
+				c.Value(i)
 				c.FormatCell(i)
 				c.Key(i)
 			}

@@ -218,40 +218,19 @@ func New(tables []*frame.Frame, opts ...Option) *Lake {
 // same name; WithFormat pins one format. A directory without table
 // files is an error; a file that fails to parse aborts with an
 // errs.ErrBadInput-matching error naming it.
-func Open(dir string, opts ...Option) (*Lake, error) { return open(dir, true, opts) }
-
-// OpenInMemory loads dir like Open, but reads columnar tables into the
-// heap instead of mapping them. A mapping is never unmapped (see
-// frame.ReadColumnarFile), so a caller that opens a lake for a single
-// request — the root package's one-shot Discover — would keep one
-// mapping per table per call for the life of the process. Everything
-// OpenInMemory loads is garbage once the caller drops the Lake and the
-// results it returned. Resident lakes use Open.
-func OpenInMemory(dir string, opts ...Option) (*Lake, error) { return open(dir, false, opts) }
-
-// open loads dir's tables, mapping columnar files when mapped is set.
-func open(dir string, mapped bool, opts []Option) (*Lake, error) {
-	def := defaultSettings()
-	for _, o := range opts {
-		o(&def)
-	}
-	paths, err := lakePaths(dir, def.format)
+func Open(dir string, opts ...Option) (*Lake, error) {
+	format := openFormat(opts)
+	paths, err := lakePaths(dir, format)
 	if err != nil {
 		return nil, err
 	}
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("autofeat: no %s table files in %q", formatNoun(def.format), dir)
+		return nil, fmt.Errorf("autofeat: no %s table files in %q", formatNoun(format), dir)
 	}
-	tables := make([]*frame.Frame, 0, len(paths))
-	for _, p := range paths {
-		t, err := readTableFile(p, mapped)
-		if err != nil {
-			return nil, errs.BadInput("autofeat: read %q: %w", p, err)
-		}
-		tables = append(tables, t)
+	l, bad := load(dir, paths, false, opts)
+	if len(bad) > 0 {
+		return nil, bad[0]
 	}
-	l := New(tables, opts...)
-	l.dir = dir
 	return l, nil
 }
 
@@ -260,26 +239,47 @@ func open(dir string, mapped bool, opts []Option) (*Lake, error) {
 // an errs.ErrBadInput-matching error. With every file corrupt the Lake
 // has no tables and errors holds one entry per file.
 func OpenLenient(dir string, opts ...Option) (l *Lake, errors []error) {
+	paths, err := lakePaths(dir, openFormat(opts))
+	if err != nil {
+		return nil, []error{errs.BadInput("autofeat: read dir %q: %w", dir, err)}
+	}
+	return load(dir, paths, true, opts)
+}
+
+// openFormat is the table format the options select.
+func openFormat(opts []Option) Format {
 	def := defaultSettings()
 	for _, o := range opts {
 		o(&def)
 	}
-	paths, derr := lakePaths(dir, def.format)
-	if derr != nil {
-		return nil, []error{errs.BadInput("autofeat: read dir %q: %w", dir, derr)}
-	}
+	return def.format
+}
+
+// load reads the table files at paths into a Lake rooted at dir. A file
+// that fails to parse is reported as an errs.ErrBadInput-matching error
+// naming it; it aborts the load (nil Lake) unless lenient is set, in
+// which case the file is skipped.
+func load(dir string, paths []string, lenient bool, opts []Option) (*Lake, []error) {
 	var tables []*frame.Frame
+	var bad []error
 	for _, p := range paths {
-		t, rerr := readTableFile(p, true)
-		if rerr != nil {
-			errors = append(errors, errs.BadInput("autofeat: read %q: %w", p, rerr))
+		read := frame.ReadCSVFile
+		if strings.HasSuffix(p, frame.FormatExt) {
+			read = frame.ReadColumnarFile
+		}
+		t, err := read(p)
+		if err != nil {
+			bad = append(bad, errs.BadInput("autofeat: read %q: %w", p, err))
+			if !lenient {
+				return nil, bad
+			}
 			continue
 		}
 		tables = append(tables, t)
 	}
-	l = New(tables, opts...)
+	l := New(tables, opts...)
 	l.dir = dir
-	return l, errors
+	return l, bad
 }
 
 // formatNoun names a format in error messages.
@@ -292,22 +292,6 @@ func formatNoun(f Format) string {
 	default:
 		return "CSV or columnar"
 	}
-}
-
-// readTableFile loads one table, dispatching on extension. A columnar
-// file is mapped when mapped is set and read into the heap otherwise.
-func readTableFile(path string, mapped bool) (*frame.Frame, error) {
-	switch {
-	case !strings.HasSuffix(path, frame.FormatExt):
-		return frame.ReadCSVFile(path)
-	case mapped:
-		return frame.ReadColumnarFile(path)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return frame.DecodeColumnar(strings.TrimSuffix(filepath.Base(path), frame.FormatExt), raw)
 }
 
 // lakePaths lists dir's table files for the given format, sorted by
@@ -369,13 +353,12 @@ func Pack(dir string) (int, error) {
 	if len(paths) == 0 {
 		return 0, fmt.Errorf("autofeat: no CSV files to pack in %q", dir)
 	}
-	w := frame.NewWriter(dir)
 	for i, p := range paths {
 		t, err := frame.ReadCSVFile(p)
 		if err != nil {
 			return i, errs.BadInput("autofeat: pack %q: %w", p, err)
 		}
-		if _, err := w.Put(t); err != nil {
+		if err := frame.WriteColumnarFile(t, filepath.Join(dir, t.Name()+frame.FormatExt)); err != nil {
 			return i, fmt.Errorf("autofeat: pack %q: %w", p, err)
 		}
 	}
