@@ -54,7 +54,7 @@ var (
 	// CSVs, unknown model or metric names, invalid configuration.
 	ErrBadInput = errs.ErrBadInput
 	// ErrBudgetExceeded classifies an exhausted resource budget
-	// (Config.MaxEvalJoins, Config.MaxJoinedRows). Discovery itself does
+	// (Config.MaxEvalJoins). Discovery itself does
 	// not error on budgets — it degrades to a Partial ranking — so this
 	// surfaces only from callers that choose to treat Partial as fatal.
 	ErrBudgetExceeded = errs.ErrBudgetExceeded
@@ -243,7 +243,7 @@ type TelemetrySnapshot = telemetry.Snapshot
 
 // PruneStats is the by-reason pruning breakdown of a Ranking
 // (similarity, join_failed, quality_below_tau, beam_evicted,
-// max_paths_cap, budget_exhausted, cancelled).
+// budget_exhausted, cancelled).
 type PruneStats = core.PruneStats
 
 // NewTelemetry returns a live collector for Config.Telemetry.

@@ -78,8 +78,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		workers     = flag.Int("workers", 0, "parallel workers for join evaluation and top-k model training (0 = GOMAXPROCS, 1 = sequential)")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); on expiry the best partial ranking is returned")
-		budgetJ     = flag.Int("budget-joins", 0, "max joins to evaluate (0 = unlimited); exhaustion yields a partial ranking")
-		budgetR     = flag.Int64("budget-rows", 0, "max cumulative joined rows to materialise during discovery (0 = unlimited)")
+		budgetJ     = flag.Int("budget-joins", 0, "max joins to evaluate (0 = the default, 3000); exhaustion yields a partial ranking")
 		dot         = flag.Bool("dot", false, "print the DRG in Graphviz DOT format and exit")
 		paths       = flag.Int("paths", 5, "ranked paths to print")
 		beam        = flag.Int("beam", 0, "beam width (0 = exhaustive BFS)")
@@ -105,7 +104,7 @@ func main() {
 		beam: *beam, sketched: *sketched, autotune: *autotune,
 		traceOut: *traceOut, metricsOut: *metricsOut, manifestOut: *manifestOut,
 		serveAddr: *serveAddr, logLevel: *logLevel, logFormat: *logFormat,
-		timeout: *timeout, budgetJoins: *budgetJ, budgetRows: *budgetR,
+		timeout: *timeout, budgetJoins: *budgetJ,
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintf(os.Stderr, "autofeat: %v\n", err)
@@ -256,7 +255,10 @@ func runServe(args []string) error {
 			if !ok {
 				return fmt.Errorf("bad -lake %q (want id=dir)", spec)
 			}
-			l := store.AddLake(serve.StoredLake{ID: id, Dir: dir})
+			l, err := store.AddLake(serve.StoredLake{ID: id, Dir: dir})
+			if err != nil {
+				return err
+			}
 			fmt.Printf("lake %q recorded from %s\n", l.ID, dir)
 		}
 		if *peers != "" {
@@ -370,7 +372,24 @@ type runOpts struct {
 	logLevel, logFormat     string
 	timeout                 time.Duration
 	budgetJoins             int
-	budgetRows              int64
+}
+
+// config resolves the discovery flags over DefaultConfig. A zero
+// -budget-joins keeps the default join budget.
+func (o runOpts) config() autofeat.Config {
+	cfg := autofeat.DefaultConfig()
+	cfg.Tau = o.tau
+	cfg.Kappa = o.kappa
+	cfg.TopK = o.topK
+	cfg.MaxDepth = o.depth
+	cfg.Seed = o.seed
+	cfg.Workers = o.workers
+	cfg.BeamWidth = o.beam
+	cfg.Timeout = o.timeout
+	if o.budgetJoins > 0 {
+		cfg.MaxEvalJoins = o.budgetJoins
+	}
+	return cfg
 }
 
 func run(o runOpts) error {
@@ -400,17 +419,7 @@ func run(o runOpts) error {
 		return nil
 	}
 
-	cfg := autofeat.DefaultConfig()
-	cfg.Tau = o.tau
-	cfg.Kappa = o.kappa
-	cfg.TopK = o.topK
-	cfg.MaxDepth = o.depth
-	cfg.Seed = o.seed
-	cfg.Workers = o.workers
-	cfg.BeamWidth = o.beam
-	cfg.Timeout = o.timeout
-	cfg.MaxEvalJoins = o.budgetJoins
-	cfg.MaxJoinedRows = o.budgetRows
+	cfg := o.config()
 	base, label, model, nPaths := o.base, o.label, o.model, o.paths
 
 	if o.traceOut != "" || o.metricsOut != "" || o.serveAddr != "" {
@@ -473,9 +482,9 @@ func run(o runOpts) error {
 	}
 	pr := res.Ranking.Prune
 	fmt.Printf("\nranked join paths (top %d of %d, explored %d, pruned %d):\n",
-		nPaths, len(res.Ranking.Paths), res.Ranking.PathsExplored, res.Ranking.PathsPruned)
-	fmt.Printf("pruning: similarity %d, join_failed %d, quality_below_tau %d, beam_evicted %d, max_paths_cap %d, budget_exhausted %d, cancelled %d\n",
-		pr.Similarity, pr.JoinFailed, pr.QualityBelowTau, pr.BeamEvicted, pr.MaxPathsCap, pr.BudgetExhausted, pr.Cancelled)
+		nPaths, len(res.Ranking.Paths), res.Ranking.PathsExplored, pr.Discarded())
+	fmt.Printf("pruning: similarity %d, join_failed %d, quality_below_tau %d, beam_evicted %d, budget_exhausted %d, cancelled %d\n",
+		pr.Similarity, pr.JoinFailed, pr.QualityBelowTau, pr.BeamEvicted, pr.BudgetExhausted, pr.Cancelled)
 	for i, p := range res.Ranking.TopK(nPaths) {
 		fmt.Printf("  %d. %s\n", i+1, p)
 	}

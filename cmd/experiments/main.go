@@ -34,8 +34,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-run progress")
 		telOut    = flag.String("telemetry-out", "", "write accumulated discovery telemetry as JSON to this file")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget per discovery (0 = none); expiry truncates rankings (partial)")
-		budgetJ   = flag.Int("budget-joins", 0, "max joins evaluated per discovery (0 = unlimited)")
-		budgetR   = flag.Int64("budget-rows", 0, "max cumulative joined rows per discovery (0 = unlimited)")
+		budgetJ   = flag.Int("budget-joins", 0, "max joins evaluated per discovery (0 = the default, 3000)")
 		serveAddr = flag.String("serve", "", "serve live introspection (/metrics, /healthz, /runs/sweep, /debug/pprof/) on this address")
 		logLevel  = flag.String("log-level", "", "structured log level: debug|info|warn|error (empty = off)")
 		logFormat = flag.String("log-format", "text", "structured log format: text|json")
@@ -57,7 +56,6 @@ func main() {
 	runner.Workers = *workers
 	runner.Timeout = *timeout
 	runner.MaxEvalJoins = *budgetJ
-	runner.MaxJoinedRows = *budgetR
 	if *telOut != "" || *serveAddr != "" {
 		runner.Telemetry = telemetry.New()
 	}

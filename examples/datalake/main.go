@@ -53,7 +53,7 @@ func main() {
 		res, err := disc.AugmentContext(context.Background(), model)
 		must(err)
 		fmt.Printf("\n[%s setting]\n", tc.name)
-		fmt.Printf("  paths explored %d, pruned %d\n", res.Ranking.PathsExplored, res.Ranking.PathsPruned)
+		fmt.Printf("  paths explored %d, pruned %d\n", res.Ranking.PathsExplored, res.Ranking.Prune.Discarded())
 		fmt.Printf("  base accuracy      %.3f\n", res.Evaluated[0].Eval.Accuracy)
 		fmt.Printf("  augmented accuracy %.3f via %s\n", res.Best.Eval.Accuracy, res.Best.Path)
 		fmt.Printf("  selection %v of %v total\n", res.SelectionTime, res.TotalTime)

@@ -109,8 +109,8 @@ func TestAllNullJoinColumnIsPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Paths) != 0 || r.PathsPruned != 1 {
-		t.Fatalf("all-null join key must prune: paths=%d pruned=%d", len(r.Paths), r.PathsPruned)
+	if len(r.Paths) != 0 || r.Prune.Discarded() != 1 {
+		t.Fatalf("all-null join key must prune: paths=%d pruned=%d", len(r.Paths), r.Prune.Discarded())
 	}
 }
 

@@ -119,6 +119,23 @@ func TestRunnerCaching(t *testing.T) {
 	}
 }
 
+// TestRunnerZeroBudgetKeepsDefault checks that a Runner without a join
+// budget runs its discoveries under the config's default cap of 3000,
+// and that a positive budget replaces it.
+func TestRunnerZeroBudgetKeepsDefault(t *testing.T) {
+	r := smallRunner()
+	for _, tc := range []struct{ budget, want int }{{0, 3000}, {5, 5}} {
+		r.MaxEvalJoins = tc.budget
+		e, err := r.autofeatRanking("tiny", Benchmark, DefaultAutoFeatConfig(r.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.disc.Manifest(e.ranking).Config.MaxEvalJoins; got != tc.want {
+			t.Fatalf("Runner.MaxEvalJoins = %d: discovery ran with MaxEvalJoins %d, want %d", tc.budget, got, tc.want)
+		}
+	}
+}
+
 func TestRunMethodAllMethods(t *testing.T) {
 	r := smallRunner()
 	lgbm, _ := ml.FactoryByName("lightgbm")

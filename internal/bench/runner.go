@@ -79,11 +79,8 @@ type Runner struct {
 	// deadline truncates the ranking.
 	Timeout time.Duration
 	// MaxEvalJoins budgets joins evaluated per discovery
-	// (core.Config.MaxEvalJoins); 0 means unlimited.
+	// (core.Config.MaxEvalJoins); 0 keeps the config's budget.
 	MaxEvalJoins int
-	// MaxJoinedRows budgets cumulative joined rows per discovery
-	// (core.Config.MaxJoinedRows); 0 means unlimited.
-	MaxJoinedRows int64
 	// Logger, when non-nil, is threaded into every discovery the runner
 	// executes (core.Config.Logger). Nil disables structured logging.
 	Logger *slog.Logger
@@ -169,10 +166,11 @@ func (r *Runner) DRG(name string, s Setting) (*graph.Graph, error) {
 // setting with the given config.
 func (r *Runner) autofeatRanking(name string, s Setting, cfg core.Config) (*rankingEntry, error) {
 	cfg.Timeout = r.Timeout
-	cfg.MaxEvalJoins = r.MaxEvalJoins
-	cfg.MaxJoinedRows = r.MaxJoinedRows
-	key := fmt.Sprintf("%s/%s/tau=%.2f/kappa=%d/%s/budget=%v-%d-%d",
-		name, s, cfg.Tau, cfg.Kappa, cfgMetricKey(cfg), cfg.Timeout, cfg.MaxEvalJoins, cfg.MaxJoinedRows)
+	if r.MaxEvalJoins > 0 {
+		cfg.MaxEvalJoins = r.MaxEvalJoins
+	}
+	key := fmt.Sprintf("%s/%s/tau=%.2f/kappa=%d/%s/budget=%v-%d",
+		name, s, cfg.Tau, cfg.Kappa, cfgMetricKey(cfg), cfg.Timeout, cfg.MaxEvalJoins)
 	if e, ok := r.rankings[key]; ok {
 		return e, nil
 	}

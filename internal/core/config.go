@@ -54,10 +54,6 @@ type Config struct {
 	// during feature selection (Section VI: sampling only affects
 	// selection, never model training).
 	SampleSize int
-	// MaxPaths caps how many join paths are scored before traversal
-	// stops, a safety valve for dense data-lake multigraphs. <= 0 means
-	// unlimited.
-	MaxPaths int
 	// BeamWidth, when > 0, keeps only the top-scoring BeamWidth states at
 	// each BFS level (beam search) — the "more aggressive pruning" the
 	// paper lists as future work for organisation-scale lakes. 0 disables
@@ -94,19 +90,14 @@ type Config struct {
 	// any-time search, so whatever was ranked before the deadline is
 	// still a valid (if shorter) ranking. 0 disables the deadline.
 	Timeout time.Duration
-	// MaxEvalJoins, when > 0, budgets the number of joins the traversal
-	// may evaluate. Unlike MaxPaths (a search-space safety valve), an
-	// exhausted budget flags the ranking Partial and is recorded under
-	// the budget_exhausted pruning reason. The budget is applied
+	// MaxEvalJoins, when > 0, caps the number of joins the traversal
+	// evaluates, which bounds Algorithm 1's BFS on dense data-lake
+	// multigraphs. DefaultConfig sets 3000. An exhausted budget flags
+	// the ranking Partial and counts every skipped candidate under the
+	// budget_exhausted pruning reason. The budget is applied
 	// positionally in enumeration order, so the partial ranking is
-	// bit-identical at every worker count. <= 0 disables the budget.
+	// bit-identical at every worker count. <= 0 means unlimited.
 	MaxEvalJoins int
-	// MaxJoinedRows, when > 0, budgets the cumulative number of joined
-	// rows the traversal may materialise (each evaluated join contributes
-	// its left side's row count — left joins preserve rows). Applied
-	// positionally like MaxEvalJoins; an exhausted budget flags the
-	// ranking Partial. <= 0 disables the budget.
-	MaxJoinedRows int64
 	// KeyCache, when non-nil, is the join-key index cache the run uses
 	// instead of a fresh per-run cache: right-side key→row indexes built
 	// for one run are then reused by every later run sharing the cache.
@@ -145,7 +136,7 @@ func DefaultConfig() Config {
 		TopK:              4,
 		MaxDepth:          3,
 		SampleSize:        1000,
-		MaxPaths:          3000,
+		MaxEvalJoins:      3000,
 		SimilarityPruning: true,
 		NormalizeJoins:    true,
 		Seed:              1,

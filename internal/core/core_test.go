@@ -178,7 +178,7 @@ func TestRunPrunesLowQualityJoin(t *testing.T) {
 			}
 		}
 	}
-	if r.PathsPruned == 0 {
+	if r.Prune.Discarded() == 0 {
 		t.Fatal("the junk join must be counted as pruned")
 	}
 	if r.PathsExplored <= len(r.Paths) {
@@ -218,14 +218,25 @@ func TestRunMaxDepthOne(t *testing.T) {
 	}
 }
 
-func TestRunMaxPathsCap(t *testing.T) {
+func TestRunMaxEvalJoinsCap(t *testing.T) {
 	g := testLake(t, 300)
 	cfg := DefaultConfig()
-	cfg.MaxPaths = 1
+	cfg.MaxEvalJoins = 1
 	d, _ := New(g, "base", "y", cfg)
 	r, _ := d.Run()
 	if r.PathsExplored > 1 {
-		t.Fatalf("MaxPaths=1 must stop after one join, explored %d", r.PathsExplored)
+		t.Fatalf("MaxEvalJoins=1 must stop after one join, explored %d", r.PathsExplored)
+	}
+	if !r.Partial || r.PartialReason != "max_eval_joins" {
+		t.Fatalf("a run the cap stopped must be partial/max_eval_joins, got Partial=%v reason=%q", r.Partial, r.PartialReason)
+	}
+}
+
+// TestDefaultJoinBudget pins the one search budget every entry point
+// inherits: DefaultConfig caps the BFS at 3000 evaluated joins.
+func TestDefaultJoinBudget(t *testing.T) {
+	if got := DefaultConfig().MaxEvalJoins; got != 3000 {
+		t.Fatalf("DefaultConfig().MaxEvalJoins = %d, want 3000", got)
 	}
 }
 
@@ -531,9 +542,6 @@ func TestPruneStatsBreakdown(t *testing.T) {
 	if got, want := r.Prune.Discarded(), r.PathsExplored-len(r.Paths); got != want {
 		t.Fatalf("Discarded() = %d, want PathsExplored-len(Paths) = %d (%+v)", got, want, r.Prune)
 	}
-	if r.PathsPruned != r.Prune.Discarded() {
-		t.Fatalf("PathsPruned (%d) must stay the sum of discard reasons (%d)", r.PathsPruned, r.Prune.Discarded())
-	}
 	if r.Prune.Total() < r.Prune.Discarded() {
 		t.Fatalf("Total() must include every reason: %+v", r.Prune)
 	}
@@ -580,7 +588,7 @@ func TestBeamEvictionsCounted(t *testing.T) {
 	}
 }
 
-func TestMaxPathsClampAcrossNeighbors(t *testing.T) {
+func TestMaxEvalJoinsClampAcrossNeighbors(t *testing.T) {
 	// Several neighbours off the base: the cap must stop evaluation
 	// consistently across all of them, not just exit one edge loop.
 	g := testLake(t, 300)
@@ -600,22 +608,22 @@ func TestMaxPathsClampAcrossNeighbors(t *testing.T) {
 	}
 	for _, cap := range []int{1, 2, 3} {
 		cfg := DefaultConfig()
-		cfg.MaxPaths = cap
+		cfg.MaxEvalJoins = cap
 		d, _ := New(g, "base", "y", cfg)
 		r, err := d.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.PathsExplored > cap {
-			t.Fatalf("MaxPaths=%d overshot: explored %d", cap, r.PathsExplored)
+			t.Fatalf("MaxEvalJoins=%d overshot: explored %d", cap, r.PathsExplored)
 		}
 		// base has 5 outgoing edges (bridge, junk, sidea..sidec); the cap
 		// leaves the rest unevaluated and counted.
-		if want := 5 - cap; r.Prune.MaxPathsCap != want {
-			t.Fatalf("MaxPaths=%d: MaxPathsCap = %d, want %d", cap, r.Prune.MaxPathsCap, want)
+		if want := 5 - cap; r.Prune.BudgetExhausted != want {
+			t.Fatalf("MaxEvalJoins=%d: BudgetExhausted = %d, want %d", cap, r.Prune.BudgetExhausted, want)
 		}
 		if got, want := r.Prune.Discarded(), r.PathsExplored-len(r.Paths); got != want {
-			t.Fatalf("MaxPaths=%d: Discarded() = %d, want %d", cap, got, want)
+			t.Fatalf("MaxEvalJoins=%d: Discarded() = %d, want %d", cap, got, want)
 		}
 	}
 }

@@ -52,11 +52,11 @@ func New(g *graph.Graph, base, label string, cfg Config) (*Discovery, error) {
 //
 // JoinFailed and QualityBelowTau discard joins that were evaluated, so
 // JoinFailed + QualityBelowTau == PathsExplored - len(Paths) always
-// holds. Similarity, BeamEvicted and MaxPathsCap truncate the search
-// space around the evaluated joins: similarity-pruned edges are never
-// evaluated, beam-evicted states keep their ranked path but are not
-// expanded further, and MaxPathsCap counts frontier edges skipped once
-// the MaxPaths cap fired.
+// holds. Similarity, BeamEvicted, BudgetExhausted and Cancelled truncate
+// the search space around the evaluated joins: similarity-pruned edges
+// are never evaluated, beam-evicted states keep their ranked path but
+// are not expanded further, and the last two count candidates left
+// unevaluated when the run stopped early.
 type PruneStats struct {
 	// Similarity counts parallel edges discarded by similarity-score
 	// pruning (Section IV-C, first strategy) before evaluation.
@@ -70,12 +70,9 @@ type PruneStats struct {
 	// BeamEvicted counts frontier states dropped by beam search; their
 	// already-ranked paths survive but are never expanded further.
 	BeamEvicted int `json:"beam_evicted"`
-	// MaxPathsCap counts candidate edges left unevaluated at the active
-	// frontier when the MaxPaths cap stopped the traversal.
-	MaxPathsCap int `json:"max_paths_cap"`
-	// BudgetExhausted counts candidate joins left unevaluated because a
-	// Config budget (MaxEvalJoins or MaxJoinedRows) ran out. A non-zero
-	// count always comes with Ranking.Partial = true.
+	// BudgetExhausted counts candidate joins left unevaluated because
+	// Config.MaxEvalJoins ran out. A non-zero count always comes with
+	// Ranking.Partial = true.
 	BudgetExhausted int `json:"budget_exhausted"`
 	// Cancelled counts the candidate joins of the depth that was in
 	// flight when the run's context was cancelled or its deadline
@@ -95,8 +92,6 @@ func (p *PruneStats) add(reason string, n int) {
 		p.QualityBelowTau += n
 	case telemetry.PruneBeamEvicted:
 		p.BeamEvicted += n
-	case telemetry.PruneMaxPathsCap:
-		p.MaxPathsCap += n
 	case telemetry.PruneBudgetExhausted:
 		p.BudgetExhausted += n
 	case telemetry.PruneCancelled:
@@ -105,13 +100,13 @@ func (p *PruneStats) add(reason string, n int) {
 }
 
 // Discarded is the number of evaluated joins that were discarded —
-// exactly PathsExplored - len(Paths), the old PathsPruned semantics.
+// exactly PathsExplored - len(Paths).
 func (p PruneStats) Discarded() int { return p.JoinFailed + p.QualityBelowTau }
 
 // Total sums every reason, including search-space truncation.
 func (p PruneStats) Total() int {
 	return p.Similarity + p.JoinFailed + p.QualityBelowTau + p.BeamEvicted +
-		p.MaxPathsCap + p.BudgetExhausted + p.Cancelled
+		p.BudgetExhausted + p.Cancelled
 }
 
 // Ranking is the output of the discovery phase: join paths ordered by
@@ -129,24 +124,22 @@ type Ranking struct {
 	Paths []RankedPath
 	// PathsExplored counts every join evaluated, including pruned ones.
 	PathsExplored int
-	// PathsPruned counts joins discarded by the two pruning strategies —
-	// kept as Prune.Discarded() for backward compatibility; Prune holds
-	// the per-reason breakdown.
-	PathsPruned int
-	// Prune is the by-reason pruning breakdown of this run.
+	// Prune is the by-reason pruning breakdown of this run;
+	// Prune.Discarded() counts the joins the two pruning strategies
+	// discarded.
 	Prune PruneStats
 	// SelectionTime is the wall-clock feature-discovery time — the
 	// efficiency metric of Section VII ("feature selection time").
 	SelectionTime time.Duration
 	// Partial reports that the search stopped early — context cancelled,
-	// deadline expired, or a Config budget exhausted — and Paths covers
+	// deadline expired, or Config.MaxEvalJoins exhausted — and Paths covers
 	// only the part of the search space reached before the stop. The
 	// ranking is still valid and deterministic: budgets are applied
 	// positionally, and a cancellation discards the whole in-flight BFS
 	// depth, so the result is bit-identical at every worker count.
 	Partial bool
 	// PartialReason names what stopped a Partial run: "cancelled",
-	// "deadline", "max_eval_joins" or "max_joined_rows". Empty when
+	// "deadline" or "max_eval_joins". Empty when
 	// Partial is false. The first cause wins when several fire.
 	PartialReason string
 }
@@ -192,8 +185,8 @@ type state struct {
 
 // Run executes Algorithm 1 with no external cancellation; it is exactly
 // RunContext under context.Background(), which is the canonical
-// (context-first) form. Config budgets (Timeout, MaxEvalJoins,
-// MaxJoinedRows) still apply.
+// (context-first) form. Config budgets (Timeout, MaxEvalJoins) still
+// apply.
 func (d *Discovery) Run() (*Ranking, error) {
 	return d.RunContext(context.Background())
 }
@@ -209,8 +202,8 @@ func (d *Discovery) Run() (*Ranking, error) {
 // far, flagged Partial with PartialReason "cancelled" or "deadline". The
 // in-flight depth is discarded wholesale (counted under the cancelled
 // pruning reason), so the partial ranking is bit-identical at every
-// worker count. Budget exhaustion (MaxEvalJoins, MaxJoinedRows) degrades
-// the same way under the budget_exhausted pruning reason.
+// worker count. An exhausted MaxEvalJoins degrades the same way under
+// the budget_exhausted pruning reason.
 func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -237,12 +230,12 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		lg = lg.With("trace_id", sc.Trace.String())
 	}
 
-	prog.Begin(d.baseName, d.label, d.cfg.MaxDepth, d.cfg.Timeout, d.cfg.MaxEvalJoins, d.cfg.MaxJoinedRows)
+	prog.Begin(d.baseName, d.label, d.cfg.MaxDepth, d.cfg.Timeout, d.cfg.MaxEvalJoins)
 	prog.SetPhase(obsrv.PhaseSample)
 	lg.Info("discovery started",
 		"base", d.baseName, "label", d.label,
 		"max_depth", d.cfg.MaxDepth, "tau", d.cfg.Tau, "kappa", d.cfg.Kappa,
-		"timeout", d.cfg.Timeout, "budget_joins", d.cfg.MaxEvalJoins, "budget_rows", d.cfg.MaxJoinedRows)
+		"timeout", d.cfg.Timeout, "budget_joins", d.cfg.MaxEvalJoins)
 
 	rng := rand.New(rand.NewSource(d.cfg.Seed))
 
@@ -326,14 +319,10 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	// One evalScratch per worker, reused by every join it evaluates.
 	scratch := make([]evalScratch, workers)
 
-	// capped flips once the MaxPaths cap or a budget fires; the rest of
-	// the active frontier is then only counted, never evaluated, and the
-	// traversal does not descend another level.
+	// capped flips once the join budget fires; the rest of the active
+	// frontier is then only counted, never evaluated, and the traversal
+	// does not descend another level.
 	capped := false
-	// rowsJoined tracks the cumulative joined-row budget (left rows per
-	// evaluated join — left joins preserve row count, so the cost of a
-	// join is known before evaluating it).
-	var rowsJoined int64
 	for depth := 0; depth < d.cfg.MaxDepth && len(frontier) > 0 && !capped; depth++ {
 		if err := ctx.Err(); err != nil {
 			markPartial(rank, prog, partialReason(err))
@@ -371,55 +360,18 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 		}
 		prog.AddEnumerated(len(jobs))
 
-		// Apply the MaxPaths cap positionally: every evaluated join
+		// Apply the join budget positionally: every evaluated join
 		// increments PathsExplored by exactly one, so the sequential
 		// traversal would evaluate the first `allowed` candidates of this
-		// depth and count the rest as MaxPathsCap.
+		// depth and skip the rest. The surviving prefix is therefore
+		// identical at every worker count.
 		allowed := len(jobs)
-		if d.cfg.MaxPaths > 0 {
-			if room := d.cfg.MaxPaths - rank.PathsExplored; room < allowed {
-				if room < 0 {
-					room = 0
-				}
-				capped = true
-				skipped := allowed - room
-				allowed = room
-				prune(prog, telemetry.PruneMaxPathsCap, skipped)
-			}
-		}
-
-		// Apply the budgets the same way — positionally, in enumeration
-		// order, so the surviving prefix is identical at every worker
-		// count. Unlike MaxPaths (a search-space safety valve), an
-		// exhausted budget flags the ranking Partial.
 		if d.cfg.MaxEvalJoins > 0 {
 			if room := d.cfg.MaxEvalJoins - rank.PathsExplored; room < allowed {
-				if room < 0 {
-					room = 0
-				}
 				capped = true
-				skipped := allowed - room
+				prune(prog, telemetry.PruneBudgetExhausted, allowed-room)
 				allowed = room
-				prune(prog, telemetry.PruneBudgetExhausted, skipped)
 				markPartial(rank, prog, "max_eval_joins")
-			}
-		}
-		if d.cfg.MaxJoinedRows > 0 {
-			fit := 0
-			for ; fit < allowed; fit++ {
-				rows := int64(jobs[fit].st.f.NumRows())
-				if rowsJoined+rows > d.cfg.MaxJoinedRows {
-					break
-				}
-				rowsJoined += rows
-				prog.AddRowsJoined(rows)
-			}
-			if fit < allowed {
-				capped = true
-				skipped := allowed - fit
-				allowed = fit
-				prune(prog, telemetry.PruneBudgetExhausted, skipped)
-				markPartial(rank, prog, "max_joined_rows")
 			}
 		}
 		prog.SetDepthCandidates(allowed)
@@ -539,7 +491,6 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 	rankSpan.SetInt("paths", len(rank.Paths))
 	rankSpan.End()
 
-	rank.PathsPruned = rank.Prune.Discarded()
 	rank.SelectionTime = time.Since(start)
 	if rank.Partial {
 		mx.Inc(telemetry.CtrPartialRuns)

@@ -287,15 +287,16 @@ func TestMaxEvalJoinsBudget(t *testing.T) {
 	}
 }
 
-// TestMaxJoinedRowsBudget bounds the cumulative joined rows: each join in
-// the 200-row lake (SampleSize=0) contributes 200 rows, so a budget of 300
-// admits exactly one join before flagging the rest budget_exhausted.
-func TestMaxJoinedRowsBudget(t *testing.T) {
+// TestMaxEvalJoinsBudgetMidDepth stops the traversal inside a depth: the
+// lake enumerates two joins at depth 0, so a budget of 1 evaluates the
+// first and flags the second budget_exhausted, deterministically at
+// every worker count.
+func TestMaxEvalJoinsBudgetMidDepth(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 8} {
 		g := testLake(t, 200)
 		cfg := faultCfg(workers)
-		cfg.MaxJoinedRows = 300
+		cfg.MaxEvalJoins = 1
 		d, err := New(g, "base", "y", cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -304,11 +305,11 @@ func TestMaxJoinedRowsBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", workers, err)
 		}
-		if !r.Partial || r.PartialReason != "max_joined_rows" {
-			t.Fatalf("Workers=%d: Partial=%v reason=%q, want partial/max_joined_rows", workers, r.Partial, r.PartialReason)
+		if !r.Partial || r.PartialReason != "max_eval_joins" {
+			t.Fatalf("Workers=%d: Partial=%v reason=%q, want partial/max_eval_joins", workers, r.Partial, r.PartialReason)
 		}
 		if r.PathsExplored != 1 {
-			t.Fatalf("Workers=%d: explored %d joins, row budget admits 1", workers, r.PathsExplored)
+			t.Fatalf("Workers=%d: explored %d joins, budget admits 1", workers, r.PathsExplored)
 		}
 		if r.Prune.BudgetExhausted != 1 {
 			t.Fatalf("Workers=%d: budget_exhausted = %d, want 1", workers, r.Prune.BudgetExhausted)
@@ -319,7 +320,7 @@ func TestMaxJoinedRowsBudget(t *testing.T) {
 			continue
 		}
 		if got != want {
-			t.Fatalf("Workers=%d row-budget ranking differs:\n%s\nvs\n%s", workers, got, want)
+			t.Fatalf("Workers=%d mid-depth budget ranking differs:\n%s\nvs\n%s", workers, got, want)
 		}
 	}
 }

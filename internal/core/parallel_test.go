@@ -57,8 +57,9 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 }
 
 // TestParallelRunMatchesSequentialUnderCaps repeats the determinism check
-// with MaxPaths and beam pruning active, where the positional cap must fire
-// at the same enumeration index regardless of evaluation interleaving.
+// with the join budget and beam pruning active, where the positional
+// budget must fire at the same enumeration index regardless of
+// evaluation interleaving.
 func TestParallelRunMatchesSequentialUnderCaps(t *testing.T) {
 	g := testLake(t, 300)
 	var want *Ranking
@@ -66,7 +67,7 @@ func TestParallelRunMatchesSequentialUnderCaps(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		cfg := DefaultConfig()
 		cfg.NormalizeJoins = true
-		cfg.MaxPaths = 2
+		cfg.MaxEvalJoins = 2
 		cfg.BeamWidth = 1
 		cfg.Workers = workers
 		d, err := New(g, "base", "y", cfg)
@@ -79,8 +80,8 @@ func TestParallelRunMatchesSequentialUnderCaps(t *testing.T) {
 		}
 		if workers == 1 {
 			want, wantJSON = r, rankingJSON(t, r)
-			if want.Prune.MaxPathsCap == 0 {
-				t.Fatal("fixture must actually hit the MaxPaths cap")
+			if want.Prune.BudgetExhausted == 0 {
+				t.Fatal("fixture must actually exhaust the join budget")
 			}
 			continue
 		}

@@ -79,12 +79,11 @@ type ConfigSnapshot struct {
 	// "mrmr", ...); "none" when the stage was disabled.
 	Relevance  string `json:"relevance"`
 	Redundancy string `json:"redundancy"`
-	// TopK, MaxDepth, SampleSize, MaxPaths and BeamWidth mirror the Config
-	// fields of the same names.
+	// TopK, MaxDepth, SampleSize and BeamWidth mirror the Config fields
+	// of the same names.
 	TopK       int `json:"top_k"`
 	MaxDepth   int `json:"max_depth"`
 	SampleSize int `json:"sample_size"`
-	MaxPaths   int `json:"max_paths"`
 	BeamWidth  int `json:"beam_width"`
 	// SimilarityPruning and NormalizeJoins mirror the Config toggles.
 	SimilarityPruning bool `json:"similarity_pruning"`
@@ -93,11 +92,10 @@ type ConfigSnapshot struct {
 	Seed int64 `json:"seed"`
 	// Workers is the configured worker count (0 = GOMAXPROCS).
 	Workers int `json:"workers"`
-	// TimeoutSeconds, MaxEvalJoins and MaxJoinedRows are the run budgets;
-	// zero means unlimited.
+	// TimeoutSeconds and MaxEvalJoins are the run budgets; zero means
+	// unlimited.
 	TimeoutSeconds float64 `json:"timeout_seconds"`
 	MaxEvalJoins   int     `json:"max_eval_joins"`
-	MaxJoinedRows  int64   `json:"max_joined_rows"`
 }
 
 // TableInfo is one node of the graph inventory.
@@ -233,11 +231,11 @@ func (c Config) snapshot() ConfigSnapshot {
 	return ConfigSnapshot{
 		Tau: c.Tau, Kappa: c.Kappa, Relevance: rel, Redundancy: red,
 		TopK: c.TopK, MaxDepth: c.MaxDepth, SampleSize: c.SampleSize,
-		MaxPaths: c.MaxPaths, BeamWidth: c.BeamWidth,
+		BeamWidth:         c.BeamWidth,
 		SimilarityPruning: c.SimilarityPruning, NormalizeJoins: c.NormalizeJoins,
 		Seed: c.Seed, Workers: c.Workers,
 		TimeoutSeconds: c.Timeout.Seconds(),
-		MaxEvalJoins:   c.MaxEvalJoins, MaxJoinedRows: c.MaxJoinedRows,
+		MaxEvalJoins:   c.MaxEvalJoins,
 	}
 }
 

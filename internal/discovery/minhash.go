@@ -25,15 +25,18 @@ const DefaultSketchSize = sketch.DefaultSize
 // Sketch builds a MinHash signature of the column's distinct join keys.
 // k <= 0 uses DefaultSketchSize. A column carrying a persisted signature
 // of at least k slots (loaded from a columnar lake footer) is served
-// from that signature's prefix without rescanning any values — slot j is
+// from that signature's prefix without rehashing any values — slot j is
 // the same permutation at every sketch size, so the prefix is exact, not
-// an approximation.
+// an approximation. Its Cardinality is the column's DistinctCount,
+// counted from the cells like every other column's.
 func Sketch(c *frame.Column, k int) *MinHashSketch {
 	if k <= 0 {
 		k = DefaultSketchSize
 	}
 	if st := c.Stats(); st != nil && st.Sketch != nil && len(st.Sketch.Mins) >= k {
-		return st.Sketch.Prefix(k)
+		s := *st.Sketch.Prefix(k) // a copy: the persisted one is shared
+		s.Cardinality = c.DistinctCount()
+		return &s
 	}
 	s := sketch.New(k)
 	seen := make(map[string]struct{}, 256)

@@ -7,7 +7,7 @@
 //     mismatched bitmap, a missing column). One bad table prunes its own
 //     join paths; it never kills the process.
 //   - ErrBudgetExceeded — an enforceable resource budget ran out
-//     (Config.MaxEvalJoins, Config.MaxJoinedRows). The run degrades to a
+//     (Config.MaxEvalJoins). The run degrades to a
 //     partial result rather than failing.
 //   - ErrCancelled — the run's context was cancelled or its deadline
 //     (Config.Timeout) expired. Like budgets, cancellation degrades to a

@@ -6,8 +6,8 @@
 // Every column holds its cells in Go slices, whether it was parsed from
 // CSV, decoded from a packed columnar lake file (see columnar.go) or
 // derived by a join. A decoded column keeps no reference to the bytes it
-// was read from; what it adds over a CSV column is the statistics its
-// file persisted (see ColStats).
+// was read from; what it adds over a CSV column is the MinHash signature
+// its file persisted (see ColStats). Counts are always read from cells.
 //
 // The package is deliberately self-contained (stdlib plus the sibling sketch
 // package) and deterministic: every operation that involves randomness takes
@@ -15,6 +15,7 @@
 package frame
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -61,9 +62,8 @@ type Column struct {
 	name string
 	kind Kind
 	data *memData
-	// stats holds per-column statistics persisted in a columnar footer
-	// (distinct count, null count, MinHash sketch); nil for columns that
-	// were not decoded from a columnar file.
+	// stats holds the statistics persisted in a columnar footer; nil for
+	// columns that were not decoded from a columnar file.
 	stats *ColStats
 	// memo caches derived read-only views of the column. It lives behind a
 	// pointer so WithName copies share the cache (the backing storage is
@@ -72,17 +72,14 @@ type Column struct {
 }
 
 // ColStats carries the per-column statistics a columnar lake file persists
-// in its footer. Discovery reads them to skip whole-column scans on cold
-// open: Distinct seeds DistinctCount and Sketch stands in for a fresh
-// MinHash signature (bit-identical by construction — both sides use
-// internal/sketch).
+// in its footer. Sketch stands in for a fresh MinHash signature on cold
+// open (bit-identical by construction — both sides use internal/sketch).
+// The footer's distinct and null counts are not kept: an uploaded file
+// could lie about them, so DistinctCount and NullCount read the cells.
 type ColStats struct {
-	// Distinct is the exact distinct non-null key count.
-	Distinct int
-	// Nulls is the null-cell count.
-	Nulls int
 	// Sketch is the persisted MinHash signature of the distinct key set,
-	// or nil when the file predates sketch persistence.
+	// or nil when the file predates sketch persistence. Its Cardinality
+	// is left 0; discovery.Sketch sets the column's DistinctCount.
 	Sketch *sketch.MinHash
 }
 
@@ -94,8 +91,6 @@ func (c *Column) Stats() *ColStats { return c.stats }
 
 // colMemo holds lazily computed, immutable derivations of a column.
 type colMemo struct {
-	valueSetOnce sync.Once
-	valueSet     map[string]struct{}
 	distinctOnce sync.Once
 	distinct     int
 }
@@ -189,9 +184,6 @@ func (c *Column) IsValid(i int) bool { return c.data.valid(i) }
 func (c *Column) NullCount() int {
 	if c.data.validB == nil {
 		return 0
-	}
-	if c.stats != nil {
-		return c.stats.Nulls
 	}
 	n := 0
 	for i, l := 0, c.data.len(); i < l; i++ {
@@ -409,23 +401,48 @@ func (c *Column) stringCodes() []int {
 	return out
 }
 
-// DistinctCount returns the number of distinct non-null values. A column
-// loaded from a columnar lake file answers from its persisted footer stats
-// without touching cell data — the seed that lets DRG construction probe
-// join candidates on a cold open without scanning every column. Otherwise
-// the count is computed once and memoised through the column's memo (the
-// same sync.Once discipline as ValueSet): the discovery matcher probes it
-// per column per table pair, so an unmemoised count would rescan the column
-// quadratically during DRG construction. Safe for concurrent use.
+// DistinctCount returns the number of distinct non-null join keys (see
+// Key). The count is read from the cells once and memoised through the
+// column's memo: the discovery matcher probes it per column per table
+// pair, so an unmemoised count would rescan the column quadratically
+// during DRG construction. Only the count is kept, not the key set, so a
+// resident lake holds no per-column key maps. Safe for concurrent use.
 func (c *Column) DistinctCount() int {
-	if c.stats != nil {
-		return c.stats.Distinct
-	}
 	if c.memo == nil {
-		return len(c.buildValueSet())
+		return c.countDistinct()
 	}
-	c.memo.distinctOnce.Do(func() { c.memo.distinct = len(c.ValueSet()) })
+	c.memo.distinctOnce.Do(func() { c.memo.distinct = c.countDistinct() })
 	return c.memo.distinct
+}
+
+// countDistinct counts the key classes of the valid cells without
+// formatting a key. Two cells of one column share a key exactly when
+// they are equal or both NaN (every NaN keys as "NaN", and -0 keys as
+// 0), so sorting a copy of the values and counting runs gives the count.
+func (c *Column) countDistinct() int {
+	switch c.kind {
+	case Float:
+		return countSortedRuns(c.data.floats, c.data.valid)
+	case Int:
+		return countSortedRuns(c.data.ints, c.data.valid)
+	case String:
+		return countSortedRuns(c.data.strs, c.data.valid)
+	default:
+		return len(c.ValueSet())
+	}
+}
+
+// countSortedRuns counts the distinct valid values of vals, treating all
+// NaNs as one value.
+func countSortedRuns[T cmp.Ordered](vals []T, valid func(int) bool) int {
+	kept := make([]T, 0, len(vals))
+	for i, v := range vals {
+		if valid(i) {
+			kept = append(kept, v)
+		}
+	}
+	slices.Sort(kept)
+	return len(slices.CompactFunc(kept, func(a, b T) bool { return a == b || (a != a && b != b) }))
 }
 
 // Mode returns the most frequent non-null value as a formatted cell string
@@ -510,20 +527,10 @@ func (c *Column) Imputed() *Column {
 	return newMemColumn(c.name, c.kind, d)
 }
 
-// ValueSet returns the set of distinct non-null join keys, used by the
-// instance-based discovery matcher to estimate joinability. The set is
-// computed once and memoised (columns are immutable inside a Frame), so
-// the returned map is shared: callers must treat it as read-only. Safe
-// for concurrent use.
+// ValueSet returns a fresh set of the column's distinct non-null join
+// keys (see Key). It scans every cell on each call; DistinctCount
+// memoises its size without building it.
 func (c *Column) ValueSet() map[string]struct{} {
-	if c.memo == nil {
-		return c.buildValueSet()
-	}
-	c.memo.valueSetOnce.Do(func() { c.memo.valueSet = c.buildValueSet() })
-	return c.memo.valueSet
-}
-
-func (c *Column) buildValueSet() map[string]struct{} {
 	set := make(map[string]struct{}, 64)
 	for i, n := 0, c.Len(); i < n; i++ {
 		if k, ok := c.Key(i); ok {

@@ -200,6 +200,21 @@ func TestColumnDistinctAndValueSet(t *testing.T) {
 	if _, ok := set["a"]; !ok {
 		t.Fatal("value set must contain 'a'")
 	}
+	// DistinctCount counts values without formatting keys, so it must
+	// put cells in the classes Key does: every NaN is one key, -0 keys as
+	// 0, and a null cell is no key whatever value it holds.
+	nan := math.NaN()
+	for _, c := range []*Column{
+		NewFloatColumn("f", []float64{nan, math.Copysign(0, -1), 0, nan, 1e15, 1e15 + 2, 0.5, math.Inf(1), 7, 3},
+			[]bool{true, true, true, true, true, true, true, true, true, false}),
+		NewIntColumn("i", []int64{-1, 1, -1, math.MaxInt64, 5}, []bool{true, true, true, true, false}),
+		NewStringColumn("s", []string{"b", "", "b", "a"}, nil),
+		NewBoolColumn("b", []bool{true, true, false}, []bool{true, true, false}),
+	} {
+		if got, want := c.DistinctCount(), len(c.ValueSet()); got != want {
+			t.Errorf("column %q: DistinctCount %d, Key classes %d", c.Name(), got, want)
+		}
+	}
 }
 
 func TestColumnEqual(t *testing.T) {

@@ -17,8 +17,8 @@ import (
 // The columnar lake format (one file per table, extension FormatExt) lays a
 // table out as typed column blocks plus a JSON footer, so a lake open
 // decodes each column in one pass over its block — no CSV parsing, no type
-// inference and no re-sketching (the footer carries each column's distinct
-// count, null count and MinHash signature). The full byte-level
+// inference and no re-sketching (the footer locates each column's MinHash
+// signature). The full byte-level
 // specification lives in DESIGN.md §14; the constants below are audited
 // against it by cmd/doccheck.
 const (
@@ -73,8 +73,9 @@ type columnMeta struct {
 	// 8-byte LE slot minima.
 	SketchOff int `json:"sketch_off"`
 	SketchK   int `json:"sketch_k"`
-	// Distinct is the exact distinct non-null key count (doubles as the
-	// sketch cardinality).
+	// Distinct is the exact distinct non-null key count. Like Min and
+	// Max, the writer keeps it so the format stays as it is; the reader
+	// ignores it and counts the cells (Column.DistinctCount).
 	Distinct int `json:"distinct"`
 	// Min/Max bound the numeric values when HasRange is true. The writer
 	// keeps them so the format stays as it is; the reader ignores them.
@@ -250,7 +251,6 @@ func writeColumnBlocks(buf *bytes.Buffer, c *Column) (columnMeta, error) {
 		seen[key] = struct{}{}
 		s.AddHash(sketch.Hash64(key))
 	}
-	s.Cardinality = len(seen)
 	meta.Distinct = len(seen)
 	meta.SketchOff = buf.Len()
 	meta.SketchK = len(s.Mins)
@@ -391,9 +391,8 @@ func decodeColumn(buf []byte, rows, limit int, budget *blockBudget, m columnMeta
 			}
 		}
 	}
-	// NullCount answers from the footer's count, so a count the bitmap
-	// does not bear out would misreport the column and leave its nulls
-	// unimputed.
+	// NullCount reads the bitmap, not the footer; a footer count the
+	// bitmap does not bear out marks the file corrupt or hostile.
 	if m.Nulls != nulls {
 		return nil, fmt.Errorf("footer counts %d nulls, validity bitmap has %d", m.Nulls, nulls)
 	}
@@ -452,13 +451,13 @@ func decodeColumn(buf []byte, rows, limit int, budget *blockBudget, m columnMeta
 		}
 	}
 
-	stats := &ColStats{Distinct: m.Distinct, Nulls: nulls}
+	stats := &ColStats{}
 	if m.SketchK > 0 {
 		mins := make([]uint64, m.SketchK)
 		for j := range mins {
 			mins[j] = binary.LittleEndian.Uint64(buf[m.SketchOff+8*j:])
 		}
-		stats.Sketch = &sketch.MinHash{Mins: mins, Cardinality: m.Distinct}
+		stats.Sketch = &sketch.MinHash{Mins: mins}
 	}
 	return &Column{name: m.Name, kind: kind, data: d, stats: stats, memo: new(colMemo)}, nil
 }

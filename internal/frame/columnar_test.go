@@ -2,6 +2,7 @@ package frame
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -57,10 +58,10 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarStatsMatchRecomputation pins the tentpole contract: the
-// persisted footer stats (distinct count, sketch, range) must be exactly
-// what a fresh scan would produce, so discovery can serve from them
-// without validation.
+// TestColumnarStatsMatchRecomputation pins the columnar contract: the
+// persisted sketch must be exactly what a fresh scan would produce, so
+// discovery can serve from it, and the counts a decoded column reports
+// (read from its cells) equal its source's.
 func TestColumnarStatsMatchRecomputation(t *testing.T) {
 	src := mixedFrame("stats")
 	b, err := EncodeColumnar(src)
@@ -77,11 +78,11 @@ func TestColumnarStatsMatchRecomputation(t *testing.T) {
 		if st == nil {
 			t.Fatalf("col %q: no persisted stats", cg.Name())
 		}
-		if st.Distinct != cs.DistinctCount() {
-			t.Errorf("col %q: persisted distinct %d, recomputed %d", cg.Name(), st.Distinct, cs.DistinctCount())
+		if cg.DistinctCount() != cs.DistinctCount() {
+			t.Errorf("col %q: decoded distinct %d, source %d", cg.Name(), cg.DistinctCount(), cs.DistinctCount())
 		}
-		if st.Nulls != cs.NullCount() {
-			t.Errorf("col %q: persisted nulls %d, recomputed %d", cg.Name(), st.Nulls, cs.NullCount())
+		if cg.NullCount() != cs.NullCount() {
+			t.Errorf("col %q: decoded nulls %d, source %d", cg.Name(), cg.NullCount(), cs.NullCount())
 		}
 		if st.Sketch == nil {
 			t.Fatalf("col %q: no persisted sketch", cg.Name())
@@ -103,11 +104,10 @@ func TestColumnarStatsMatchRecomputation(t *testing.T) {
 				t.Fatalf("col %q: persisted sketch slot %d differs from fresh computation", cg.Name(), j)
 			}
 		}
-		if st.Sketch.Cardinality != len(seen) {
-			t.Errorf("col %q: sketch cardinality %d, want %d", cg.Name(), st.Sketch.Cardinality, len(seen))
+		if cg.DistinctCount() != len(seen) {
+			t.Errorf("col %q: DistinctCount %d, want %d", cg.Name(), cg.DistinctCount(), len(seen))
 		}
 	}
-	// DistinctCount on the columnar column must answer from stats.
 	if got.Column("city").DistinctCount() != 3 {
 		t.Errorf("columnar DistinctCount = %d, want 3", got.Column("city").DistinctCount())
 	}
@@ -164,6 +164,36 @@ func craftColumnar(payload []byte, footerJSON string) []byte {
 	b = append(b, FormatVersion)
 	b = append(b, FormatMagic...)
 	return b
+}
+
+// rewriteFooter re-encodes the footer of the columnar buffer b through
+// edit and keeps every block, so tests can make a well-formed file lie.
+func rewriteFooter(t *testing.T, b []byte, edit func(*fileFooter)) []byte {
+	t.Helper()
+	flen := int(binary.LittleEndian.Uint32(b[len(b)-trailerSize:]))
+	fstart := len(b) - trailerSize - flen
+	var footer fileFooter
+	if err := json.Unmarshal(b[fstart:fstart+flen], &footer); err != nil {
+		t.Fatal(err)
+	}
+	edit(&footer)
+	fb, err := json.Marshal(footer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return craftColumnar(b[headerSize:fstart], string(fb))
+}
+
+// distinctLieColumnar is a well-formed file whose footer claims
+// "distinct":0 for an int column holding 6 distinct keys.
+func distinctLieColumnar(t *testing.T) []byte {
+	f := New("lie")
+	f.AddColumn(NewIntColumn("k", []int64{1, 2, 3, 4, 5, 6, 6, 1}, nil))
+	b, err := EncodeColumnar(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rewriteFooter(t, b, func(ft *fileFooter) { ft.Columns[0].Distinct = 0 })
 }
 
 // sharedBlockColumnar assembles a file of one row whose cols float
@@ -225,6 +255,17 @@ func TestColumnarMaliciousFooter(t *testing.T) {
 			t.Errorf("%s: hostile footer decoded without error (frame reports %d rows)", name, f.NumRows())
 		}
 	}
+
+	// A footer can also lie without breaking any bound. A distinct count
+	// of 0 over 6 keys would make the matcher skip the column, so the
+	// count must come from the cells.
+	f, err := DecodeColumnar("distinct lie", distinctLieColumnar(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Column("k").DistinctCount(); got != 6 {
+		t.Fatalf("distinct lie: DistinctCount = %d, want the 6 keys the cells hold", got)
+	}
 }
 
 // TestColumnarSharedBlocksBoundAllocation decodes a 1 MiB file whose 100
@@ -247,10 +288,11 @@ func TestColumnarSharedBlocksBoundAllocation(t *testing.T) {
 
 // FuzzDecodeColumnar feeds arbitrary bytes to DecodeColumnar, the path
 // an uploaded .afc table takes. No input may panic: it either errors, or
-// every cell of the decoded frame reads through IsValid, Value, ValueSet
-// and (for non-string columns) Floats, its NullCount equals the nulls its
-// cells hold, and it survives EncodeColumnar and a second decode as an
-// Equal frame. The committed corpus seeds one encoded mixedFrame and the
+// every cell of the decoded frame reads through IsValid, Value and (for
+// non-string columns) Floats, its NullCount equals the nulls its cells
+// hold, its DistinctCount equals the distinct keys its cells hold, and it
+// survives EncodeColumnar and a second decode as an Equal frame. The
+// committed corpus seeds one encoded mixedFrame and the
 // TestColumnarMaliciousFooter shapes.
 func FuzzDecodeColumnar(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -261,16 +303,22 @@ func FuzzDecodeColumnar(f *testing.F) {
 		for ci := 0; ci < fr.NumCols(); ci++ {
 			c := fr.ColumnAt(ci)
 			nulls := 0
+			keys := map[string]bool{}
 			for i := 0; i < c.Len(); i++ {
 				if !c.IsValid(i) {
 					nulls++
+				}
+				if k, ok := c.Key(i); ok {
+					keys[k] = true
 				}
 				c.Value(i)
 			}
 			if c.NullCount() != nulls {
 				t.Fatalf("column %q: NullCount %d, cells hold %d nulls", c.Name(), c.NullCount(), nulls)
 			}
-			c.ValueSet()
+			if c.DistinctCount() != len(keys) {
+				t.Fatalf("column %q: DistinctCount %d, cells hold %d distinct keys", c.Name(), c.DistinctCount(), len(keys))
+			}
 			if c.Kind() != String {
 				c.Floats()
 			}

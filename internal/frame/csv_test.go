@@ -131,7 +131,8 @@ func TestInferColumnMixedIntFloat(t *testing.T) {
 
 // FuzzReadCSV feeds arbitrary bytes to ReadCSV. Any input must either
 // fail with an error or give a frame whose every cell reads without
-// panicking, and whose every numeric column discretises (as feature
+// panicking, whose every column's DistinctCount equals the distinct
+// keys its cells hold, and whose every numeric column discretises (as feature
 // selection bins it) into codes in [−1, bins), −1 exactly for NaN. The
 // committed corpus covers ±Inf, spans that overflow float64, nulls, a
 // byte-order mark, quoting and ragged rows.
@@ -144,11 +145,17 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		for ci := 0; ci < fr.NumCols(); ci++ {
 			c := fr.ColumnAt(ci)
+			keys := map[string]bool{}
 			for i := 0; i < c.Len(); i++ {
 				c.IsValid(i)
 				c.Value(i)
 				c.FormatCell(i)
-				c.Key(i)
+				if k, ok := c.Key(i); ok {
+					keys[k] = true
+				}
+			}
+			if c.DistinctCount() != len(keys) {
+				t.Fatalf("column %q: DistinctCount %d, cells hold %d distinct keys", c.Name(), c.DistinctCount(), len(keys))
 			}
 			if !c.Kind().IsNumeric() {
 				continue

@@ -1,9 +1,6 @@
 package frame
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func bigIntColumn(n int) *Column {
 	vals := make([]int64, n)
@@ -14,18 +11,15 @@ func bigIntColumn(n int) *Column {
 }
 
 // TestDistinctCountMemoised is the regression test for DistinctCount
-// rebuilding its value set on every call: repeated calls must agree and
-// must reuse the memoised ValueSet map rather than rescanning.
+// rescanning the column on every call: repeated calls must agree with
+// ValueSet and answer from the count stored in the column memo.
 func TestDistinctCountMemoised(t *testing.T) {
 	c := bigIntColumn(1000)
 	if got := c.DistinctCount(); got != 500 {
 		t.Fatalf("DistinctCount = %d, want 500", got)
 	}
-	// The memoised count must come from the same set ValueSet memoises:
-	// the shared map is the observable proof no rescan happens.
-	set := c.ValueSet()
-	if len(set) != c.DistinctCount() {
-		t.Fatal("memoised count disagrees with memoised set")
+	if len(c.ValueSet()) != c.DistinctCount() {
+		t.Fatal("memoised count disagrees with the value set")
 	}
 	if c.memo.distinct != 500 {
 		t.Fatal("count not stored in the column memo")
@@ -68,22 +62,18 @@ func BenchmarkDistinctCount(b *testing.B) {
 }
 
 // TestDistinctCountSpeedup is the failing-before/passing-after check in
-// test form: a warm column must answer thousands of DistinctCount
-// probes in the time a handful of cold scans take. It measures work, not
-// wall clock, by counting how many probes fit in a fixed value-set
-// rebuild budget.
+// test form: a warm column must answer DistinctCount probes without
+// scanning. It measures work, not wall clock: a rescan would build a
+// key set, so a warm probe must allocate nothing.
 func TestDistinctCountSpeedup(t *testing.T) {
 	c := bigIntColumn(50_000)
 	c.DistinctCount()
-	// 10k warm probes must not allocate a new set: the memo pointer is
-	// stable across all of them.
-	before := fmt.Sprintf("%p", c.memo.valueSet)
-	for i := 0; i < 10_000; i++ {
+	allocs := testing.AllocsPerRun(100, func() {
 		if c.DistinctCount() != 25_000 {
 			t.Fatal("wrong count")
 		}
-	}
-	if after := fmt.Sprintf("%p", c.memo.valueSet); after != before {
-		t.Fatal("warm DistinctCount rebuilt the value set")
+	})
+	if allocs != 0 {
+		t.Fatalf("warm DistinctCount allocated %v times per call: it rescanned the column", allocs)
 	}
 }

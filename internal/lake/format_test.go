@@ -1,6 +1,8 @@
 package lake
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,4 +130,74 @@ func TestLakePathsShadowing(t *testing.T) {
 	if len(paths) != 2 || paths[0] != want[0] || paths[1] != want[1] {
 		t.Fatalf("lakePaths = %v, want %v", paths, want)
 	}
+}
+
+// TestPackedLakeIgnoresFooterCounts packs a lake, rewrites every .afc
+// footer to claim "distinct":0 for each column, and requires the same
+// DRG as the CSV twin: the matcher must read distinct counts from the
+// cells, so a lying upload cannot drop or add join candidates.
+func TestPackedLakeIgnoresFooterCounts(t *testing.T) {
+	dir, _ := writeLakeDir(t)
+	if _, err := Pack(dir); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"+frame.FormatExt))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no packed tables: %v", err)
+	}
+	for _, path := range files {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, zeroFooterDistinct(t, b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	csv, err := Open(dir, WithFormat(FormatCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := Open(dir, WithFormat(FormatColumnar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := csv.DRG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := packed.DRG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NumEdges() == 0 {
+		t.Fatal("fixture lake has no DRG edges")
+	}
+	if got.DOT() != want.DOT() {
+		t.Fatalf("packed lake with lying footers builds a different DRG:\n%s\nvs CSV:\n%s", got.DOT(), want.DOT())
+	}
+}
+
+// zeroFooterDistinct rewrites the JSON footer of the columnar file b so
+// every column claims "distinct":0, keeping every block as it is.
+func zeroFooterDistinct(t *testing.T, b []byte) []byte {
+	t.Helper()
+	trailer := 4 + 1 + len(frame.FormatMagic)
+	flen := int(binary.LittleEndian.Uint32(b[len(b)-trailer:]))
+	fstart := len(b) - trailer - flen
+	var footer map[string]any
+	if err := json.Unmarshal(b[fstart:fstart+flen], &footer); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range footer["columns"].([]any) {
+		c.(map[string]any)["distinct"] = 0
+	}
+	fb, err := json.Marshal(footer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(append([]byte{}, b[:fstart]...), fb...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(fb)))
+	out = append(out, frame.FormatVersion)
+	return append(out, frame.FormatMagic...)
 }

@@ -146,7 +146,7 @@ func TestDiscoverWarmMatchesCold(t *testing.T) {
 // rankingKey flattens the parts of a ranking that must be bit-identical
 // across warm and cold runs.
 func rankingKey(r *core.Ranking) string {
-	s := fmt.Sprintf("explored=%d pruned=%d;", r.PathsExplored, r.PathsPruned)
+	s := fmt.Sprintf("explored=%d pruned=%d;", r.PathsExplored, r.Prune.Discarded())
 	for _, p := range r.Paths {
 		s += fmt.Sprintf("%s score=%.17g quality=%.17g features=%v;", p, p.Score, p.Quality, p.Features)
 	}

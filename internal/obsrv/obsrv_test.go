@@ -260,7 +260,7 @@ autofeat_span_seconds_relational_left_join_count 5
 // method on a nil receiver no-ops and Snapshot yields a zero status.
 func TestNilRunProgress(t *testing.T) {
 	var p *RunProgress
-	p.Begin("b", "b.y", 3, time.Second, 10, 100)
+	p.Begin("b", "b.y", 3, time.Second, 10)
 	p.SetPhase(PhaseDiscover)
 	p.SetWorkers(4)
 	p.BeginDepth(1, 2)
@@ -269,7 +269,6 @@ func TestNilRunProgress(t *testing.T) {
 	p.JoinStart()
 	p.JoinDone(telemetry.PruneJoinFailed)
 	p.AddPruned(telemetry.PruneSimilarity, 2)
-	p.AddRowsJoined(100)
 	p.AddPathsKept(1)
 	p.MarkPartial("deadline")
 	p.Finish()
@@ -286,7 +285,7 @@ func TestRunProgressLifecycle(t *testing.T) {
 	if got := p.Snapshot().Phase; got != PhasePending {
 		t.Fatalf("initial phase %q", got)
 	}
-	p.Begin("base", "base.y", 3, 2*time.Second, 50, 1000)
+	p.Begin("base", "base.y", 3, 2*time.Second, 50)
 	p.SetWorkers(4)
 	p.SetPhase(PhaseDiscover)
 	p.BeginDepth(1, 1)
@@ -298,7 +297,6 @@ func TestRunProgressLifecycle(t *testing.T) {
 	p.JoinDone(telemetry.PruneQualityBelowTau)
 	p.AddPruned(telemetry.PruneSimilarity, 2)
 	p.AddPruned("not_a_reason", 9) // dropped, not counted
-	p.AddRowsJoined(500)
 	p.AddPathsKept(1)
 
 	st := p.Snapshot()
@@ -321,8 +319,7 @@ func TestRunProgressLifecycle(t *testing.T) {
 		t.Fatalf("worker occupancy wrong: %+v", st)
 	}
 	b := st.Budgets
-	if b.TimeoutSeconds != 2 || b.MaxEvalJoins != 50 || b.EvalJoinsUsed != 2 ||
-		b.MaxJoinedRows != 1000 || b.JoinedRowsUsed != 500 {
+	if b.TimeoutSeconds != 2 || b.MaxEvalJoins != 50 || b.EvalJoinsUsed != 2 {
 		t.Fatalf("budgets wrong: %+v", b)
 	}
 
@@ -349,7 +346,7 @@ func TestRunProgressLifecycle(t *testing.T) {
 func TestServerEndpoints(t *testing.T) {
 	srv := NewServer(Config{Collector: telemetry.New(), EnablePprof: true})
 	p := NewRunProgress("run-a")
-	p.Begin("base", "base.y", 3, 0, 0, 0)
+	p.Begin("base", "base.y", 3, 0, 0)
 	p.SetPhase(PhaseDiscover)
 	srv.Register(p)
 	srv.Register(nil)            // ignored

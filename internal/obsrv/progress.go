@@ -38,7 +38,6 @@ var pruneReasons = []string{
 	telemetry.PruneJoinFailed,
 	telemetry.PruneQualityBelowTau,
 	telemetry.PruneBeamEvicted,
-	telemetry.PruneMaxPathsCap,
 	telemetry.PruneBudgetExhausted,
 	telemetry.PruneCancelled,
 }
@@ -78,14 +77,12 @@ type RunProgress struct {
 	joinsEnumerated            atomic.Int64
 	joinsEvaluated             atomic.Int64
 	pathsKept                  atomic.Int64
-	pruned                     [7]atomic.Int64 // indexed by pruneSlot
-	rowsJoined                 atomic.Int64
+	pruned                     [6]atomic.Int64 // indexed by pruneSlot
 
 	workers, workersBusy atomic.Int64
 
-	timeoutNS     atomic.Int64
-	maxEvalJoins  atomic.Int64
-	maxJoinedRows atomic.Int64
+	timeoutNS    atomic.Int64
+	maxEvalJoins atomic.Int64
 
 	partial atomic.Bool
 	done    atomic.Bool
@@ -108,7 +105,7 @@ func (p *RunProgress) ID() string {
 
 // Begin records the run's identity and limits and stamps the start time.
 // Called once by Discovery.RunContext before the traversal starts.
-func (p *RunProgress) Begin(base, label string, maxDepth int, timeout time.Duration, maxEvalJoins int, maxJoinedRows int64) {
+func (p *RunProgress) Begin(base, label string, maxDepth int, timeout time.Duration, maxEvalJoins int) {
 	if p == nil {
 		return
 	}
@@ -119,7 +116,6 @@ func (p *RunProgress) Begin(base, label string, maxDepth int, timeout time.Durat
 	p.maxDepth.Store(int64(maxDepth))
 	p.timeoutNS.Store(int64(timeout))
 	p.maxEvalJoins.Store(int64(maxEvalJoins))
-	p.maxJoinedRows.Store(maxJoinedRows)
 }
 
 // SetPhase advances the run to the named pipeline phase.
@@ -204,14 +200,6 @@ func (p *RunProgress) AddPruned(reason string, n int) {
 	}
 }
 
-// AddRowsJoined advances the cumulative joined-rows budget consumption.
-func (p *RunProgress) AddRowsJoined(n int64) {
-	if p == nil {
-		return
-	}
-	p.rowsJoined.Add(n)
-}
-
 // AddPathsKept counts paths that survived into the ranking.
 func (p *RunProgress) AddPathsKept(n int) {
 	if p == nil {
@@ -250,8 +238,6 @@ type RunBudgets struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	MaxEvalJoins   int64   `json:"max_eval_joins"`
 	EvalJoinsUsed  int64   `json:"eval_joins_used"`
-	MaxJoinedRows  int64   `json:"max_joined_rows"`
-	JoinedRowsUsed int64   `json:"joined_rows_used"`
 }
 
 // RunStatus is the JSON document served at /runs/{id}: a point-in-time
@@ -320,8 +306,6 @@ func (p *RunProgress) Snapshot() RunStatus {
 		TimeoutSeconds: time.Duration(p.timeoutNS.Load()).Seconds(),
 		MaxEvalJoins:   p.maxEvalJoins.Load(),
 		EvalJoinsUsed:  st.Evaluated,
-		MaxJoinedRows:  p.maxJoinedRows.Load(),
-		JoinedRowsUsed: p.rowsJoined.Load(),
 	}
 	if start := st.StartedUnixMS; start > 0 {
 		end := p.endedUnixMS.Load()

@@ -532,7 +532,11 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "dir is required")
 		return
 	}
-	stored := c.store.AddLake(req)
+	stored, err := c.store.AddLake(req)
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
 	owner, ok := c.ownerFor(stored.ID)
 	if !ok {
 		// Recorded but not yet placed; the first worker to join picks it
@@ -668,13 +672,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req submitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if req.Lake == "" || req.Base == "" || req.Label == "" {
-		writeError(w, http.StatusBadRequest, "lake, base and label are required")
+	req, ok := decodeSubmit(w, body)
+	if !ok {
 		return
 	}
 	if c.store.LakeByID(req.Lake) == nil {
@@ -702,7 +701,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		traceparent = r.Header.Get("traceparent")
 	}
-	job := c.store.AddJob(tenant, req.Lake, body, traceparent, c.clock())
+	job, err := c.store.AddJob(tenant, req.Lake, body, traceparent, c.clock())
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
 	c.log.Info("cluster job admitted", "id", job.ID, "lake", job.Lake, "tenant", tenant)
 	c.dispatch(r.Context(), job.ID)
 	job, _ = c.store.Job(job.ID)

@@ -495,17 +495,26 @@ func TestJobStoreRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.AddLake(StoredLake{ID: "lake-001", Dir: "/data"})
+	if _, err := s1.AddLake(StoredLake{ID: "lake-001", Dir: "/data"}); err != nil {
+		t.Fatal(err)
+	}
 	// An id-less registration skips the explicit lake-001.
-	if auto := s1.AddLake(StoredLake{Dir: "/other"}); auto.ID == "lake-001" {
+	auto, err := s1.AddLake(StoredLake{Dir: "/other"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.ID == "lake-001" {
 		t.Errorf("auto-assigned id %q replaced the explicit lake", auto.ID)
 	}
 	if got := s1.Lakes(); len(got) != 2 || s1.LakeByID("lake-001").Dir != "/data" {
 		t.Errorf("lakes after an auto id = %+v, want lake-001 on /data plus one more", got)
 	}
 	now := time.Unix(1_700_000_000, 0)
-	a := s1.AddJob("t1", "lake-001", json.RawMessage(`{"base":"b"}`), "", now)
-	b := s1.AddJob("t1", "lake-001", json.RawMessage(`{"base":"b"}`), "", now)
+	a, errA := s1.AddJob("t1", "lake-001", json.RawMessage(`{"base":"b"}`), "", now)
+	b, errB := s1.AddJob("t1", "lake-001", json.RawMessage(`{"base":"b"}`), "", now)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	s1.Update(a.ID, func(j *StoredJob) { j.State = ClusterDispatched; j.Worker = "w1"; j.WorkerJob = "job-001" })
 	s1.Update(b.ID, func(j *StoredJob) { j.State = StateDone; j.Worker = "w1" })
 
@@ -781,6 +790,61 @@ func TestReplicationReachesRejoinedWorker(t *testing.T) {
 	cs.coord.Sweep()
 	if got, want := b.agent.Replica(), cs.coord.Store().Snapshot(); !bytes.Equal(got, want) {
 		t.Fatalf("rejoined worker-b replica:\n%s\nwant the current store:\n%s", got, want)
+	}
+}
+
+// TestCoordinatorRejectsUnpersistedRecords points the coordinator's
+// store at a directory that does not exist. A lake registration and a
+// submission then answer 503 and leave nothing behind, since a restart
+// would lose them; once the directory exists the next one is admitted
+// and reaches the file.
+func TestCoordinatorRejectsUnpersistedRecords(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	path := filepath.Join(dir, "store.json")
+	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second, StorePath: path}, Config{Workers: 1})
+	store := cs.coord.Store()
+	lakeReq := StoredLake{ID: "lake-001", Dir: cs.dir}
+	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", lakeReq, nil); r.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("unwritable store: lake registration status %d, want 503", r.StatusCode)
+	}
+	if store.LakeByID("lake-001") != nil {
+		t.Fatal("kept a lake registration the store could not persist")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", lakeReq, nil); r.StatusCode != http.StatusCreated {
+		t.Fatalf("writable store: lake registration status %d, want 201", r.StatusCode)
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	req := submitRequest{Lake: "lake-001", Base: cs.ds.Base.Name(), Label: cs.ds.Label}
+	if r := postJSON(t, cs.coordTS.URL+"/v1/discoveries", req, nil); r.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("unwritable store: submission status %d, want 503", r.StatusCode)
+	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("kept %d jobs the store could not persist", n)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if r := postJSON(t, cs.coordTS.URL+"/v1/discoveries", req, &acc); r.StatusCode != http.StatusAccepted {
+		t.Fatalf("writable store: submission status %d, want 202", r.StatusCode)
+	}
+	if acc.ID != "cjob-000001" {
+		t.Errorf("admitted job id %q: the rejected submission used up an id", acc.ID)
+	}
+	disk, err := NewJobStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := disk.Job(acc.ID); !ok || disk.LakeByID("lake-001") == nil {
+		t.Errorf("store file lacks the admitted job %s or lake-001", acc.ID)
 	}
 }
 

@@ -331,7 +331,10 @@ func TestJobStoreRetention(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	var ids []string
 	for i := 0; i < 5; i++ {
-		j := s.AddJob("t1", "lake-001", json.RawMessage(`{}`), "", now)
+		j, err := s.AddJob("t1", "lake-001", json.RawMessage(`{}`), "", now)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ids = append(ids, j.ID)
 	}
 	for _, id := range ids[:3] {

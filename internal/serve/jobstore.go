@@ -266,7 +266,7 @@ func (s *JobStore) SetRetention(maxTerminal int) {
 	}
 	s.maxTerminal = maxTerminal
 	if s.enforceRetention() {
-		s.persist()
+		_ = s.persist() // a failed write is carried by the next successful one
 	}
 }
 
@@ -317,18 +317,22 @@ func (s *JobStore) enforceRetention() bool {
 	return true
 }
 
-// persist atomically rewrites the store file. Callers hold the lock.
-func (s *JobStore) persist() {
+// persist bumps the version and atomically rewrites the store file.
+// Callers hold the lock.
+func (s *JobStore) persist() error {
 	s.enforceRetention()
 	s.version++
 	if s.path == "" {
-		return
+		return nil
 	}
 	b, err := json.MarshalIndent(s.doc(), "", "  ")
 	if err != nil {
-		return
+		return err
 	}
-	_ = atomicWriteFile(s.path, append(b, '\n'))
+	if err := atomicWriteFile(s.path, append(b, '\n')); err != nil {
+		return fmt.Errorf("serve: persist job store: %w", err)
+	}
+	return nil
 }
 
 // atomicWriteFile writes b to path via a same-directory temp file and
@@ -342,19 +346,32 @@ func atomicWriteFile(path string, b []byte) error {
 }
 
 // AddLake records a lake registration and returns its id (assigning the
-// next free "lake-NNN" when l.ID is empty).
-func (s *JobStore) AddLake(l StoredLake) *StoredLake {
+// next free "lake-NNN" when l.ID is empty). When the store file cannot
+// be written it returns the error and keeps nothing: a registration a
+// restart would lose is not admitted.
+func (s *JobStore) AddLake(l StoredLake) (*StoredLake, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	nextLake := s.nextLake
 	if l.ID == "" {
 		l.ID = nextLakeID(&s.nextLake, func(id string) bool { return s.lakes[id] != nil })
 	}
-	if _, ok := s.lakes[l.ID]; !ok {
+	prev, replaced := s.lakes[l.ID]
+	if !replaced {
 		s.lakeIDs = append(s.lakeIDs, l.ID)
 	}
 	s.lakes[l.ID] = &l
-	s.persist()
-	return &l
+	if err := s.persist(); err != nil {
+		s.nextLake = nextLake
+		if replaced {
+			s.lakes[l.ID] = prev
+		} else {
+			delete(s.lakes, l.ID)
+			s.lakeIDs = s.lakeIDs[:len(s.lakeIDs)-1]
+		}
+		return nil, err
+	}
+	return &l, nil
 }
 
 // nextLakeID advances *counter to the next "lake-NNN" that taken does
@@ -392,8 +409,10 @@ func (s *JobStore) Lakes() []StoredLake {
 }
 
 // AddJob records a newly admitted job in ClusterQueued state and
-// returns its copy with the assigned "cjob-NNNNNN" id.
-func (s *JobStore) AddJob(tenant, lakeID string, body json.RawMessage, traceparent string, now time.Time) StoredJob {
+// returns its copy with the assigned "cjob-NNNNNN" id. When the store
+// file cannot be written it returns the error and keeps nothing: a job
+// a restart would lose is not admitted.
+func (s *JobStore) AddJob(tenant, lakeID string, body json.RawMessage, traceparent string, now time.Time) (StoredJob, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextJob++
@@ -408,8 +427,13 @@ func (s *JobStore) AddJob(tenant, lakeID string, body json.RawMessage, tracepare
 	}
 	s.jobs[j.ID] = j
 	s.jobIDs = append(s.jobIDs, j.ID)
-	s.persist()
-	return *j
+	if err := s.persist(); err != nil {
+		delete(s.jobs, j.ID)
+		s.jobIDs = s.jobIDs[:len(s.jobIDs)-1]
+		s.nextJob--
+		return StoredJob{}, err
+	}
+	return *j, nil
 }
 
 // Job returns a copy of the stored job with the given id; ok reports
@@ -435,7 +459,9 @@ func (s *JobStore) Jobs() []StoredJob {
 }
 
 // Update applies fn to the stored job with the given id under the lock
-// and persists the result; it reports whether the job exists.
+// and persists the result; it reports whether the job exists. A failed
+// write keeps the update in memory: the next successful write carries
+// it.
 func (s *JobStore) Update(id string, fn func(*StoredJob)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -444,7 +470,7 @@ func (s *JobStore) Update(id string, fn func(*StoredJob)) bool {
 		return false
 	}
 	fn(j)
-	s.persist()
+	_ = s.persist() // a failed write is carried by the next successful one
 	return true
 }
 

@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -429,6 +430,8 @@ func (s *Service) handleTableDrop(w http.ResponseWriter, r *http.Request) {
 
 // submitRequest is the POST /v1/discoveries body. Zero-valued optional
 // fields fall back to core.DefaultConfig (and the lake's DRG defaults).
+// It is decoded strictly (decodeSubmit): a field it does not name is a
+// 400, so a removed option fails loudly instead of being ignored.
 type submitRequest struct {
 	// Lake is the registered lake id (required).
 	Lake string `json:"lake"`
@@ -442,18 +445,17 @@ type submitRequest struct {
 	Matcher   string  `json:"matcher,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 	// Discovery hyper-parameters (0 = default).
-	Tau      float64 `json:"tau,omitempty"`
-	Kappa    int     `json:"kappa,omitempty"`
-	TopK     int     `json:"topk,omitempty"`
-	Depth    int     `json:"depth,omitempty"`
-	Beam     int     `json:"beam,omitempty"`
-	Workers  int     `json:"workers,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-	MaxPaths int     `json:"max_paths,omitempty"`
-	// Budgets (0 = service default timeout / unlimited).
+	Tau     float64 `json:"tau,omitempty"`
+	Kappa   int     `json:"kappa,omitempty"`
+	TopK    int     `json:"topk,omitempty"`
+	Depth   int     `json:"depth,omitempty"`
+	Beam    int     `json:"beam,omitempty"`
+	Workers int     `json:"workers,omitempty"`
+	Seed    int64   `json:"seed,omitempty"`
+	// Budgets (0 = the service's default timeout and the default join
+	// budget of core.DefaultConfig).
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 	BudgetJoins    int     `json:"budget_joins,omitempty"`
-	BudgetRows     int64   `json:"budget_rows,omitempty"`
 }
 
 // config resolves the request's overrides over core.DefaultConfig.
@@ -480,15 +482,13 @@ func (r submitRequest) config(def time.Duration) core.Config {
 	if r.Seed != 0 {
 		cfg.Seed = r.Seed
 	}
-	if r.MaxPaths > 0 {
-		cfg.MaxPaths = r.MaxPaths
-	}
 	cfg.Timeout = def
 	if r.TimeoutSeconds > 0 {
 		cfg.Timeout = time.Duration(r.TimeoutSeconds * float64(time.Second))
 	}
-	cfg.MaxEvalJoins = r.BudgetJoins
-	cfg.MaxJoinedRows = r.BudgetRows
+	if r.BudgetJoins > 0 {
+		cfg.MaxEvalJoins = r.BudgetJoins
+	}
 	return cfg
 }
 
@@ -497,12 +497,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "service is draining")
 		return
 	}
-	var req submitRequest
-	if !decodeBody(w, r, maxBodyBytes, &req) {
+	body, ok := readBody(w, r, maxBodyBytes)
+	if !ok {
 		return
 	}
-	if req.Lake == "" || req.Base == "" || req.Label == "" {
-		writeError(w, http.StatusBadRequest, "lake, base and label are required")
+	req, ok := decodeSubmit(w, body)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
@@ -855,6 +855,29 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte,
 		return body, true
 	}
 	return nil, false
+}
+
+// decodeSubmit decodes a POST /v1/discoveries body with unknown fields
+// disallowed and checks its required fields. On failure it answers 400
+// and returns false. Only the client-facing submit body is strict:
+// cluster messages stay additive-only (DESIGN §12).
+func decodeSubmit(w http.ResponseWriter, body []byte) (submitRequest, bool) {
+	var req submitRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil && len(bytes.TrimSpace(body[dec.InputOffset():])) > 0 {
+		err = errors.New("data after the top-level value")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		return req, false
+	}
+	if req.Lake == "" || req.Base == "" || req.Label == "" {
+		writeError(w, http.StatusBadRequest, "lake, base and label are required")
+		return req, false
+	}
+	return req, true
 }
 
 // decodeBody reads r's JSON body, at most limit bytes, into v. On

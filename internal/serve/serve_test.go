@@ -231,6 +231,52 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitConfigKeepsDefaultBudget pins the one join budget at the
+// submit body: a zero budget_joins keeps DefaultConfig's 3000, and a
+// positive one replaces it.
+func TestSubmitConfigKeepsDefaultBudget(t *testing.T) {
+	def := core.DefaultConfig().MaxEvalJoins
+	if got := (submitRequest{}).config(0).MaxEvalJoins; got != def || def != 3000 {
+		t.Fatalf("zero budget_joins: MaxEvalJoins = %d, want the default 3000 (DefaultConfig has %d)", got, def)
+	}
+	if got := (submitRequest{BudgetJoins: 7}).config(0).MaxEvalJoins; got != 7 {
+		t.Fatalf("budget_joins 7: MaxEvalJoins = %d", got)
+	}
+}
+
+// TestSubmitRejectsRemovedFields checks that a submit body naming a field
+// the service does not know, such as the removed max_paths and
+// budget_rows limits, gets 400 on a single node and on a coordinator
+// instead of running with the field ignored.
+func TestSubmitRejectsRemovedFields(t *testing.T) {
+	st := newStack(t, Config{Workers: 1})
+	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
+	postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-test", Dir: cs.dir}, nil)
+	for _, field := range []string{"max_paths", "budget_rows"} {
+		body := map[string]any{"lake": "lake-test", "base": st.ds.Base.Name(), "label": st.ds.Label, field: 10}
+		for role, url := range map[string]string{"single node": st.ts.URL, "coordinator": cs.coordTS.URL} {
+			var e struct {
+				Error string `json:"error"`
+			}
+			if r := postJSON(t, url+"/v1/discoveries", body, &e); r.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, field) {
+				t.Errorf("%s: %s in the submit body: status %d, error %q; want 400 naming the field", role, field, r.StatusCode, e.Error)
+			}
+		}
+	}
+	if n := cs.coord.Store().Len(); n != 0 {
+		t.Errorf("coordinator admitted %d jobs with unknown fields", n)
+	}
+	resp, err := http.Post(st.ts.URL+"/v1/discoveries", "application/json",
+		strings.NewReader(`{"lake":"lake-test","base":"b","label":"l"} {}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("data after the submit body: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestConcurrentJobsShareCaches is the cross-request caching invariant,
 // end to end: two overlapping jobs against one lake session race freely
 // (run under -race), a follow-up job sees warm cache hits, and every
@@ -286,7 +332,7 @@ func TestConcurrentJobsShareCaches(t *testing.T) {
 // rankingKey flattens the deterministic parts of a ranking for
 // bit-identical comparison across processes and cache temperatures.
 func rankingKey(r *core.Ranking) string {
-	s := fmt.Sprintf("explored=%d pruned=%d;", r.PathsExplored, r.PathsPruned)
+	s := fmt.Sprintf("explored=%d pruned=%d;", r.PathsExplored, r.Prune.Discarded())
 	for _, p := range r.Paths {
 		s += fmt.Sprintf("%s score=%.17g quality=%.17g features=%v;", p, p.Score, p.Quality, p.Features)
 	}

@@ -21,8 +21,7 @@ type Snapshot struct {
 }
 
 // Pruning collects the "discovery.pruned.<reason>" counters into one
-// reason -> count breakdown (the per-reason replacement for the old
-// lumped PathsPruned). Reasons never incremented are absent.
+// reason -> count breakdown. Reasons never incremented are absent.
 func (s *Snapshot) Pruning() map[string]int64 {
 	out := map[string]int64{}
 	for name, v := range s.Counters {

@@ -240,8 +240,8 @@ const CtrPrunedPrefix = "discovery.pruned."
 
 // Pruning reasons. JoinFailed and QualityBelowTau discard evaluated
 // joins (their counters sum to PathsExplored - len(Paths)); Similarity,
-// BeamEvicted, MaxPathsCap, BudgetExhausted and Cancelled truncate the
-// search space before or after evaluation and are tracked separately.
+// BeamEvicted, BudgetExhausted and Cancelled truncate the search space
+// before or after evaluation and are tracked separately.
 const (
 	// PruneSimilarity counts parallel edges dropped by similarity-score
 	// pruning before evaluation.
@@ -254,12 +254,9 @@ const (
 	PruneQualityBelowTau = "quality_below_tau"
 	// PruneBeamEvicted counts frontier states dropped by beam search.
 	PruneBeamEvicted = "beam_evicted"
-	// PruneMaxPathsCap counts candidate edges skipped once the MaxPaths
-	// safety valve fired.
-	PruneMaxPathsCap = "max_paths_cap"
-	// PruneBudgetExhausted counts candidate edges skipped because an
-	// enforceable budget (MaxEvalJoins, MaxJoinedRows) ran out; the run
-	// returns a partial ranking.
+	// PruneBudgetExhausted counts candidate edges skipped because the
+	// join budget (MaxEvalJoins) ran out; the run returns a partial
+	// ranking.
 	PruneBudgetExhausted = "budget_exhausted"
 	// PruneCancelled counts candidate edges abandoned when the run's
 	// context was cancelled or its deadline expired; the run returns a
