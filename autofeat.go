@@ -9,9 +9,10 @@
 //
 // The primary entry points are OpenLake (load a lake once, keep it
 // resident) and Lake.Discover (run one augmentation request against it);
-// the Lake memoises the Dataset Relation Graph per matcher setting and
-// shares a join-key index cache across requests, so repeated discoveries
-// skip the paper's offline phase entirely:
+// the Lake builds its Dataset Relation Graph once, under the matcher and
+// threshold (or KFK constraints) it was opened with, and shares a
+// join-key index cache across requests, so repeated discoveries skip the
+// paper's offline phase entirely:
 //
 //	lk, _ := autofeat.OpenLake("lake/")             // offline phase, paid once
 //	res, _ := lk.Discover(ctx, autofeat.Request{
@@ -20,8 +21,10 @@
 //	fmt.Println(res.Augment.Best.Path, res.Augment.Best.Eval.Accuracy)
 //
 // Graphs and discoveries are built only through a Lake: Lake.DRG returns
-// the memoised graph, Lake.NewDiscovery prepares a two-step run and
-// Lake.AutoTune grid-searches τ and κ.
+// its graph, Lake.NewDiscovery prepares a two-step run and Lake.AutoTune
+// grid-searches τ and κ. A lake's DRG settings are fixed when it is
+// opened; to compare two settings over one set of tables, open two lakes
+// (NewLake(l.Tables(), opts...) shares the frames).
 // Context-first methods are the canonical pipeline API:
 // Discovery.RunContext and Discovery.AugmentContext (Run and Augment are
 // the same calls under context.Background()).
@@ -106,17 +109,18 @@ type EvalResult = ml.EvalResult
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Lake is a resident data-lake session — the primary entry point of the
-// package. A Lake loads its tables once, memoises the DRG per (matcher,
-// threshold) or KFK set, and shares one join-key index cache across every
-// discovery run against it, so repeated discoveries skip the paper's
-// offline phase. Safe for concurrent use; the long-lived discovery
+// package. A Lake loads its tables once, builds its one DRG once under
+// the settings it was opened with, and shares one join-key index cache
+// across every discovery run against it, so repeated discoveries skip
+// the paper's offline phase. Safe for concurrent use; the long-lived discovery
 // service (`autofeat serve`) schedules many overlapping requests against
 // one Lake.
 type Lake = lake.Lake
 
-// LakeOption configures a Lake at open time or overrides its defaults
-// for one DRG build / Discover call: WithMatcher, WithThreshold,
-// WithKFKs.
+// LakeOption configures a Lake when it is opened (OpenLake,
+// OpenLakeLenient, NewLake, Discover): WithMatcher, WithThreshold,
+// WithKFKs, WithFormat. The settings hold for the lake's lifetime; a
+// caller that wants another one opens a second lake.
 type LakeOption = lake.Option
 
 // MatcherKind names a DRG construction strategy: MatcherExact or
@@ -134,7 +138,7 @@ const (
 )
 
 // Request describes one discovery run against a Lake: base table, label
-// column, optional model name and per-request overrides.
+// column, optional model name and discovery configuration.
 type Request = lake.Request
 
 // LakeResult is the outcome of one Lake.Discover call: ranking,
@@ -163,10 +167,10 @@ const (
 // *.afc tables load (WithFormat pins one); packed tables are decoded
 // without parsing, with their discovery sketches precomputed, which is
 // what makes cold opens of large lakes cheap — see PackLake. Options
-// set the lake-wide DRG defaults: matcher kind (WithMatcher), threshold
-// (WithThreshold) or declared constraints (WithKFKs). A directory
-// without table files is an error; an unparsable file aborts with an
-// ErrBadInput-matching error naming it.
+// fix the lake's DRG settings: matcher kind (WithMatcher), threshold
+// (WithThreshold) or declared constraints (WithKFKs). An unknown
+// matcher or format and a directory without table files are errors; an
+// unparsable file aborts with an ErrBadInput-matching error naming it.
 func OpenLake(dir string, opts ...LakeOption) (*Lake, error) { return lake.Open(dir, opts...) }
 
 // PackLake converts a CSV lake directory in place: every *.csv table is

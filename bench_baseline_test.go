@@ -270,26 +270,22 @@ func benchTraced(t *testing.T) benchDoc {
 }
 
 // benchIndex is DRG construction scoring every table pair with the
-// exact matcher ("quadratic") against the LSH index verifying only its
-// bucket collisions ("indexed"), at 16/64/256 tables (the workers
-// field), after asserting both build the same edges. The register rows
-// absorb one table into 256: a rebuild from scratch ("register_cold")
-// against Lake.RegisterTable patching a warm lake ("register_incr").
+// exact matcher ("quadratic") against the build every lake runs
+// ("indexed": lake.New(tabs).DRG(), which sketches the tables, fills the
+// lake's LSH index and verifies only its bucket collisions), at
+// 16/64/256 tables (the workers field), after asserting both build the
+// same edges. The register_incr row absorbs one table into a warm
+// 256-table lake with Lake.RegisterTable, against the indexed build of
+// 256 tables from scratch.
 func benchIndex(t *testing.T) benchDoc {
-	const threshold = lake.DefaultThreshold
 	m := discovery.NewMatcher()
 	var rows []benchRow
+	var cold benchRow
 	for _, size := range []struct{ n, iters int }{{16, 5}, {64, 5}, {256, 3}} {
 		n, iters := size.n, size.iters
 		tabs := indexBenchTables(n)
-		quadratic := func() (*Graph, error) { return discovery.DiscoverDRGQuadratic(tabs, threshold, m) }
-		indexed := func() (*Graph, error) {
-			idx := discovery.NewLSHIndex(0, 0)
-			for _, f := range tabs {
-				idx.Add(f)
-			}
-			return discovery.DiscoverDRGIndexed(tabs, threshold, m, idx)
-		}
+		quadratic := func() (*Graph, error) { return discovery.DiscoverDRGQuadratic(tabs, lake.DefaultThreshold, m) }
+		indexed := func() (*Graph, error) { return lake.New(tabs).DRG() }
 		quadG, errQ := quadratic()
 		idxG, errI := indexed()
 		if err := errors.Join(errQ, errI); err != nil {
@@ -299,16 +295,12 @@ func benchIndex(t *testing.T) benchDoc {
 			t.Fatalf("n=%d: edge mismatch: quadratic %d, indexed %d", n, quadG.NumEdges(), idxG.NumEdges())
 		}
 		quad := timeRow(t, "quadratic", n, iters, func() error { _, err := quadratic(); return err })
-		idx := timeRow(t, "indexed", n, iters, func() error { _, err := indexed(); return err })
-		rows = append(rows, quad, idx.vs(quad))
+		cold = timeRow(t, "indexed", n, iters, func() error { _, err := indexed(); return err }).vs(quad)
+		rows = append(rows, quad, cold)
 	}
 
 	const n = 256
 	tabs := indexBenchTables(n + 1)
-	cold := timeRow(t, "register_cold", n, 3, func() error {
-		_, err := lake.New(tabs).DRG()
-		return err
-	})
 	resident := lake.New(tabs[:n])
 	if _, err := resident.DRG(); err != nil {
 		t.Fatal(err)
@@ -322,7 +314,7 @@ func benchIndex(t *testing.T) benchDoc {
 		_, err := resident.DRG()
 		return err
 	})
-	rows = append(rows, cold, incr.vs(cold))
+	rows = append(rows, incr.vs(cold))
 	return benchDoc{Benchmark: "BenchmarkIndexedDRG", Dataset: "grouped-key synthetic lake (8 tables per key group)",
 		Rows: 60, Tables: n, Results: rows}
 }

@@ -376,7 +376,7 @@ func BenchmarkMicroMatcher(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewLake(d.Tables).DRG(WithThreshold(0.55)); err != nil {
+		if _, err := NewLake(d.Tables, WithThreshold(0.55)).DRG(); err != nil {
 			b.Fatal(err)
 		}
 	}

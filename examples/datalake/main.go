@@ -3,9 +3,10 @@
 // lake setting (relationships rediscovered by schema matching, spurious
 // edges included), and shows AutoFeat pruning the noise.
 //
-// Both settings run against one resident Lake session, so the tables are
-// loaded once and each DRG is built once and memoised. The lake comes
-// from the bundled synthetic generator; with your own data, point
+// Each setting is one resident Lake session over the same tables (a
+// lake's DRG setting is fixed when it is opened), so the frames are
+// loaded once and each DRG is built once. The lake comes from the
+// bundled synthetic generator; with your own data, point
 // autofeat.OpenLake at a directory of CSVs instead.
 //
 //	go run ./examples/datalake
@@ -27,12 +28,13 @@ func main() {
 	fmt.Printf("generated %q: %d tables, %d rows, spurious table %q\n",
 		spec.Name, len(ds.Tables), spec.Rows, ds.SpuriousTable)
 
-	l := autofeat.NewLake(ds.Tables)
 	// Setting 1: curated KFK constraints (snowflake schema).
-	bench, err := l.DRG(autofeat.WithKFKs(ds.KFKs))
+	benchLake := autofeat.NewLake(ds.Tables, autofeat.WithKFKs(ds.KFKs))
+	bench, err := benchLake.DRG()
 	must(err)
 	// Setting 2: drop the metadata, rediscover with the matcher.
-	lakeDRG, err := l.DRG(autofeat.WithThreshold(0.55))
+	dataLake := autofeat.NewLake(ds.Tables, autofeat.WithThreshold(0.55))
+	lakeDRG, err := dataLake.DRG()
 	must(err)
 	fmt.Printf("benchmark DRG: %d edges | lake DRG: %d edges (extra = spurious candidates)\n",
 		bench.NumEdges(), lakeDRG.NumEdges())
@@ -41,14 +43,14 @@ func main() {
 	must(err)
 	for _, tc := range []struct {
 		name string
-		opts []autofeat.LakeOption
+		lake *autofeat.Lake
 	}{
-		{"benchmark", []autofeat.LakeOption{autofeat.WithKFKs(ds.KFKs)}},
-		{"lake", []autofeat.LakeOption{autofeat.WithThreshold(0.55)}},
+		{"benchmark", benchLake},
+		{"lake", dataLake},
 	} {
-		// The DRG for each setting is already memoised from above; the
-		// discovery run reuses it plus the Lake's shared join-index cache.
-		disc, err := l.NewDiscovery(ds.Base.Name(), ds.Label, autofeat.DefaultConfig(), tc.opts...)
+		// Each lake's DRG is already built from above; the discovery run
+		// reuses it plus the lake's shared join-index cache.
+		disc, err := tc.lake.NewDiscovery(ds.Base.Name(), ds.Label, autofeat.DefaultConfig())
 		must(err)
 		res, err := disc.AugmentContext(context.Background(), model)
 		must(err)

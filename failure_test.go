@@ -154,7 +154,7 @@ func TestImputeAllNullFrame(t *testing.T) {
 }
 
 func TestDiscoverDRGEmptyAndSingleTable(t *testing.T) {
-	g, err := NewLake(nil).DRG(WithThreshold(0.55))
+	g, err := NewLake(nil, WithThreshold(0.55)).DRG()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDiscoverDRGEmptyAndSingleTable(t *testing.T) {
 		t.Fatal("empty lake gives empty graph")
 	}
 	solo, _ := ReadTable("solo", strings.NewReader("a,b\n1,2\n"))
-	g2, err := NewLake([]*Table{solo}).DRG(WithThreshold(0.55))
+	g2, err := NewLake([]*Table{solo}, WithThreshold(0.55)).DRG()
 	if err != nil {
 		t.Fatal(err)
 	}

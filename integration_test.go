@@ -55,7 +55,7 @@ func TestEndToEndCSVLakeDiscovery(t *testing.T) {
 	}
 
 	// Data lake path: discover relationships, then AutoFeat end to end.
-	g, err := NewLake(tables).DRG(WithThreshold(0.55))
+	g, err := NewLake(tables, WithThreshold(0.55)).DRG()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +233,14 @@ func TestPublicAutoTune(t *testing.T) {
 func TestPublicSketchedDiscovery(t *testing.T) {
 	spec := datagen.SmallSpecs()[0]
 	d, _ := datagen.Generate(spec)
-	g, err := NewLake(d.Tables).DRG(WithMatcher(MatcherSketched), WithThreshold(0.55))
+	g, err := NewLake(d.Tables, WithMatcher(MatcherSketched), WithThreshold(0.55)).DRG()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() == 0 {
 		t.Fatal("sketched discovery must find the KFK relationships")
 	}
-	exact, _ := NewLake(d.Tables).DRG(WithThreshold(0.55))
+	exact, _ := NewLake(d.Tables, WithThreshold(0.55)).DRG()
 	// The sketched graph should roughly agree with the exact one.
 	if g.NumEdges() < exact.NumEdges()/2 || g.NumEdges() > exact.NumEdges()*2 {
 		t.Fatalf("sketched edges %d too far from exact %d", g.NumEdges(), exact.NumEdges())

@@ -61,7 +61,7 @@ func (a *ARDA) Augment(g *graph.Graph, base, label string, factory ml.Factory, s
 			continue
 		}
 		res, err := relational.LeftJoin(joined, g.Table(nb), e.A+"."+e.ColA, e.ColB,
-			relational.Options{Normalize: true, Rng: rng})
+			relational.Options{Rng: rng})
 		if err != nil || res.MatchedRows == 0 {
 			continue
 		}

@@ -67,7 +67,7 @@ func (j *JoinAll) Augment(g *graph.Graph, base, label string, factory ml.Factory
 				continue
 			}
 			res, err := relational.LeftJoin(current, g.Table(nb), e.A+"."+e.ColA, e.ColB,
-				relational.Options{Normalize: true, Rng: rng})
+				relational.Options{Rng: rng})
 			if err != nil || res.MatchedRows == 0 {
 				continue
 			}

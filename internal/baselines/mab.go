@@ -169,7 +169,7 @@ func (m *MAB) tryJoin(current *frame.Frame, right *frame.Frame, e graph.Edge, rn
 		return nil, false
 	}
 	res, err := relational.LeftJoin(current, right, e.A+"."+e.ColA, e.ColB,
-		relational.Options{Normalize: true, Rng: rng})
+		relational.Options{Rng: rng})
 	if err != nil || res.MatchedRows == 0 {
 		return nil, false
 	}

@@ -56,8 +56,9 @@ type MethodResult struct {
 }
 
 // Runner caches datasets, their lakes and AutoFeat rankings so the figures
-// can share work: each dataset's lake memoises its DRG per setting, and
-// AutoFeat's discovery is model-independent (the paper's core efficiency
+// can share work: each (dataset, setting) has one lake over the
+// dataset's frames, which builds that setting's DRG once, and AutoFeat's
+// discovery is model-independent (the paper's core efficiency
 // argument), so one ranking serves all model families.
 type Runner struct {
 	// Specs are the datasets to sweep.
@@ -90,9 +91,15 @@ type Runner struct {
 	Progress *obsrv.RunProgress
 
 	datasets map[string]*datagen.Dataset
-	lakes    map[string]*lake.Lake
+	lakes    map[lakeKey]*lake.Lake
 	rankings map[string]*rankingEntry
 	sweeps   map[string][]MethodResult
+}
+
+// lakeKey names the lake of one dataset in one setting.
+type lakeKey struct {
+	name string
+	s    Setting
 }
 
 type rankingEntry struct {
@@ -106,7 +113,7 @@ func NewRunner(specs []datagen.Spec, seed int64) *Runner {
 		Specs:    specs,
 		Seed:     seed,
 		datasets: make(map[string]*datagen.Dataset),
-		lakes:    make(map[string]*lake.Lake),
+		lakes:    make(map[lakeKey]*lake.Lake),
 		rankings: make(map[string]*rankingEntry),
 		sweeps:   make(map[string][]MethodResult),
 	}
@@ -141,25 +148,31 @@ func (r *Runner) Dataset(name string) (*datagen.Dataset, error) {
 				return nil, err
 			}
 			r.datasets[name] = d
-			r.lakes[name] = lake.New(d.Tables)
 			return d, nil
 		}
 	}
 	return nil, fmt.Errorf("bench: unknown dataset %q", name)
 }
 
-// DRG returns the graph for a dataset in a setting, memoised by the
-// dataset's lake: the declared KFKs for Benchmark, the matcher at
-// LakeThreshold for Lake.
+// DRG returns the graph for a dataset in a setting, built once by the
+// (dataset, setting) lake: the declared KFKs for Benchmark, the matcher
+// at LakeThreshold for Lake.
 func (r *Runner) DRG(name string, s Setting) (*graph.Graph, error) {
 	d, err := r.Dataset(name)
 	if err != nil {
 		return nil, err
 	}
-	if s == Benchmark {
-		return r.lakes[name].DRG(lake.WithKFKs(d.KFKs))
+	k := lakeKey{name, s}
+	l := r.lakes[k]
+	if l == nil {
+		opt := lake.WithThreshold(LakeThreshold)
+		if s == Benchmark {
+			opt = lake.WithKFKs(d.KFKs)
+		}
+		l = lake.New(d.Tables, opt)
+		r.lakes[k] = l
 	}
-	return r.lakes[name].DRG(lake.WithThreshold(LakeThreshold))
+	return l.DRG()
 }
 
 // autofeatRanking runs (and caches) AutoFeat discovery for a dataset and

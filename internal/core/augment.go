@@ -276,14 +276,9 @@ func (d *Discovery) MaterializePathContext(ctx context.Context, p RankedPath, ba
 		}
 		rp[i] = relational.Hop{FromCol: e.A + "." + e.ColA, To: to, ToCol: e.ColB}
 	}
-	var joinRng *rand.Rand
-	if d.cfg.NormalizeJoins {
-		joinRng = rand.New(rand.NewSource(d.cfg.Seed))
-	}
 	table, _, err := rp.Materialize(base, relational.Options{
 		Ctx:       ctx,
-		Normalize: d.cfg.NormalizeJoins,
-		Rng:       joinRng,
+		Rng:       rand.New(rand.NewSource(d.cfg.Seed)),
 		Telemetry: d.cfg.Telemetry,
 		Log:       d.cfg.Logger,
 	})

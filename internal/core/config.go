@@ -63,9 +63,6 @@ type Config struct {
 	// parallel edges to the same neighbour, keep only the top-scoring
 	// join column(s).
 	SimilarityPruning bool
-	// NormalizeJoins enables join-cardinality normalisation (group by the
-	// join column, pick one row at random).
-	NormalizeJoins bool
 	// Seed drives every random choice (sampling, join normalisation,
 	// model training), making runs reproducible.
 	Seed int64
@@ -138,7 +135,6 @@ func DefaultConfig() Config {
 		SampleSize:        1000,
 		MaxEvalJoins:      3000,
 		SimilarityPruning: true,
-		NormalizeJoins:    true,
 		Seed:              1,
 	}
 }

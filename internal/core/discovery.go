@@ -400,12 +400,8 @@ func (d *Discovery) RunContext(ctx context.Context) (*Ranking, error) {
 			jctx, joinSpan := tr.StartSpan(dctx, telemetry.SpanJoinEval)
 			joinSpan.SetStr("edge", fmt.Sprintf("%s.%s -> %s.%s", jb.e.A, jb.e.ColA, jb.e.B, jb.e.ColB))
 			joinSpan.SetFloat("weight", jb.e.Weight)
-			var jrng *rand.Rand
-			var jseed int64
-			if d.cfg.NormalizeJoins {
-				jseed = edgeSeed(d.cfg.Seed, depth, jb.e)
-				jrng = scratch[k].rng(jseed)
-			}
+			jseed := edgeSeed(d.cfg.Seed, depth, jb.e)
+			jrng := scratch[k].rng(jseed)
 			child, reason := d.safeExpand(jctx, jb.st, jb.e, y, pipeline, jrng, jseed, cache, &scratch[k], joinSpan)
 			if reason != "" {
 				joinSpan.SetStr("pruned", reason)
@@ -649,7 +645,6 @@ func (d *Discovery) expand(ctx context.Context, st *state, e graph.Edge, y []int
 	}
 	res, err := join(st.f, right, leftKey, e.ColB, relational.Options{
 		Ctx:       ctx,
-		Normalize: d.cfg.NormalizeJoins,
 		Rng:       rng,
 		Seed:      seed,
 		Cache:     cache,

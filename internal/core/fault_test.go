@@ -20,7 +20,6 @@ import (
 // sequential-equivalent at any worker count, no sampling noise.
 func faultCfg(workers int) Config {
 	cfg := DefaultConfig()
-	cfg.NormalizeJoins = true
 	cfg.Workers = workers
 	cfg.SampleSize = 0
 	return cfg

@@ -35,7 +35,6 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4, 8} {
 		cfg := DefaultConfig()
-		cfg.NormalizeJoins = true
 		cfg.Workers = workers
 		d, err := New(g, "base", "y", cfg)
 		if err != nil {
@@ -66,7 +65,6 @@ func TestParallelRunMatchesSequentialUnderCaps(t *testing.T) {
 	var wantJSON string
 	for _, workers := range []int{1, 8} {
 		cfg := DefaultConfig()
-		cfg.NormalizeJoins = true
 		cfg.MaxEvalJoins = 2
 		cfg.BeamWidth = 1
 		cfg.Workers = workers
@@ -105,7 +103,6 @@ func TestConcurrentDiscoveriesSharedCollector(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cfg := DefaultConfig()
-			cfg.NormalizeJoins = true
 			cfg.Workers = 2
 			cfg.Telemetry = col
 			d, err := New(g, "base", "y", cfg)
@@ -162,7 +159,6 @@ func pathsJSON(t *testing.T, r *Ranking) string {
 func TestNegativeClassLabelsRankLikeClassIDs(t *testing.T) {
 	run := func(neg, pos int64) *Ranking {
 		cfg := DefaultConfig()
-		cfg.NormalizeJoins = true
 		d, err := New(testLakeLabels(t, 400, neg, pos), "base", "y", cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +224,6 @@ func TestParallelRankingStableAcrossRuns(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		for _, workers := range []int{1, 8} {
 			cfg := DefaultConfig()
-			cfg.NormalizeJoins = true
 			cfg.Workers = workers
 			d, err := New(g, "base", "y", cfg)
 			if err != nil {

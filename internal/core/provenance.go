@@ -85,9 +85,8 @@ type ConfigSnapshot struct {
 	MaxDepth   int `json:"max_depth"`
 	SampleSize int `json:"sample_size"`
 	BeamWidth  int `json:"beam_width"`
-	// SimilarityPruning and NormalizeJoins mirror the Config toggles.
+	// SimilarityPruning mirrors the Config toggle.
 	SimilarityPruning bool `json:"similarity_pruning"`
-	NormalizeJoins    bool `json:"normalize_joins"`
 	// Seed is the run's random seed.
 	Seed int64 `json:"seed"`
 	// Workers is the configured worker count (0 = GOMAXPROCS).
@@ -231,8 +230,7 @@ func (c Config) snapshot() ConfigSnapshot {
 	return ConfigSnapshot{
 		Tau: c.Tau, Kappa: c.Kappa, Relevance: rel, Redundancy: red,
 		TopK: c.TopK, MaxDepth: c.MaxDepth, SampleSize: c.SampleSize,
-		BeamWidth:         c.BeamWidth,
-		SimilarityPruning: c.SimilarityPruning, NormalizeJoins: c.NormalizeJoins,
+		BeamWidth: c.BeamWidth, SimilarityPruning: c.SimilarityPruning,
 		Seed: c.Seed, Workers: c.Workers,
 		TimeoutSeconds: c.Timeout.Seconds(),
 		MaxEvalJoins:   c.MaxEvalJoins,

@@ -63,7 +63,7 @@ type Column struct {
 	kind Kind
 	data *memData
 	// stats holds the statistics persisted in a columnar footer; nil for
-	// columns that were not decoded from a columnar file.
+	// columns that were not read from a columnar file.
 	stats *ColStats
 	// memo caches derived read-only views of the column. It lives behind a
 	// pointer so WithName copies share the cache (the backing storage is
@@ -74,8 +74,10 @@ type Column struct {
 // ColStats carries the per-column statistics a columnar lake file persists
 // in its footer. Sketch stands in for a fresh MinHash signature on cold
 // open (bit-identical by construction — both sides use internal/sketch).
-// The footer's distinct and null counts are not kept: an uploaded file
-// could lie about them, so DistinctCount and NullCount read the cells.
+// Only ReadColumnarFile keeps it; uploaded bytes (DecodeColumnar) could
+// carry any sketch, so their columns have no ColStats. The footer's
+// distinct and null counts are never kept: DistinctCount and NullCount
+// read the cells.
 type ColStats struct {
 	// Sketch is the persisted MinHash signature of the distinct key set,
 	// or nil when the file predates sketch persistence. Its Cardinality
@@ -83,10 +85,10 @@ type ColStats struct {
 	Sketch *sketch.MinHash
 }
 
-// Stats returns the persisted statistics of a column decoded from a
-// columnar file, or nil for any other column (derive stats via
-// DistinctCount/ValueSet instead). The returned struct is shared and
-// read-only.
+// Stats returns the persisted statistics of a column read from a
+// columnar file by ReadColumnarFile, or nil for any other column (derive
+// stats via DistinctCount/ValueSet instead). The returned struct is
+// shared and read-only.
 func (c *Column) Stats() *ColStats { return c.stats }
 
 // colMemo holds lazily computed, immutable derivations of a column.

@@ -295,7 +295,16 @@ func stringDict(c *Column) ([]string, []uint32) {
 // keeps no reference to buf. buf is untrusted (serve decodes uploaded
 // tables): every block is bounds-checked, and the blocks the footer names
 // may not claim more bytes than the file holds between header and footer.
+// The persisted MinHash sketches are bounds-checked but not kept, since
+// nothing ties them to the cells: discovery sketches the decoded columns
+// from their values, as it does a CSV table's.
 func DecodeColumnar(name string, buf []byte) (*Frame, error) {
+	return decodeColumnar(name, buf, false)
+}
+
+// decodeColumnar is DecodeColumnar, keeping the persisted sketches as
+// the columns' Stats when keepSketches is set.
+func decodeColumnar(name string, buf []byte, keepSketches bool) (*Frame, error) {
 	if len(buf) < headerSize+trailerSize {
 		return nil, fmt.Errorf("frame: %q: file too short for columnar format", name)
 	}
@@ -329,7 +338,7 @@ func DecodeColumnar(name string, buf []byte) (*Frame, error) {
 	f := New(name)
 	budget := blockBudget(fstart - headerSize)
 	for _, m := range footer.Columns {
-		c, err := decodeColumn(buf, footer.Rows, fstart, &budget, m)
+		c, err := decodeColumn(buf, footer.Rows, fstart, &budget, m, keepSketches)
 		if err != nil {
 			return nil, fmt.Errorf("frame: %q: column %q: %w", name, m.Name, err)
 		}
@@ -362,7 +371,7 @@ func (b *blockBudget) take(size int, what string) error {
 // decodeColumn decodes one column into slices after bounds-checking every
 // block against the footer start (nothing may read into the footer) and
 // claiming its bytes from budget.
-func decodeColumn(buf []byte, rows, limit int, budget *blockBudget, m columnMeta) (*Column, error) {
+func decodeColumn(buf []byte, rows, limit int, budget *blockBudget, m columnMeta, keepSketch bool) (*Column, error) {
 	kind, err := kindFromName(m.Kind)
 	if err != nil {
 		return nil, err
@@ -451,15 +460,18 @@ func decodeColumn(buf []byte, rows, limit int, budget *blockBudget, m columnMeta
 		}
 	}
 
-	stats := &ColStats{}
-	if m.SketchK > 0 {
-		mins := make([]uint64, m.SketchK)
-		for j := range mins {
-			mins[j] = binary.LittleEndian.Uint64(buf[m.SketchOff+8*j:])
+	c := &Column{name: m.Name, kind: kind, data: d, memo: new(colMemo)}
+	if keepSketch {
+		c.stats = &ColStats{}
+		if m.SketchK > 0 {
+			mins := make([]uint64, m.SketchK)
+			for j := range mins {
+				mins[j] = binary.LittleEndian.Uint64(buf[m.SketchOff+8*j:])
+			}
+			c.stats.Sketch = &sketch.MinHash{Mins: mins}
 		}
-		stats.Sketch = &sketch.MinHash{Mins: mins}
 	}
-	return &Column{name: m.Name, kind: kind, data: d, stats: stats, memo: new(colMemo)}, nil
+	return c, nil
 }
 
 // decodeDict decodes a string column's sorted dictionary and claims the
@@ -495,16 +507,18 @@ func decodeDict(buf []byte, m columnMeta, limit int, budget *blockBudget) ([]str
 	return dict, budget.take(off-m.DictOff, "dictionary")
 }
 
-// ReadColumnarFile reads a columnar table file and decodes it with
-// DecodeColumnar; like ReadCSVFile, the table name is the base filename
-// without its extension.
+// ReadColumnarFile reads a columnar table file and decodes it like
+// DecodeColumnar, keeping each column's persisted sketch as its Stats:
+// a lake directory is trusted as the output of Pack, so a cold open
+// skips re-sketching. Like ReadCSVFile, the table name is the base
+// filename without its extension.
 func ReadColumnarFile(path string) (*Frame, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	base := filepath.Base(path)
-	return DecodeColumnar(strings.TrimSuffix(base, filepath.Ext(base)), buf)
+	return decodeColumnar(strings.TrimSuffix(base, filepath.Ext(base)), buf, true)
 }
 
 // WriteColumnarFile writes the frame to path atomically: the bytes land in

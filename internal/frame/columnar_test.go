@@ -59,16 +59,26 @@ func TestColumnarRoundTrip(t *testing.T) {
 }
 
 // TestColumnarStatsMatchRecomputation pins the columnar contract: the
-// persisted sketch must be exactly what a fresh scan would produce, so
-// discovery can serve from it, and the counts a decoded column reports
-// (read from its cells) equal its source's.
+// persisted sketch a lake file read keeps must be exactly what a fresh
+// scan would produce, so discovery can serve from it, and the counts a
+// decoded column reports (read from its cells) equal its source's.
+// Uploaded bytes keep no sketch at all.
 func TestColumnarStatsMatchRecomputation(t *testing.T) {
 	src := mixedFrame("stats")
 	b, err := EncodeColumnar(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeColumnar("stats", b)
+	up, err := DecodeColumnar("stats", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range up.Columns() {
+		if c.Stats() != nil {
+			t.Fatalf("col %q: DecodeColumnar kept the persisted stats of untrusted bytes", c.Name())
+		}
+	}
+	got, err := decodeColumnar("stats", b, true)
 	if err != nil {
 		t.Fatal(err)
 	}

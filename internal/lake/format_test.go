@@ -85,7 +85,7 @@ func TestPackedLakeSkipsResketching(t *testing.T) {
 	if _, err := Pack(dir); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(dir, WithFormat(FormatColumnar))
+	l, err := Open(dir, WithFormat(FormatColumnar), WithMatcher(MatcherSketched))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPackedLakeSkipsResketching(t *testing.T) {
 		}
 	}
 	// A sketched DRG build runs entirely from the persisted signatures.
-	if _, err := l.DRG(WithMatcher(MatcherSketched)); err != nil {
+	if _, err := l.DRG(); err != nil {
 		t.Fatal(err)
 	}
 }

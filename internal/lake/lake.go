@@ -8,17 +8,18 @@
 //   - tables are loaded from disk exactly once and stay resident, so
 //     per-column memos (distinct-value sets, minhash inputs) amortise
 //     across every request that touches the column;
-//   - the DRG is memoised per (matcher, threshold) — or per KFK
-//     constraint set — with single-flight construction, so concurrent
-//     requests against the same settings share one build;
+//   - the lake has one DRG, built under the matcher and threshold (or
+//     the KFK constraints) fixed when the lake is opened, with
+//     single-flight construction, so concurrent requests share one
+//     build;
 //   - one relational.KeyIndexCache is shared by every discovery run, so
 //     the key→row indexes a join builds for a right-side table are
 //     reused by every later request that joins against it;
 //   - a lazily built discovery.LSHIndex serves matcher-path DRG builds
 //     in near-linear time and is maintained incrementally by the
 //     mutation API (RegisterTable / ReplaceTable / DropTable), which
-//     patches memoised DRGs and invalidates exactly the caches the
-//     mutated table touched instead of flushing everything.
+//     patches the DRG and invalidates exactly the caches the mutated
+//     table touched instead of flushing everything.
 //
 // All methods are safe for concurrent use; a Lake is designed to serve
 // many overlapping Discover calls, with mutations serialised against
@@ -79,11 +80,9 @@ const (
 	FormatColumnar Format = "columnar"
 )
 
-// settings is the resolved DRG-construction configuration of a Lake (or
-// of one DRG call overriding the Lake's defaults). format participates
-// only at open time; it is deliberately excluded from the DRG memo key
-// because the storage backend never changes discovery results, only how
-// fast the tables load.
+// settings is a Lake's configuration, fixed when the lake is opened:
+// how its one DRG is built, and (at open time only) which table files
+// are read.
 type settings struct {
 	matcher   MatcherKind
 	threshold float64
@@ -91,22 +90,43 @@ type settings struct {
 	format    Format
 }
 
-// key is the DRG memo key: two settings with equal keys build the same
-// graph.
-func (s settings) key() string {
-	if len(s.kfks) > 0 {
-		parts := make([]string, len(s.kfks))
-		for i, k := range s.kfks {
-			parts[i] = k.ParentTable + "." + k.ParentCol + "=" + k.ChildTable + "." + k.ChildCol
-		}
-		sort.Strings(parts)
-		return "kfk|" + strings.Join(parts, ";")
+// newSettings applies opts over the defaults: the exact matcher at
+// DefaultThreshold, every table format.
+func newSettings(opts []Option) settings {
+	s := settings{matcher: MatcherExact, threshold: DefaultThreshold}
+	for _, o := range opts {
+		o(&s)
 	}
-	return fmt.Sprintf("%s|%.6f", s.matcher, s.threshold)
+	return s
 }
 
-// Option configures a Lake at open time, or overrides its defaults for
-// one DRG build / Discover call.
+// check reports a matcher or format no lake can be built with.
+func (s settings) check() error {
+	switch s.matcher {
+	case MatcherExact, MatcherSketched, "":
+	default:
+		return errs.BadInput("autofeat: unknown matcher %q (supported: %s, %s)",
+			s.matcher, MatcherExact, MatcherSketched)
+	}
+	switch s.format {
+	case FormatAuto, FormatCSV, FormatColumnar, "":
+	default:
+		return errs.BadInput("autofeat: unknown lake format %q (supported: %s, %s, %s)",
+			s.format, FormatAuto, FormatCSV, FormatColumnar)
+	}
+	return nil
+}
+
+// Check reports an option value no lake can be opened with: an unknown
+// matcher or format, as an errs.ErrBadInput-matching error. Open and
+// OpenLenient run it before reading anything; the service runs it on a
+// registration before keeping it.
+func Check(opts ...Option) error { return newSettings(opts).check() }
+
+// Option configures a Lake when it is opened or created. A lake's
+// settings never change afterwards: a caller that wants another matcher,
+// threshold or constraint set over the same tables opens a second lake
+// (New(l.Tables(), opts...) shares the frames).
 type Option func(*settings)
 
 // WithMatcher selects the schema-matching strategy used to build DRGs
@@ -135,42 +155,40 @@ func WithFormat(f Format) Option {
 	return func(s *settings) { s.format = f }
 }
 
-// graphEntry is one memoised DRG with single-flight construction. eff
-// records the settings it was built under so the mutation path can
-// re-verify candidate edges with the same scorer and threshold; done
-// flips once the build completed, distinguishing patchable entries from
-// ones that will simply build against the post-mutation tables.
+// graphEntry is the lake's DRG with single-flight construction. done
+// flips once the build completed, distinguishing a patchable entry from
+// one that will simply build against the post-mutation tables.
 type graphEntry struct {
 	once sync.Once
-	eff  settings
 	g    *graph.Graph
 	err  error
-	done atomic.Bool
+	done bool
 }
 
-// Lake is a resident data-lake session: tables loaded once, DRGs
-// memoised per setting, and one shared join-key index cache reused by
-// every discovery run against it.
+// Lake is a resident data-lake session: tables loaded once, one DRG
+// built once, and one shared join-key index cache reused by every
+// discovery run against it.
 type Lake struct {
 	dir    string
-	def    settings
+	set    settings
 	tables []*frame.Frame
 	byName map[string]*frame.Frame
 	cache  *relational.KeyIndexCache
 
-	// em and sm are the lake-lifetime scorers: sharing one SketchMatcher
-	// across builds lets its sketch memo (and the LSH index that borrows
-	// it) amortise over every request, and gives the mutation path one
-	// place to evict stale sketches.
+	// em and sm are the lake-lifetime scorers: one SketchMatcher serves
+	// the build, the LSH index that borrows its sketch memo and every
+	// mutation patch, and gives the mutation path one place to evict
+	// stale sketches.
 	em *discovery.Matcher
 	sm *discovery.SketchMatcher
 
 	// runMu orders DRG resolution (read side) against table mutation
-	// (write side): every memoised entry is fully built or untouched
-	// whenever a mutation holds the write lock. tables/byName/idx are
+	// (write side): the graph entry is fully built or untouched whenever
+	// a mutation holds the write lock. tables/byName/idx/graph are
 	// replaced, never mutated in place, so readers that already hold a
 	// snapshot stay consistent.
 	runMu sync.RWMutex
+	graph *graphEntry
 
 	// idxMu guards the lazy first build of idx under the read lock;
 	// mutations access idx under the write lock (which excludes builds
@@ -180,31 +198,20 @@ type Lake struct {
 
 	builds    atomic.Int64 // full DRG builds (not patches)
 	mutations atomic.Int64 // RegisterTable/ReplaceTable/DropTable calls
-
-	mu     sync.Mutex
-	graphs map[string]*graphEntry
-}
-
-// defaultSettings returns the Lake defaults before options are applied.
-func defaultSettings() settings {
-	return settings{matcher: MatcherExact, threshold: DefaultThreshold}
 }
 
 // New wraps already-loaded tables as a Lake. The table order is
-// preserved; later tables shadow earlier ones under the same name.
+// preserved; later tables shadow earlier ones under the same name. An
+// unknown matcher surfaces as an error from the first DRG build.
 func New(tables []*frame.Frame, opts ...Option) *Lake {
-	def := defaultSettings()
-	for _, o := range opts {
-		o(&def)
-	}
 	l := &Lake{
-		def:    def,
+		set:    newSettings(opts),
 		tables: tables,
 		byName: make(map[string]*frame.Frame, len(tables)),
 		cache:  relational.NewKeyIndexCache(),
 		em:     discovery.NewMatcher(),
 		sm:     discovery.NewSketchMatcher(),
-		graphs: make(map[string]*graphEntry),
+		graph:  &graphEntry{},
 	}
 	for _, t := range tables {
 		l.byName[t.Name()] = t
@@ -215,17 +222,20 @@ func New(tables []*frame.Frame, opts ...Option) *Lake {
 // Open loads every table file in dir (sorted by table name) as the
 // Lake's resident tables. The default FormatAuto reads both *.csv and
 // columnar *.afc files, a columnar file shadowing a CSV table of the
-// same name; WithFormat pins one format. A directory without table
-// files is an error; a file that fails to parse aborts with an
-// errs.ErrBadInput-matching error naming it.
+// same name; WithFormat pins one format. An unknown matcher or format
+// and a directory without table files are errors; a file that fails to
+// parse aborts with an errs.ErrBadInput-matching error naming it.
 func Open(dir string, opts ...Option) (*Lake, error) {
-	format := openFormat(opts)
-	paths, err := lakePaths(dir, format)
+	set := newSettings(opts)
+	if err := set.check(); err != nil {
+		return nil, err
+	}
+	paths, err := lakePaths(dir, set.format)
 	if err != nil {
 		return nil, err
 	}
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("autofeat: no %s table files in %q", formatNoun(format), dir)
+		return nil, fmt.Errorf("autofeat: no %s table files in %q", formatNoun(set.format), dir)
 	}
 	l, bad := load(dir, paths, false, opts)
 	if len(bad) > 0 {
@@ -239,20 +249,15 @@ func Open(dir string, opts ...Option) (*Lake, error) {
 // an errs.ErrBadInput-matching error. With every file corrupt the Lake
 // has no tables and errors holds one entry per file.
 func OpenLenient(dir string, opts ...Option) (l *Lake, errors []error) {
-	paths, err := lakePaths(dir, openFormat(opts))
+	set := newSettings(opts)
+	if err := set.check(); err != nil {
+		return nil, []error{err}
+	}
+	paths, err := lakePaths(dir, set.format)
 	if err != nil {
 		return nil, []error{errs.BadInput("autofeat: read dir %q: %w", dir, err)}
 	}
 	return load(dir, paths, true, opts)
-}
-
-// openFormat is the table format the options select.
-func openFormat(opts []Option) Format {
-	def := defaultSettings()
-	for _, o := range opts {
-		o(&def)
-	}
-	return def.format
 }
 
 // load reads the table files at paths into a Lake rooted at dir. A file
@@ -294,21 +299,16 @@ func formatNoun(f Format) string {
 	}
 }
 
-// lakePaths lists dir's table files for the given format, sorted by
-// table name. Under FormatAuto a columnar file wins over a CSV file of
-// the same basename, so a packed lake keeps working with its source
-// CSVs still present.
+// lakePaths lists dir's table files for the given (checked) format,
+// sorted by table name. Under FormatAuto a columnar file wins over a CSV
+// file of the same basename, so a packed lake keeps working with its
+// source CSVs still present.
 func lakePaths(dir string, format Format) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	wantCSV := format == FormatAuto || format == FormatCSV || format == ""
-	wantColr := format == FormatAuto || format == FormatColumnar || format == ""
-	if !wantCSV && !wantColr {
-		return nil, errs.BadInput("autofeat: unknown lake format %q (supported: %s, %s, %s)",
-			format, FormatAuto, FormatCSV, FormatColumnar)
-	}
+	wantCSV, wantColr := format != FormatColumnar, format != FormatCSV
 	byTable := make(map[string]string)
 	for _, e := range entries {
 		if e.IsDir() {
@@ -396,88 +396,59 @@ func (l *Lake) CacheStats() (hits, misses int64) { return l.cache.Stats() }
 // shared cache — the per-lake cache-size gauge the service exports.
 func (l *Lake) CacheSize() int { return l.cache.Len() }
 
-// GraphMemoLen reports how many DRG variants the Lake has memoised
-// (one per distinct matcher/threshold/KFK setting requested so far).
-func (l *Lake) GraphMemoLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.graphs)
-}
-
-// resolve merges the Lake defaults with per-call options.
-func (l *Lake) resolve(opts []Option) settings {
-	eff := l.def
-	for _, o := range opts {
-		o(&eff)
-	}
-	return eff
-}
-
-// DRG returns the Dataset Relation Graph for the Lake's settings,
-// optionally overridden per call. Graphs are memoised per setting with
-// single-flight construction: concurrent callers under the same
-// settings share one build, and later callers get the cached graph.
-func (l *Lake) DRG(opts ...Option) (*graph.Graph, error) {
-	g, _, err := l.drg(l.resolve(opts))
+// DRG returns the Lake's Dataset Relation Graph, built under the
+// settings the lake was opened with. It is built once, with
+// single-flight construction: concurrent first callers share one build,
+// and later callers get the same graph.
+func (l *Lake) DRG() (*graph.Graph, error) {
+	g, _, err := l.drg()
 	return g, err
 }
 
-// drg returns the memoised graph for eff, reporting whether it was
-// already warm (present before this call). The whole resolution —
-// entry lookup, single-flight build, result read — runs under the read
-// half of runMu, so a mutation holding the write lock is guaranteed
-// that every memoised entry is either fully built (patchable) or has no
+// drg returns the lake's graph, reporting whether it was warm: false
+// only for the call that built it. The whole resolution runs under the
+// read half of runMu, so a mutation holding the write lock is
+// guaranteed that the entry is either fully built (patchable) or has no
 // builder in flight (it will build against the mutated tables).
-func (l *Lake) drg(eff settings) (g *graph.Graph, warm bool, err error) {
+func (l *Lake) drg() (g *graph.Graph, warm bool, err error) {
 	l.runMu.RLock()
 	defer l.runMu.RUnlock()
-	key := eff.key()
-	l.mu.Lock()
-	e, ok := l.graphs[key]
-	if !ok {
-		e = &graphEntry{eff: eff}
-		l.graphs[key] = e
-	}
-	l.mu.Unlock()
+	e := l.graph
+	warm = true
 	e.once.Do(func() {
-		e.g, e.err = l.build(eff)
-		e.done.Store(true)
+		warm = false
+		e.g, e.err = l.build()
+		e.done = true
 	})
-	return e.g, ok, e.err
+	return e.g, warm, e.err
 }
 
-// build constructs one DRG from the resolved settings. Matcher-path
-// builds go through the lake's LSH index whenever the banding
-// derivation covers the scorer at the requested threshold; otherwise
-// they fall back to the quadratic reference path. Callers hold the read
-// half of runMu.
-func (l *Lake) build(eff settings) (*graph.Graph, error) {
+// build constructs the DRG. Matcher-path builds go through the lake's
+// LSH index whenever the banding derivation covers the scorer at the
+// lake's threshold; otherwise they fall back to the quadratic reference
+// path. Callers hold the read half of runMu.
+func (l *Lake) build() (*graph.Graph, error) {
 	l.builds.Add(1)
-	if len(eff.kfks) > 0 {
-		return discovery.BuildBenchmarkDRG(l.tables, eff.kfks)
+	if len(l.set.kfks) > 0 {
+		return discovery.BuildBenchmarkDRG(l.tables, l.set.kfks)
 	}
-	scorer, err := l.scorerFor(eff.matcher)
-	if err != nil {
+	if err := l.set.check(); err != nil {
 		return nil, err
 	}
+	scorer := l.scorer()
 	idx := l.ensureIndex()
-	if idx.CoversScorer(eff.threshold, scorer) {
-		return discovery.DiscoverDRGIndexed(l.tables, eff.threshold, scorer, idx)
+	if idx.CoversScorer(l.set.threshold, scorer) {
+		return discovery.DiscoverDRGIndexed(l.tables, l.set.threshold, scorer, idx)
 	}
-	return discovery.DiscoverDRGQuadratic(l.tables, eff.threshold, scorer)
+	return discovery.DiscoverDRGQuadratic(l.tables, l.set.threshold, scorer)
 }
 
-// scorerFor maps a matcher kind to the lake-lifetime scorer instance.
-func (l *Lake) scorerFor(kind MatcherKind) (discovery.Scorer, error) {
-	switch kind {
-	case MatcherSketched:
-		return l.sm, nil
-	case MatcherExact, "":
-		return l.em, nil
-	default:
-		return nil, errs.BadInput("autofeat: unknown matcher %q (supported: %s, %s)",
-			kind, MatcherExact, MatcherSketched)
+// scorer is the lake-lifetime scorer of the lake's (checked) matcher.
+func (l *Lake) scorer() discovery.Scorer {
+	if l.set.matcher == MatcherSketched {
+		return l.sm
 	}
+	return l.em
 }
 
 // ensureIndex lazily builds the lake's LSH index over the current
@@ -499,9 +470,9 @@ func (l *Lake) ensureIndex() *discovery.LSHIndex {
 }
 
 // DRGBuilds reports how many full DRG constructions the lake has run.
-// Incremental mutation patches memoised graphs without rebuilding, so
-// this counter staying flat across a mutation is the observable proof
-// that memo entries were preserved (asserted by the cache-identity
+// Incremental mutation patches the graph without rebuilding, so this
+// counter staying flat across a mutation is the observable proof that
+// the graph was patched, not rebuilt (asserted by the cache-identity
 // test).
 func (l *Lake) DRGBuilds() int64 { return l.builds.Load() }
 
@@ -529,10 +500,9 @@ func (l *Lake) IndexStats() IndexStats {
 }
 
 // RegisterTable adds a new table to the resident lake: the LSH index
-// gains only the new table's entries and every memoised DRG is patched
-// in place — the new node plus its verified candidate edges — without
-// rebuilding, so unrelated memo entries and every KeyIndexCache entry
-// survive untouched.
+// gains only the new table's entries and the DRG is patched — the new
+// node plus its verified candidate edges — without rebuilding, so every
+// KeyIndexCache entry survives untouched.
 func (l *Lake) RegisterTable(f *frame.Frame) error {
 	if err := checkNamed(f); err != nil {
 		return err
@@ -546,10 +516,10 @@ func (l *Lake) RegisterTable(f *frame.Frame) error {
 	if l.idx != nil {
 		l.idx.Add(f)
 	}
-	l.patchGraphs(func(e *graphEntry) (*graph.Graph, error) {
-		ng := e.g.Clone()
+	l.patchGraph(func(g *graph.Graph) (*graph.Graph, error) {
+		ng := g.Clone()
 		ng.AddTable(f)
-		if err := l.patchEdges(ng, f, e.eff); err != nil {
+		if err := l.patchEdges(ng, f); err != nil {
 			return nil, err
 		}
 		return ng, nil
@@ -560,9 +530,9 @@ func (l *Lake) RegisterTable(f *frame.Frame) error {
 
 // ReplaceTable swaps the resident table with the same name for f. The
 // old table's sketches, LSH entries and memoised join-key indexes are
-// evicted (stale data must never score or join again); every memoised
-// DRG is patched: the old node's edges go, the new node's verified
-// candidate edges come in.
+// evicted (stale data must never score or join again); the DRG is
+// patched: the old node's edges go, the new node's verified candidate
+// edges come in.
 func (l *Lake) ReplaceTable(f *frame.Frame) error {
 	if err := checkNamed(f); err != nil {
 		return err
@@ -587,11 +557,11 @@ func (l *Lake) ReplaceTable(f *frame.Frame) error {
 		l.idx.Remove(old.Name())
 		l.idx.Add(f)
 	}
-	l.patchGraphs(func(e *graphEntry) (*graph.Graph, error) {
-		ng := e.g.Clone()
+	l.patchGraph(func(g *graph.Graph) (*graph.Graph, error) {
+		ng := g.Clone()
 		ng.RemoveTable(old.Name())
 		ng.AddTable(f)
-		if err := l.patchEdges(ng, f, e.eff); err != nil {
+		if err := l.patchEdges(ng, f); err != nil {
 			return nil, err
 		}
 		return ng, nil
@@ -602,8 +572,7 @@ func (l *Lake) ReplaceTable(f *frame.Frame) error {
 
 // DropTable removes the named table from the resident lake, its entries
 // from the LSH index and the sketch memo, its join-key indexes from the
-// shared cache, and its node (with all incident edges) from every
-// memoised DRG.
+// shared cache, and its node (with all incident edges) from the DRG.
 func (l *Lake) DropTable(name string) error {
 	l.runMu.Lock()
 	defer l.runMu.Unlock()
@@ -623,8 +592,8 @@ func (l *Lake) DropTable(name string) error {
 	if l.idx != nil {
 		l.idx.Remove(name)
 	}
-	l.patchGraphs(func(e *graphEntry) (*graph.Graph, error) {
-		ng := e.g.Clone()
+	l.patchGraph(func(g *graph.Graph) (*graph.Graph, error) {
+		ng := g.Clone()
 		ng.RemoveTable(name)
 		return ng, nil
 	})
@@ -667,58 +636,48 @@ func (l *Lake) evict(old *frame.Frame) {
 	l.cache.InvalidateColumns(cols)
 }
 
-// patchGraphs applies patch to every fully built memoised DRG. Entries
-// whose build never completed are left alone — with the write lock held
-// no builder is in flight, so they will build against the mutated
-// tables when next requested. Entries that previously failed are reset
-// so the next request retries against the new tables. The patched graph
-// replaces the entry's graph; the old graph object is never mutated, so
-// requests that already hold it keep a consistent snapshot.
-func (l *Lake) patchGraphs(patch func(*graphEntry) (*graph.Graph, error)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for key, e := range l.graphs {
-		if !e.done.Load() {
-			continue
-		}
-		if e.err != nil {
-			l.graphs[key] = &graphEntry{eff: e.eff}
-			continue
-		}
-		if len(e.eff.kfks) > 0 {
-			// KFK graphs carry no discovered edges; rebuilding from the
-			// declared constraints is as cheap as patching and handles
-			// constraints that reference the mutated table.
-			ne := &graphEntry{eff: e.eff}
-			ne.g, ne.err = discovery.BuildBenchmarkDRG(l.tables, e.eff.kfks)
-			ne.once.Do(func() {})
-			ne.done.Store(true)
-			l.graphs[key] = ne
-			continue
-		}
-		ng, err := patch(e)
-		ne := &graphEntry{eff: e.eff, g: ng, err: err}
-		ne.once.Do(func() {})
-		ne.done.Store(true)
-		l.graphs[key] = ne
+// patchGraph applies patch to the lake's DRG if it was built. An entry
+// whose build never ran is left alone: with the write lock held no
+// builder is in flight, so it builds against the mutated tables when
+// next requested. A failed build is reset so the next request retries
+// against the new tables. The patched graph replaces the entry; the old
+// graph object is never mutated, so requests that already hold it keep
+// a consistent snapshot. Callers hold the write half of runMu.
+func (l *Lake) patchGraph(patch func(*graph.Graph) (*graph.Graph, error)) {
+	e := l.graph
+	switch {
+	case !e.done:
+		return
+	case e.err != nil:
+		l.graph = &graphEntry{}
+		return
 	}
+	ne := &graphEntry{done: true}
+	ne.once.Do(func() {})
+	if len(l.set.kfks) > 0 {
+		// KFK graphs carry no discovered edges; rebuilding from the
+		// declared constraints is as cheap as patching and handles
+		// constraints that reference the mutated table.
+		ne.g, ne.err = discovery.BuildBenchmarkDRG(l.tables, l.set.kfks)
+	} else {
+		ne.g, ne.err = patch(e.g)
+	}
+	l.graph = ne
 }
 
 // patchEdges adds every above-threshold edge between the newly
-// installed table f and the rest of the lake to g, scored by the
-// entry's own matcher and threshold. When the LSH index covers the
-// scorer the candidates come from the index (cost proportional to f's
-// bucket occupancy); otherwise f is scored against every other table's
+// installed table f and the rest of the lake to g, scored by the lake's
+// matcher and threshold. When the LSH index covers the scorer the
+// candidates come from the index (cost proportional to f's bucket
+// occupancy); otherwise f is scored against every other table's
 // candidate columns — still linear in the lake, never quadratic.
-// Callers hold the write half of runMu.
-func (l *Lake) patchEdges(g *graph.Graph, f *frame.Frame, eff settings) error {
-	scorer, err := l.scorerFor(eff.matcher)
-	if err != nil {
-		return err
-	}
+// Callers hold the write half of runMu, and the graph was built, so the
+// matcher is known.
+func (l *Lake) patchEdges(g *graph.Graph, f *frame.Frame) error {
+	scorer, threshold := l.scorer(), l.set.threshold
 	addEdge := func(other string, co, cf *frame.Column) error {
 		score := scorer.MatchColumns(co, cf)
-		if score < eff.threshold {
+		if score < threshold {
 			return nil
 		}
 		return g.AddEdge(graph.Edge{
@@ -727,7 +686,7 @@ func (l *Lake) patchEdges(g *graph.Graph, f *frame.Frame, eff settings) error {
 			Weight: score,
 		})
 	}
-	if l.idx != nil && l.idx.Has(f.Name()) && l.idx.CoversScorer(eff.threshold, scorer) {
+	if l.idx != nil && l.idx.Has(f.Name()) && l.idx.CoversScorer(threshold, scorer) {
 		for _, p := range l.idx.Candidates(f.Name()) {
 			// Orient the pair so the pre-existing table is the A side.
 			other, co, cf := p.TableA, p.ColA, p.ColB
@@ -758,11 +717,11 @@ func (l *Lake) patchEdges(g *graph.Graph, f *frame.Frame, eff settings) error {
 	return nil
 }
 
-// NewDiscovery prepares a core discovery run over the Lake's DRG (built
-// or reused under the given options), wiring in the shared key-index
-// cache — the two-step prepare/run alternative to Discover.
-func (l *Lake) NewDiscovery(base, label string, cfg core.Config, opts ...Option) (*core.Discovery, error) {
-	g, _, err := l.drg(l.resolve(opts))
+// NewDiscovery prepares a core discovery run over the Lake's DRG,
+// wiring in the shared key-index cache — the two-step prepare/run
+// alternative to Discover.
+func (l *Lake) NewDiscovery(base, label string, cfg core.Config) (*core.Discovery, error) {
+	g, _, err := l.drg()
 	if err != nil {
 		return nil, err
 	}
@@ -778,15 +737,15 @@ func (l *Lake) discoveryOn(g *graph.Graph, base, label string, cfg core.Config) 
 	return core.New(g, base, label, cfg)
 }
 
-// AutoTune grid-searches τ and κ around cfg over the Lake's DRG (built
-// or reused under opts, as NewDiscovery does) and returns the best
-// configuration by the factory's model accuracy; see core.AutoTune.
+// AutoTune grid-searches τ and κ around cfg over the Lake's DRG and
+// returns the best configuration by the factory's model accuracy; see
+// core.AutoTune.
 // Empty grids use τ ∈ {0.5, 0.65, 0.8} and κ ∈ {10, 15, 20}. A nil
 // cfg.KeyCache is filled with the Lake's shared cache, so the grid runs
 // reuse each other's join-key indexes and every run after the first
 // reports a warm SelectionTime.
-func (l *Lake) AutoTune(base, label string, cfg core.Config, factory ml.Factory, taus []float64, kappas []int, opts ...Option) (*core.TuneOutcome, error) {
-	g, _, err := l.drg(l.resolve(opts))
+func (l *Lake) AutoTune(base, label string, cfg core.Config, factory ml.Factory, taus []float64, kappas []int) (*core.TuneOutcome, error) {
+	g, _, err := l.drg()
 	if err != nil {
 		return nil, err
 	}
@@ -807,11 +766,6 @@ type Request struct {
 	// paths ("lightgbm", "xgboost", ...). Empty skips model training and
 	// returns the ranking alone.
 	Model string
-	// Matcher overrides the Lake's DRG matcher for this request ("" =
-	// lake default). Ignored when KFKs were configured on the Lake.
-	Matcher MatcherKind
-	// Threshold overrides the matcher threshold (0 = lake default).
-	Threshold float64
 	// Config overrides the discovery hyper-parameters; nil uses
 	// core.DefaultConfig(). Telemetry, Progress, Logger, budgets and
 	// Workers all pass through.
@@ -830,9 +784,9 @@ type Result struct {
 	Manifest *core.Manifest
 	// GraphNodes and GraphEdges describe the DRG the run used.
 	GraphNodes, GraphEdges int
-	// WarmGraph reports that the DRG was served from the Lake's memo
-	// instead of being built for this request — the offline phase was
-	// skipped entirely.
+	// WarmGraph reports that the Lake's DRG was already built instead of
+	// being built by this request — the offline phase was skipped
+	// entirely. It is false only for the request that built the graph.
 	WarmGraph bool
 	// CacheHits and CacheMisses are the Lake-wide cumulative key-index
 	// cache counters after this run.
@@ -840,18 +794,11 @@ type Result struct {
 }
 
 // Discover runs one feature-discovery request against the Lake: DRG
-// (memoised), BFS ranking, provenance manifest, and — when a model is
+// (built once), BFS ranking, provenance manifest, and — when a model is
 // named — top-k evaluation. ctx cancellation degrades to a Partial
 // ranking exactly as in Discovery.RunContext; it does not error.
 func (l *Lake) Discover(ctx context.Context, req Request) (*Result, error) {
-	var opts []Option
-	if req.Matcher != "" {
-		opts = append(opts, WithMatcher(req.Matcher))
-	}
-	if req.Threshold > 0 {
-		opts = append(opts, WithThreshold(req.Threshold))
-	}
-	g, warm, err := l.drg(l.resolve(opts))
+	g, warm, err := l.drg()
 	if err != nil {
 		return nil, err
 	}

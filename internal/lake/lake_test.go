@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"autofeat/internal/core"
 	"autofeat/internal/datagen"
 	"autofeat/internal/errs"
+	"autofeat/internal/graph"
 	"autofeat/internal/ml"
 )
 
@@ -73,40 +75,67 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-func TestDRGMemoisedPerSetting(t *testing.T) {
-	_, ds := writeLakeDir(t)
-	l := New(ds.Tables)
+// TestOneDRGPerLake: a lake builds its one DRG once, under the settings
+// it was opened with. Concurrent first callers share the build, later
+// callers get the same graph, another setting is another lake, and an
+// unknown matcher or format errors.
+func TestOneDRGPerLake(t *testing.T) {
+	dir, ds := writeLakeDir(t)
+	l := New(ds.Tables, WithThreshold(0.55))
+	graphs := make([]*graph.Graph, 8)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := l.DRG()
+			if err != nil {
+				t.Error(err)
+			}
+			graphs[i] = g
+		}()
+	}
+	wg.Wait()
+	again, err := l.DRG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range append(graphs, again) {
+		if g != graphs[0] {
+			t.Fatalf("call %d got another graph: one lake must return its one memoised DRG", i)
+		}
+	}
+	if l.DRGBuilds() != 1 {
+		t.Fatalf("%d DRG builds, want 1 under concurrent callers", l.DRGBuilds())
+	}
 
-	g1, err := l.DRG(WithThreshold(0.55))
+	strict, err := New(ds.Tables, WithThreshold(0.9)).DRG()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := l.DRG(WithThreshold(0.55))
-	if err != nil {
-		t.Fatal(err)
+	if strict == again || strict.NumEdges() > again.NumEdges() {
+		t.Errorf("a stricter threshold builds its own, smaller graph: %d edges vs %d", strict.NumEdges(), again.NumEdges())
 	}
-	if g1 != g2 {
-		t.Error("same settings should return the identical memoised graph")
-	}
-	g3, err := l.DRG(WithThreshold(0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3 == g1 {
-		t.Error("a different threshold must build a different graph")
-	}
-	gk, err := l.DRG(WithKFKs(ds.KFKs))
+	gk, err := New(ds.Tables, WithKFKs(ds.KFKs)).DRG()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gk.NumEdges() != len(ds.KFKs) {
 		t.Errorf("benchmark DRG has %d edges, want %d", gk.NumEdges(), len(ds.KFKs))
 	}
-	if gk2, _ := l.DRG(WithKFKs(ds.KFKs)); gk2 != gk {
-		t.Error("identical KFK sets should share one memoised graph")
-	}
-	if _, err := l.DRG(WithMatcher("bogus")); !errors.Is(err, errs.ErrBadInput) {
+
+	bogus := New(ds.Tables, WithMatcher("bogus"))
+	if _, err := bogus.DRG(); !errors.Is(err, errs.ErrBadInput) {
 		t.Errorf("unknown matcher: err = %v, want ErrBadInput", err)
+	}
+	if _, err := Open(dir, WithMatcher("bogus")); !errors.Is(err, errs.ErrBadInput) {
+		t.Errorf("Open with an unknown matcher: err = %v, want ErrBadInput", err)
+	}
+	if err := Check(WithFormat("parquet")); !errors.Is(err, errs.ErrBadInput) {
+		t.Errorf("Check of an unknown format: err = %v, want ErrBadInput", err)
+	}
+	if err := Check(WithMatcher(MatcherSketched), WithFormat(FormatColumnar)); err != nil {
+		t.Errorf("Check of known settings: %v", err)
 	}
 }
 

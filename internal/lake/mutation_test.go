@@ -58,15 +58,15 @@ func seedKeyIndex(t *testing.T, l *Lake, ds *datagen.Dataset) (*frame.Column, st
 		t.Fatal(err)
 	}
 	col := parent.Column(k.ParentCol)
-	if l.KeyCache().Peek(col, false) == nil {
+	if l.KeyCache().Peek(col) == nil {
 		t.Fatal("seeded key index missing")
 	}
 	return col, k.ParentTable
 }
 
 // TestRegisterTablePatchesWarmDRG: registering a table into a lake with
-// a warm DRG memo must yield, without any rebuild, the same graph a
-// fresh lake over the full table set builds.
+// a warm DRG must yield, without any rebuild, the same graph a fresh
+// lake over the full table set builds — one lake per matcher kind.
 func TestRegisterTablePatchesWarmDRG(t *testing.T) {
 	tabs := genTables(t)
 	for _, kind := range []MatcherKind{MatcherExact, MatcherSketched} {
@@ -111,9 +111,9 @@ func TestRegisterTablePatchesWarmDRG(t *testing.T) {
 }
 
 // TestRegisterTableCacheIdentity is the acceptance-criteria test:
-// registering one table preserves unaffected DRG memo entries (build
-// counter flat) and the KeyIndexCache contents (same resident indexes,
-// by pointer identity).
+// registering one table patches the DRG (build counter flat) and
+// preserves the KeyIndexCache contents (same resident indexes, by
+// pointer identity).
 func TestRegisterTableCacheIdentity(t *testing.T) {
 	dir, ds := writeLakeDir(t)
 	l, err := Open(dir)
@@ -132,19 +132,12 @@ func TestRegisterTableCacheIdentity(t *testing.T) {
 	seedKeyIndex(t, l, ds)
 	sizeBefore := l.CacheSize()
 	builds := l.DRGBuilds()
-	memo := l.GraphMemoLen()
 
-	type slot struct {
-		col       *frame.Column
-		normalize bool
-	}
-	resident := map[slot]map[string]int{}
+	resident := map[*frame.Column]map[string]int{}
 	for _, tb := range l.Tables() {
 		for _, c := range tb.Columns() {
-			for _, norm := range []bool{false, true} {
-				if idx := l.KeyCache().Peek(c, norm); idx != nil {
-					resident[slot{c, norm}] = idx
-				}
+			if idx := l.KeyCache().Peek(c); idx != nil {
+				resident[c] = idx
 			}
 		}
 	}
@@ -163,22 +156,19 @@ func TestRegisterTableCacheIdentity(t *testing.T) {
 	if got := l.DRGBuilds(); got != builds {
 		t.Fatalf("register must not trigger DRG rebuilds: %d -> %d", builds, got)
 	}
-	if got := l.GraphMemoLen(); got != memo {
-		t.Fatalf("register must keep every memo entry: %d -> %d", memo, got)
-	}
 	if got := l.CacheSize(); got != sizeBefore {
 		t.Fatalf("cache size changed across register: %d -> %d", sizeBefore, got)
 	}
-	for s, idx := range resident {
-		got := l.KeyCache().Peek(s.col, s.normalize)
+	for c, idx := range resident {
+		got := l.KeyCache().Peek(c)
 		if reflect.ValueOf(got).Pointer() != reflect.ValueOf(idx).Pointer() {
-			t.Fatalf("resident index for %q (normalize=%v) was replaced", s.col.Name(), s.normalize)
+			t.Fatalf("resident index for %q was replaced", c.Name())
 		}
 	}
 }
 
 // TestReplaceTableEvictsAndPatches: replacing a table must evict its
-// stale sketches and key indexes and leave every warm DRG equal to a
+// stale sketches and key indexes and leave the warm DRG equal to a
 // fresh build over the new table set.
 func TestReplaceTableEvictsAndPatches(t *testing.T) {
 	ds := genDS(t)
@@ -209,7 +199,7 @@ func TestReplaceTableEvictsAndPatches(t *testing.T) {
 	if err := l.ReplaceTable(repl); err != nil {
 		t.Fatal(err)
 	}
-	if l.KeyCache().Peek(oldCol, false) != nil {
+	if l.KeyCache().Peek(oldCol) != nil {
 		t.Fatal("old column's key index must be evicted")
 	}
 	if l.Table(old.Name()) != repl {
@@ -233,7 +223,7 @@ func TestReplaceTableEvictsAndPatches(t *testing.T) {
 }
 
 // TestDropTableRemovesEverywhere: dropping removes the node and its
-// edges from warm DRGs, its entries from the LSH index, and its key
+// edges from the warm DRG, its entries from the LSH index, and its key
 // indexes from the shared cache.
 func TestDropTableRemovesEverywhere(t *testing.T) {
 	ds := genDS(t)
@@ -251,7 +241,7 @@ func TestDropTableRemovesEverywhere(t *testing.T) {
 	if l.Table(victim.Name()) != nil || len(l.Tables()) != len(tabs)-1 {
 		t.Fatal("table still resident after drop")
 	}
-	if l.KeyCache().Peek(vCol, false) != nil {
+	if l.KeyCache().Peek(vCol) != nil {
 		t.Fatal("dropped table's key index must be evicted")
 	}
 	patched, err := l.DRG()

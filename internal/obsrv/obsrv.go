@@ -21,7 +21,7 @@
 //     (when Config.Flight is set), for after-the-fact debugging.
 //   - /debug/pprof/... — the standard net/http/pprof handlers (optional),
 //     sharing the same mux and the same explicitly-configured
-//     http.Server (ReadHeaderTimeout set, unlike the bare
+//     http.Server (with a request-header timeout, unlike the bare
 //     http.ListenAndServe it replaces).
 //
 // The server is wired into cmd/autofeat and cmd/experiments behind the
@@ -56,10 +56,11 @@ type Config struct {
 	// Flight, when non-nil, mounts GET /debug/flight over the
 	// flight-recorder ring buffer of recent spans.
 	Flight *telemetry.FlightRecorder
-	// ReadHeaderTimeout bounds how long the server waits for request
-	// headers (slow-loris protection). 0 defaults to 5s.
-	ReadHeaderTimeout time.Duration
 }
+
+// headerTimeout bounds how long the server waits for request headers
+// (slow-loris protection).
+const headerTimeout = 5 * time.Second
 
 // Server is the introspection HTTP server: a run registry plus the
 // /metrics, /healthz, /runs and optional pprof endpoints on one mux.
@@ -77,9 +78,6 @@ type Server struct {
 // NewServer builds a server; call ListenAndServe to serve cfg.Addr, or
 // mount Handler on an existing listener (tests use httptest).
 func NewServer(cfg Config) *Server {
-	if cfg.ReadHeaderTimeout <= 0 {
-		cfg.ReadHeaderTimeout = 5 * time.Second
-	}
 	s := &Server{
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
@@ -107,7 +105,7 @@ func NewServer(cfg Config) *Server {
 	s.srv = &http.Server{
 		Addr:              cfg.Addr,
 		Handler:           s.mux,
-		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
+		ReadHeaderTimeout: headerTimeout,
 	}
 	return s
 }

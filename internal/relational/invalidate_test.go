@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -12,26 +13,26 @@ func TestKeyIndexCacheInvalidateColumns(t *testing.T) {
 	b := frame.NewIntColumn("b", []int64{4, 5, 6}, nil)
 	cache := NewKeyIndexCache()
 	cache.index(a, Options{})
-	cache.index(a, Options{Normalize: true})
+	cache.index(a, Options{Rng: rand.New(rand.NewSource(1)), Seed: 1})
 	cache.index(b, Options{})
 	if cache.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 resident indexes", cache.Len())
 	}
-	keptB := cache.Peek(b, false)
+	keptB := cache.Peek(b)
 	if keptB == nil {
 		t.Fatal("Peek must surface b's resident index")
 	}
 
-	// Invalidating a must drop exactly a's two entries (both normalize
-	// variants) and leave b's untouched — by pointer identity.
+	// Invalidating a must drop exactly a's two entries (first-occurrence
+	// and seeded) and leave b's untouched — by pointer identity.
 	cache.InvalidateColumns([]*frame.Column{a})
 	if cache.Len() != 1 {
 		t.Fatalf("Len after invalidate = %d, want 1", cache.Len())
 	}
-	if cache.Peek(a, false) != nil || cache.Peek(a, true) != nil {
+	if cache.Peek(a) != nil {
 		t.Fatal("a's entries must be gone")
 	}
-	if got := cache.Peek(b, false); !sameMap(got, keptB) {
+	if got := cache.Peek(b); !sameMap(got, keptB) {
 		t.Fatal("b's entry must survive untouched (pointer identity)")
 	}
 
@@ -43,7 +44,7 @@ func TestKeyIndexCacheInvalidateColumns(t *testing.T) {
 	cache.InvalidateColumns(nil)
 	var nilCache *KeyIndexCache
 	nilCache.InvalidateColumns([]*frame.Column{a})
-	if nilCache.Peek(a, false) != nil {
+	if nilCache.Peek(a) != nil {
 		t.Fatal("nil cache peeks nil")
 	}
 

@@ -30,12 +30,10 @@ type Options struct {
 	// error wrapping errs.ErrCancelled, so a deadline cuts a large
 	// materialisation short instead of running it to completion.
 	Ctx context.Context
-	// Normalize reduces the right side to one row per join key before the
-	// join, preventing row duplication (the paper's cardinality handling).
-	// When false, a key with multiple right rows keeps the first.
-	Normalize bool
-	// Rng picks the representative row per key during normalisation. Nil
-	// means the first occurrence is kept, which is fully deterministic.
+	// Rng picks the one right row each join key keeps (the paper's
+	// cardinality handling: group by the join column, pick a row at
+	// random), so a join never duplicates left rows. Nil keeps each key's
+	// first occurrence, which is fully deterministic.
 	Rng *rand.Rand
 	// Seed identifies the stream Rng was created from, for Cache keying.
 	// Callers that pass both Cache and a non-nil Rng MUST derive Rng from
@@ -43,8 +41,8 @@ type Options struct {
 	// freshly built one are interchangeable.
 	Seed int64
 	// Cache, when non-nil, memoises the right-side key index per
-	// (column, normalize, seed) so repeated joins against the same right
-	// table skip the index build. Safe for concurrent use.
+	// (column, seed) so repeated joins against the same right table skip
+	// the index build. Safe for concurrent use.
 	Cache *KeyIndexCache
 	// Telemetry, when non-nil, records a span and duration histogram per
 	// join. Nil disables collection.
@@ -165,10 +163,9 @@ func cancelled(ctx context.Context) error {
 // deterministic first-occurrence index (reusable regardless of seed) from
 // reservoir-sampled indexes, which are pure functions of the seed.
 type keyIndexKey struct {
-	col       *frame.Column
-	normalize bool
-	random    bool
-	seed      int64
+	col    *frame.Column
+	random bool
+	seed   int64
 }
 
 // KeyIndexCache memoises the key→row indexes LeftJoin builds for its
@@ -218,17 +215,17 @@ func (c *KeyIndexCache) InvalidateColumns(cols []*frame.Column) {
 	}
 }
 
-// Peek returns the memoised deterministic (non-random, seed-collapsed)
-// key index for the column, or nil, without counting a hit or building
-// anything. It exists so tests can assert pointer identity of surviving
-// entries across lake mutations.
-func (c *KeyIndexCache) Peek(col *frame.Column, normalize bool) map[string]int {
+// Peek returns the memoised deterministic (first-occurrence) key index
+// for the column, or nil, without counting a hit or building anything.
+// It exists so tests can assert pointer identity of surviving entries
+// across lake mutations.
+func (c *KeyIndexCache) Peek(col *frame.Column) map[string]int {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.m[keyIndexKey{col: col, normalize: normalize}]
+	return c.m[keyIndexKey{col: col}]
 }
 
 // Len reports how many key indexes the cache currently holds — the
@@ -252,7 +249,7 @@ func (c *KeyIndexCache) index(rc *frame.Column, opt Options) map[string]int {
 	if c == nil {
 		return buildKeyIndex(rc, opt)
 	}
-	key := keyIndexKey{col: rc, normalize: opt.Normalize, random: opt.Normalize && opt.Rng != nil, seed: opt.Seed}
+	key := keyIndexKey{col: rc, random: opt.Rng != nil, seed: opt.Seed}
 	if !key.random {
 		// The deterministic index ignores the seed entirely; collapse the
 		// key so every caller shares one entry.
@@ -277,7 +274,7 @@ func (c *KeyIndexCache) index(rc *frame.Column, opt Options) map[string]int {
 
 // buildKeyIndex returns the representative right-row index per join key.
 func buildKeyIndex(rc *frame.Column, opt Options) map[string]int {
-	if !opt.Normalize || opt.Rng == nil {
+	if opt.Rng == nil {
 		// First occurrence wins.
 		rowFor := make(map[string]int, rc.Len())
 		for i, n := 0, rc.Len(); i < n; i++ {

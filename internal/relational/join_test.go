@@ -72,7 +72,7 @@ func TestLeftJoinPreservesLabelDistribution(t *testing.T) {
 		frame.NewIntColumn("k", []int64{2, 2, 2, 3}, nil),
 		frame.NewFloatColumn("v", []float64{1, 2, 3, 4}, nil),
 	)
-	res, err := LeftJoin(base, right, "applicants.id", "k", Options{Normalize: true, Rng: rand.New(rand.NewSource(9))})
+	res, err := LeftJoin(base, right, "applicants.id", "k", Options{Rng: rand.New(rand.NewSource(9))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestLeftJoinNormalizationPicksOneRow(t *testing.T) {
 	// With rng: some seed must pick a non-first row eventually.
 	sawOther := false
 	for seed := int64(0); seed < 20; seed++ {
-		res, err := LeftJoin(base, right, "b.k", "k", Options{Normalize: true, Rng: rand.New(rand.NewSource(seed))})
+		res, err := LeftJoin(base, right, "b.k", "k", Options{Rng: rand.New(rand.NewSource(seed))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +240,11 @@ func TestPathMaterializeSampledDeterministic(t *testing.T) {
 		frame.NewFloatColumn("v", []float64{5, 6, 7}, nil),
 	)
 	p := Path{{FromCol: "applicants.id", To: dup, ToCol: "k"}}
-	a, _, err := p.Materialize(base, Options{Normalize: true, Rng: rand.New(rand.NewSource(4))})
+	a, _, err := p.Materialize(base, Options{Rng: rand.New(rand.NewSource(4))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _ := p.Materialize(base, Options{Normalize: true, Rng: rand.New(rand.NewSource(4))})
+	b, _, _ := p.Materialize(base, Options{Rng: rand.New(rand.NewSource(4))})
 	if !a.Equal(b) {
 		t.Fatal("same seed must give identical materialisation")
 	}
@@ -307,7 +307,7 @@ func TestLeftJoinPreservationProperty(t *testing.T) {
 		if right.AddColumn(frame.NewFloatColumn("v", rv, nil)) != nil {
 			return false
 		}
-		res, err := LeftJoin(left, right, "l.k", "k", Options{Normalize: true, Rng: rng})
+		res, err := LeftJoin(left, right, "l.k", "k", Options{Rng: rng})
 		if err != nil {
 			return false
 		}
@@ -359,18 +359,11 @@ func TestKeyIndexCacheKeying(t *testing.T) {
 	}
 	// Randomised normalisation keys on the seed: distinct seeds are
 	// distinct entries, the same seed is a hit.
-	cache.index(rc, Options{Normalize: true, Rng: rand.New(rand.NewSource(1)), Seed: 1})
-	cache.index(rc, Options{Normalize: true, Rng: rand.New(rand.NewSource(2)), Seed: 2})
-	cache.index(rc, Options{Normalize: true, Rng: rand.New(rand.NewSource(1)), Seed: 1})
+	cache.index(rc, Options{Rng: rand.New(rand.NewSource(1)), Seed: 1})
+	cache.index(rc, Options{Rng: rand.New(rand.NewSource(2)), Seed: 2})
+	cache.index(rc, Options{Rng: rand.New(rand.NewSource(1)), Seed: 1})
 	if hits, misses := cache.Stats(); hits != 2 || misses != 3 {
 		t.Fatalf("random keying: %d hits / %d misses, want 2/3", hits, misses)
-	}
-	// Normalize without Rng is the same deterministic first-occurrence
-	// index as Normalize=false builds... but cardinality handling differs
-	// downstream, so the cache must still key them apart.
-	cache.index(rc, Options{Normalize: true})
-	if hits, misses := cache.Stats(); hits != 2 || misses != 4 {
-		t.Fatalf("normalize-deterministic keying: %d hits / %d misses, want 2/4", hits, misses)
 	}
 	// A nil cache stays inert and nil-safe.
 	var nilCache *KeyIndexCache
@@ -394,7 +387,7 @@ func TestKeyIndexCacheSeedContract(t *testing.T) {
 	)
 	cache := NewKeyIndexCache()
 	opts := func() Options {
-		return Options{Normalize: true, Rng: rand.New(rand.NewSource(5)), Seed: 5, Cache: cache}
+		return Options{Rng: rand.New(rand.NewSource(5)), Seed: 5, Cache: cache}
 	}
 	r1, err := LeftJoin(base, right, "b.id", "k", opts())
 	if err != nil {

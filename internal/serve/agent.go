@@ -46,8 +46,6 @@ type AgentConfig struct {
 	// cross-node traces. Attach the same store the worker's obsrv
 	// server renders.
 	Traces *telemetry.TraceStore
-	// Client performs the heartbeat HTTP; nil defaults to a 10s client.
-	Client *http.Client
 }
 
 // Agent is the cluster-facing side of one worker.
@@ -61,15 +59,13 @@ type Agent struct {
 	replica []byte
 }
 
-// NewAgent builds the cluster agent for a worker service.
+// NewAgent builds the cluster agent for a worker service. Its heartbeats
+// go through a 10s-timeout client.
 func NewAgent(cfg AgentConfig, svc *Service) *Agent {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 2 * time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &Agent{cfg: cfg, svc: svc, log: telemetry.OrNop(cfg.Logger), client: cfg.Client}
+	return &Agent{cfg: cfg, svc: svc, log: telemetry.OrNop(cfg.Logger), client: &http.Client{Timeout: 10 * time.Second}}
 }
 
 // Mount registers the worker's cluster control-plane routes alongside

@@ -27,6 +27,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -114,22 +115,12 @@ type clusterJobDoc struct {
 // ClusterConfig sizes and wires a Coordinator.
 type ClusterConfig struct {
 	// HeartbeatTimeout is the silence after which a worker is declared
-	// dead and its queued jobs reroute. 0 defaults to 10s.
+	// dead and its queued jobs reroute. 0 defaults to 10s. The
+	// background membership/dispatch sweep runs four times per timeout.
 	HeartbeatTimeout time.Duration
-	// SweepInterval is the background membership/dispatch sweep period.
-	// 0 defaults to HeartbeatTimeout / 4.
-	SweepInterval time.Duration
-	// RetryBackoff is the base delay before re-dispatching a job whose
-	// dispatch failed or was rejected; it doubles per attempt and is
-	// capped at 8x (bounded backoff). 0 defaults to 250ms.
-	RetryBackoff time.Duration
 	// TenantQuota bounds each tenant's in-flight (queued + dispatched)
 	// jobs; submissions beyond it get 429. 0 = unlimited.
 	TenantQuota int
-	// StorePath is the job-store JSON file; "" keeps the store in
-	// memory (queued jobs then survive worker deaths but not a
-	// coordinator restart).
-	StorePath string
 	// StoreRetention caps how many terminal job documents the job store
 	// retains (oldest evicted FIFO, surfaced as
 	// cluster.store_jobs_evicted). 0 = unbounded.
@@ -145,20 +136,21 @@ type ClusterConfig struct {
 	// Traces nil so the coordinator's federated routes own the
 	// /v1/traces patterns.
 	Traces *telemetry.TraceStore
-	// Events is the cluster event journal served at
-	// GET /v1/cluster/events; nil gets a DefaultEventLogSize ring
-	// mirroring to Logger.
-	Events *telemetry.EventLog
-	// NodeID labels the coordinator's own series in the federated
-	// metrics exposition. "" defaults to "coordinator".
-	NodeID string
-	// Client performs all coordinator -> worker HTTP; nil defaults to a
-	// 30s-timeout client.
-	Client *http.Client
 
 	// clock overrides time.Now in tests.
 	clock func() time.Time
+	// retryBackoff overrides defaultRetryBackoff in tests.
+	retryBackoff time.Duration
 }
+
+// defaultRetryBackoff is the base delay before re-dispatching a job
+// whose dispatch failed or was rejected; it doubles per attempt and is
+// capped at 8x (bounded backoff).
+const defaultRetryBackoff = 250 * time.Millisecond
+
+// coordinatorNode labels the coordinator's own series in the federated
+// metrics exposition, its status document and its trace fan-out.
+const coordinatorNode = "coordinator"
 
 // Coordinator is the cluster's routing node: membership table,
 // replicated job store, and the proxy handlers that keep the
@@ -182,40 +174,32 @@ type Coordinator struct {
 	lastEvicted atomic.Int64 // store evictions already counted
 }
 
-// NewCoordinator builds a Coordinator around the given job store.
+// NewCoordinator builds a Coordinator around the given job store. Its
+// event journal, served at GET /v1/cluster/events, is a
+// DefaultEventLogSize ring mirroring to cfg.Logger; all its
+// coordinator -> worker HTTP goes through one 30s-timeout client.
 func NewCoordinator(cfg ClusterConfig, store *JobStore) *Coordinator {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 10 * time.Second
 	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.HeartbeatTimeout / 4
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 250 * time.Millisecond
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 30 * time.Second}
+	if cfg.retryBackoff <= 0 {
+		cfg.retryBackoff = defaultRetryBackoff
 	}
 	if cfg.clock == nil {
 		cfg.clock = time.Now
 	}
-	if cfg.NodeID == "" {
-		cfg.NodeID = "coordinator"
-	}
-	if cfg.Events == nil {
-		cfg.Events = telemetry.NewEventLog(0, cfg.Logger)
-	}
-	cfg.Events.SetClock(cfg.clock)
+	events := telemetry.NewEventLog(0, cfg.Logger)
+	events.SetClock(cfg.clock)
 	if cfg.StoreRetention > 0 {
 		store.SetRetention(cfg.StoreRetention)
 	}
 	return &Coordinator{
 		cfg:         cfg,
 		log:         telemetry.OrNop(cfg.Logger),
-		client:      cfg.Client,
+		client:      &http.Client{Timeout: 30 * time.Second},
 		store:       store,
 		clock:       cfg.clock,
-		events:      cfg.Events,
+		events:      events,
 		workers:     map[string]*workerState{},
 		workerSnaps: map[string]*telemetry.Snapshot{},
 	}
@@ -253,7 +237,7 @@ func (c *Coordinator) Mount(srv *obsrv.Server) {
 // Run drives the coordinator's background loop — membership sweeps,
 // queued-job dispatch, store replication — until ctx is cancelled.
 func (c *Coordinator) Run(ctx context.Context) {
-	t := time.NewTicker(c.cfg.SweepInterval)
+	t := time.NewTicker(c.cfg.HeartbeatTimeout / 4)
 	defer t.Stop()
 	for {
 		select {
@@ -528,8 +512,8 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
-	if req.Dir == "" {
-		writeError(w, http.StatusBadRequest, "dir is required")
+	if _, err := req.options(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	stored, err := c.store.AddLake(req)
@@ -565,13 +549,23 @@ func (c *Coordinator) openLakeOn(ctx context.Context, w workerState, l StoredLak
 		return 0, fmt.Errorf("serve: open lake %s on %s: %w", l.ID, w.ID, err)
 	}
 	if rep.status != http.StatusCreated {
-		return 0, fmt.Errorf("serve: open lake %s on %s: status %d: %.4096s", l.ID, w.ID, rep.status, bytes.TrimSpace(rep.body))
+		return 0, &statusError{status: rep.status,
+			msg: fmt.Sprintf("serve: open lake %s on %s: status %d: %.4096s", l.ID, w.ID, rep.status, bytes.TrimSpace(rep.body))}
 	}
 	var doc lakeDoc
 	_ = json.Unmarshal(rep.body, &doc)
 	c.noteWorkerLake(w.ID, l.ID)
 	return doc.Tables, nil
 }
+
+// statusError is a worker's answer other than the one a coordinator
+// request expects.
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e *statusError) Error() string { return e.msg }
 
 // noteWorkerLake records that a worker now holds a lake, without
 // waiting for its next heartbeat to say so.
@@ -687,7 +681,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Type:   telemetry.EventQuotaRejected,
 			Detail: fmt.Sprintf("tenant %q at quota %d", tenant, q),
 		})
-		retry := int(c.cfg.RetryBackoff/time.Second) + 1
+		retry := int(c.cfg.retryBackoff/time.Second) + 1
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		writeJSON(w, http.StatusTooManyRequests, map[string]any{
 			"error":               "tenant quota exceeded",
@@ -717,21 +711,22 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // backoffFor computes the bounded retry delay after n attempts: base *
 // 2^(n-1), capped at 8x base.
 func (c *Coordinator) backoffFor(attempts int) time.Duration {
-	d := c.cfg.RetryBackoff
-	for i := 1; i < attempts && d < 8*c.cfg.RetryBackoff; i++ {
+	d := c.cfg.retryBackoff
+	for i := 1; i < attempts && d < 8*c.cfg.retryBackoff; i++ {
 		d *= 2
 	}
-	if d > 8*c.cfg.RetryBackoff {
-		d = 8 * c.cfg.RetryBackoff
+	if d > 8*c.cfg.retryBackoff {
+		d = 8 * c.cfg.retryBackoff
 	}
 	return d
 }
 
 // dispatch tries to hand one queued job to its lake's current owner.
-// Outcomes: accepted (job becomes dispatched), rejected 4xx other than
-// 429 (job fails — it would fail identically anywhere), worker busy or
-// unreachable (job stays queued with a bounded-backoff gate for the
-// next sweep).
+// Outcomes: accepted (job becomes dispatched); the owner refuses to open
+// the lake with a 4xx other than 429, or answers the submit with
+// anything but 202, 429 or 503 (job fails — it would fail identically
+// anywhere); worker busy or unreachable (job stays queued with a
+// bounded-backoff gate for the next sweep).
 func (c *Coordinator) dispatch(ctx context.Context, jobID string) {
 	job, ok := c.store.Job(jobID)
 	if !ok || job.State != ClusterQueued {
@@ -747,6 +742,12 @@ func (c *Coordinator) dispatch(ctx context.Context, jobID string) {
 		return
 	}
 	if err := c.ensureLakeOn(ctx, owner, job.Lake); err != nil {
+		// A 4xx other than 429 comes back the same on every retry.
+		var se *statusError
+		if errors.As(err, &se) && se.status >= 400 && se.status < 500 && se.status != http.StatusTooManyRequests {
+			c.reject(jobID, owner.ID, err.Error())
+			return
+		}
 		c.retryLater(jobID, owner.ID, err.Error())
 		return
 	}
@@ -804,14 +805,19 @@ func (c *Coordinator) dispatch(ctx context.Context, jobID string) {
 		// the sweep retry after the backoff.
 		c.retryLater(jobID, owner.ID, fmt.Sprintf("worker %s busy (status %d)", owner.ID, rep.status))
 	default:
-		c.store.Update(jobID, func(j *StoredJob) {
-			j.State = StateFailed
-			j.Worker = owner.ID
-			j.Attempts++
-			j.Error = fmt.Sprintf("worker %s rejected job (status %d): %.4096s", owner.ID, rep.status, rep.body)
-		})
-		c.log.Warn("cluster job rejected by worker", "id", jobID, "worker", owner.ID, "status", rep.status)
+		c.reject(jobID, owner.ID, fmt.Sprintf("worker %s rejected job (status %d): %.4096s", owner.ID, rep.status, rep.body))
 	}
+}
+
+// reject fails a job its owner refused for good.
+func (c *Coordinator) reject(jobID, worker, reason string) {
+	c.store.Update(jobID, func(j *StoredJob) {
+		j.State = StateFailed
+		j.Worker = worker
+		j.Attempts++
+		j.Error = reason
+	})
+	c.log.Warn("cluster job rejected by worker", "id", jobID, "worker", worker, "error", reason)
 }
 
 // retryLater re-queues a job with the bounded-backoff gate.

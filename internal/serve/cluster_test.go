@@ -72,6 +72,13 @@ type clusterStack struct {
 // so liveness transitions only happen when the test advances the clock.
 func newClusterStack(t *testing.T, n int, ccfg ClusterConfig, wcfg Config) *clusterStack {
 	t.Helper()
+	return newClusterStackAt(t, n, ccfg, wcfg, "")
+}
+
+// newClusterStackAt is newClusterStack with the coordinator's job store
+// persisted at storePath ("" keeps it in memory).
+func newClusterStackAt(t *testing.T, n int, ccfg ClusterConfig, wcfg Config, storePath string) *clusterStack {
+	t.Helper()
 	ds, err := datagen.Generate(datagen.SmallSpecs()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +126,7 @@ func newClusterStack(t *testing.T, n int, ccfg ClusterConfig, wcfg Config) *clus
 		ccfg.Collector.ObserveSpans(ccfg.Traces)
 	}
 	ccfg.clock = cs.clock.now
-	store, err := NewJobStore(ccfg.StorePath)
+	store, err := NewJobStore(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +461,7 @@ func TestClusterTenantQuota(t *testing.T) {
 // dispatches it after the worker drains.
 func TestClusterWorkerBusyRequeues(t *testing.T) {
 	cs := newClusterStack(t, 1,
-		ClusterConfig{HeartbeatTimeout: 5 * time.Second, RetryBackoff: 10 * time.Millisecond},
+		ClusterConfig{HeartbeatTimeout: 5 * time.Second, retryBackoff: 10 * time.Millisecond},
 		Config{Workers: 1, QueueDepth: 1})
 	postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir}, nil)
 	w := cs.workers[0]
@@ -758,6 +765,73 @@ func TestCoordinatorForwardsLakeFormat(t *testing.T) {
 	}
 }
 
+// TestRegistrationRefusesUnknownSettings registers lakes with an
+// unknown matcher or format on a single node and on a coordinator. Both
+// roles answer 400 naming the value and keep nothing: no lake on the
+// node, no record in the coordinator's store.
+func TestRegistrationRefusesUnknownSettings(t *testing.T) {
+	st := newStack(t, Config{Workers: 1})
+	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
+	for _, reg := range []StoredLake{
+		{ID: "bad-matcher", Matcher: "bogus"},
+		{ID: "bad-format", Format: "parquet"},
+	} {
+		for role, stack := range map[string]struct{ url, dir string }{
+			"single node": {st.ts.URL, st.dir},
+			"coordinator": {cs.coordTS.URL, cs.dir},
+		} {
+			reg.Dir = stack.dir
+			var e struct {
+				Error string `json:"error"`
+			}
+			bad := reg.Matcher + reg.Format
+			if r := postJSON(t, stack.url+"/v1/lakes", reg, &e); r.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, bad) {
+				t.Errorf("%s: registering %+v: status %d, error %q; want 400 naming %q", role, reg, r.StatusCode, e.Error, bad)
+			}
+		}
+		if st.svc.Lake(reg.ID) != nil {
+			t.Errorf("single node kept lake %s", reg.ID)
+		}
+		if cs.coord.Store().LakeByID(reg.ID) != nil {
+			t.Errorf("coordinator stored lake %s", reg.ID)
+		}
+	}
+	if ids := cs.workers[0].svc.LakeIDs(); len(ids) != 0 {
+		t.Errorf("worker opened lakes %v", ids)
+	}
+}
+
+// TestJobFailsWhenOwnerRefusesLake covers a stored lake its owner
+// refuses to open with a 4xx (a columnar-only lake over CSV files): a
+// job against it fails with the worker's reason at its first dispatch
+// instead of staying queued, and later sweeps leave it failed.
+func TestJobFailsWhenOwnerRefusesLake(t *testing.T) {
+	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
+	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir, Format: "columnar"}, nil); r.StatusCode != http.StatusBadGateway {
+		t.Fatalf("columnar open of a CSV lake: status %d, want 502", r.StatusCode)
+	}
+	req := submitRequest{Lake: "lake-001", Base: cs.ds.Base.Name(), Label: cs.ds.Label}
+	id, _, status := submitCluster(t, cs, "acme", req)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d", status)
+	}
+	for i := 0; i < 5; i++ {
+		cs.heartbeatAll(t, nil)
+		cs.coord.Sweep()
+		cs.clock.advance(time.Second)
+	}
+	j, _ := cs.coord.Store().Job(id)
+	if j.State != StateFailed || !strings.Contains(j.Error, "status 400") || !strings.Contains(j.Error, "no columnar table files") {
+		t.Fatalf("job state %q error %q, want failed with the worker's 400 reason", j.State, j.Error)
+	}
+	if j.Attempts != 1 {
+		t.Errorf("%d dispatch attempts, want 1", j.Attempts)
+	}
+	if n := cs.coord.Store().InFlight("acme"); n != 0 {
+		t.Errorf("tenant has %d jobs in flight, want 0", n)
+	}
+}
+
 // lastEvent returns the newest journal event of the given type.
 func lastEvent(t *testing.T, cs *clusterStack, typ string) telemetry.Event {
 	t.Helper()
@@ -801,7 +875,7 @@ func TestReplicationReachesRejoinedWorker(t *testing.T) {
 func TestCoordinatorRejectsUnpersistedRecords(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "missing")
 	path := filepath.Join(dir, "store.json")
-	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second, StorePath: path}, Config{Workers: 1})
+	cs := newClusterStackAt(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1}, path)
 	store := cs.coord.Store()
 	lakeReq := StoredLake{ID: "lake-001", Dir: cs.dir}
 	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", lakeReq, nil); r.StatusCode != http.StatusServiceUnavailable {

@@ -51,7 +51,7 @@ func (c *Coordinator) pullTelemetry(ctx context.Context) {
 // coordinator's own live snapshot first, then every pulled worker
 // snapshot in sorted node order.
 func (c *Coordinator) nodeSnapshots() []obsrv.NodeSnapshot {
-	out := []obsrv.NodeSnapshot{{Node: c.cfg.NodeID, Snap: c.cfg.Collector.Snapshot()}}
+	out := []obsrv.NodeSnapshot{{Node: coordinatorNode, Snap: c.cfg.Collector.Snapshot()}}
 	c.snapMu.Lock()
 	ids := make([]string, 0, len(c.workerSnaps))
 	for id := range c.workerSnaps {
@@ -133,7 +133,7 @@ type clusterStatusDoc struct {
 
 // handleClusterStatus assembles the federated status document.
 func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	doc := clusterStatusDoc{Proto: ProtoVersion, Node: c.cfg.NodeID, Events: c.events.Total()}
+	doc := clusterStatusDoc{Proto: ProtoVersion, Node: coordinatorNode, Events: c.events.Total()}
 	doc.Workers = c.workerDocs()
 	for _, wd := range doc.Workers {
 		if !wd.Alive {
@@ -216,7 +216,7 @@ func (c *Coordinator) handleFederatedTrace(w http.ResponseWriter, r *http.Reques
 	spans := c.cfg.Traces.Spans(id)
 	var nodes []string
 	if len(spans) > 0 {
-		nodes = append(nodes, c.cfg.NodeID)
+		nodes = append(nodes, coordinatorNode)
 	}
 	for _, wk := range c.alive() {
 		mx.Inc(telemetry.CtrClusterProxied)

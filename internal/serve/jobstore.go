@@ -53,8 +53,9 @@ type StoredLake struct {
 	// Dir is the lake directory to open (required). Workers must be able
 	// to resolve it (shared filesystem or per-node copy).
 	Dir string `json:"dir"`
-	// Matcher is the lake's default DRG matcher: "exact" (default) or
-	// "sketched"; Threshold its default matcher threshold (0 = 0.55).
+	// Matcher is the lake's DRG matcher: "exact" (default) or
+	// "sketched"; Threshold its matcher threshold (0 = 0.55). Both are
+	// fixed for the lake's lifetime; every job against it uses them.
 	Matcher   string  `json:"matcher,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 	// Format selects the table file format: "auto" (default; columnar

@@ -182,14 +182,12 @@ func (s *Service) AddLake(id string, l *lake.Lake) {
 }
 
 // updateLakeGauges refreshes the per-lake /metrics gauges: resident
-// tables, DRG memo entries, key-index cache hits/misses/size, and the
-// LSH index shape. Called on registration, after every job and after
+// tables, key-index cache hits/misses/size, and the LSH index shape. Called on registration, after every job and after
 // every table mutation so scrapes stay current without a background
 // poller.
 func (s *Service) updateLakeGauges(id string, l *lake.Lake) {
 	mx := s.cfg.Collector.Meter()
 	mx.SetGauge(telemetry.GaugeLakeTablesPrefix+id, float64(len(l.Tables())))
-	mx.SetGauge(telemetry.GaugeLakeGraphMemoPrefix+id, float64(l.GraphMemoLen()))
 	hits, misses := l.CacheStats()
 	mx.SetGauge(telemetry.GaugeLakeKeyCacheHitsPrefix+id, float64(hits))
 	mx.SetGauge(telemetry.GaugeLakeKeyCacheMissesPrefix+id, float64(misses))
@@ -257,6 +255,26 @@ type lakeDoc struct {
 	Tables int    `json:"tables"`
 }
 
+// options checks a registration and returns the lake options it asks
+// for. Both roles run it before they open or store anything, so a
+// registration no worker could open is refused with 400 up front.
+func (l StoredLake) options() ([]lake.Option, error) {
+	if l.Dir == "" {
+		return nil, errors.New("dir is required")
+	}
+	var opts []lake.Option
+	if l.Matcher != "" {
+		opts = append(opts, lake.WithMatcher(lake.MatcherKind(l.Matcher)))
+	}
+	if l.Threshold > 0 {
+		opts = append(opts, lake.WithThreshold(l.Threshold))
+	}
+	if l.Format != "" {
+		opts = append(opts, lake.WithFormat(lake.Format(l.Format)))
+	}
+	return opts, lake.Check(opts...)
+}
+
 func (s *Service) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "service is draining")
@@ -266,19 +284,10 @@ func (s *Service) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
-	if req.Dir == "" {
-		writeError(w, http.StatusBadRequest, "dir is required")
+	opts, err := req.options()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	var opts []lake.Option
-	if req.Matcher != "" {
-		opts = append(opts, lake.WithMatcher(lake.MatcherKind(req.Matcher)))
-	}
-	if req.Threshold > 0 {
-		opts = append(opts, lake.WithThreshold(req.Threshold))
-	}
-	if req.Format != "" {
-		opts = append(opts, lake.WithFormat(lake.Format(req.Format)))
 	}
 	l, err := lake.Open(req.Dir, opts...)
 	if err != nil {
@@ -332,7 +341,6 @@ type tableMutationDoc struct {
 	Tables       int    `json:"tables"`
 	IndexBuilt   bool   `json:"index_built"`
 	IndexColumns int    `json:"index_columns,omitempty"`
-	GraphMemo    int    `json:"drg_memo_entries"`
 	Mutations    int64  `json:"mutations"`
 }
 
@@ -358,7 +366,6 @@ func (s *Service) finishMutation(w http.ResponseWriter, id string, l *lake.Lake,
 		Tables:       len(l.Tables()),
 		IndexBuilt:   ix.Built,
 		IndexColumns: ix.Columns,
-		GraphMemo:    l.GraphMemoLen(),
 		Mutations:    l.Mutations(),
 	})
 }
@@ -429,9 +436,10 @@ func (s *Service) handleTableDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 // submitRequest is the POST /v1/discoveries body. Zero-valued optional
-// fields fall back to core.DefaultConfig (and the lake's DRG defaults).
-// It is decoded strictly (decodeSubmit): a field it does not name is a
-// 400, so a removed option fails loudly instead of being ignored.
+// fields fall back to core.DefaultConfig; the DRG is the lake's, fixed
+// when it was registered. It is decoded strictly (decodeSubmit): a field
+// it does not name is a 400, so a removed option fails loudly instead
+// of being ignored.
 type submitRequest struct {
 	// Lake is the registered lake id (required).
 	Lake string `json:"lake"`
@@ -441,9 +449,6 @@ type submitRequest struct {
 	// Model optionally names the model trained on the top-k paths;
 	// empty returns the ranking alone.
 	Model string `json:"model,omitempty"`
-	// Matcher and Threshold override the lake's DRG defaults per request.
-	Matcher   string  `json:"matcher,omitempty"`
-	Threshold float64 `json:"threshold,omitempty"`
 	// Discovery hyper-parameters (0 = default).
 	Tau     float64 `json:"tau,omitempty"`
 	Kappa   int     `json:"kappa,omitempty"`
@@ -528,14 +533,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	cfg := req.config(s.cfg.DefaultTimeout)
 	cfg.Telemetry = s.cfg.Collector
 	cfg.Logger = s.cfg.Logger
-	lreq := lake.Request{
-		Base:      req.Base,
-		Label:     req.Label,
-		Model:     req.Model,
-		Matcher:   lake.MatcherKind(req.Matcher),
-		Threshold: req.Threshold,
-		Config:    &cfg,
-	}
+	lreq := lake.Request{Base: req.Base, Label: req.Label, Model: req.Model, Config: &cfg}
 
 	// The job outlives the HTTP request, so detach its context from the
 	// request's cancellation while keeping the trace identity the obsrv

@@ -246,14 +246,15 @@ func TestSubmitConfigKeepsDefaultBudget(t *testing.T) {
 
 // TestSubmitRejectsRemovedFields checks that a submit body naming a field
 // the service does not know, such as the removed max_paths and
-// budget_rows limits, gets 400 on a single node and on a coordinator
-// instead of running with the field ignored.
+// budget_rows limits or the per-job matcher and threshold (a lake's DRG
+// setting is fixed at registration), gets 400 on a single node and on a
+// coordinator instead of running with the field ignored.
 func TestSubmitRejectsRemovedFields(t *testing.T) {
 	st := newStack(t, Config{Workers: 1})
 	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
 	postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-test", Dir: cs.dir}, nil)
-	for _, field := range []string{"max_paths", "budget_rows"} {
-		body := map[string]any{"lake": "lake-test", "base": st.ds.Base.Name(), "label": st.ds.Label, field: 10}
+	for field, value := range map[string]any{"max_paths": 10, "budget_rows": 10, "matcher": "sketched", "threshold": 0.7} {
+		body := map[string]any{"lake": "lake-test", "base": st.ds.Base.Name(), "label": st.ds.Label, field: value}
 		for role, url := range map[string]string{"single node": st.ts.URL, "coordinator": cs.coordTS.URL} {
 			var e struct {
 				Error string `json:"error"`

@@ -122,9 +122,6 @@ const (
 	// GaugeLakeTablesPrefix records the resident table count per lake
 	// ("lake.tables.<lake>").
 	GaugeLakeTablesPrefix = "lake.tables."
-	// GaugeLakeGraphMemoPrefix records the DRG memo entry count per lake
-	// ("lake.drg_memo_entries.<lake>").
-	GaugeLakeGraphMemoPrefix = "lake.drg_memo_entries."
 	// GaugeLakeKeyCacheHitsPrefix, GaugeLakeKeyCacheMissesPrefix and
 	// GaugeLakeKeyCacheSizePrefix record the shared key-index cache's
 	// cumulative hits, misses and resident index count per lake
