@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"slices"
 
 	"autofeat/internal/frame"
 )
@@ -31,8 +32,21 @@ func EvaluateFrameLogged(f *frame.Frame, features []string, label string, c Clas
 	if len(features) == 0 {
 		return EvalResult{}, fmt.Errorf("ml: no features to evaluate")
 	}
-	imputed := f.Imputed()
-	split, err := imputed.StratifiedSplit(label, 0.8, rand.New(rand.NewSource(seed)))
+	// Only the features and the label are imputed and split: a
+	// materialised path carries every column of every joined table. The
+	// split reads only the label and the seed, so it keeps its rows. A
+	// missing name is left for Matrix or Labels to report.
+	used := make([]string, 0, len(features)+1)
+	for _, name := range append(features[:len(features):len(features)], label) {
+		if f.HasColumn(name) && !slices.Contains(used, name) {
+			used = append(used, name)
+		}
+	}
+	sub, err := f.Select(used...)
+	if err != nil {
+		return EvalResult{}, err
+	}
+	split, err := sub.Imputed().StratifiedSplit(label, 0.8, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return EvalResult{}, err
 	}

@@ -56,18 +56,16 @@ func (f *Forest) Fit(X [][]float64, y []int) error {
 	}
 	f.trees = make([]*binTree, f.nTrees)
 	n := len(X)
+	buf := newRowBuffer(n)
 	for t := 0; t < f.nTrees; t++ {
-		rows := make([]int, n)
 		if f.bootstrap {
-			for i := range rows {
-				rows[i] = rng.Intn(n)
+			for i := range buf.rows {
+				buf.rows[i] = rng.Intn(n)
 			}
 		} else {
-			for i := range rows {
-				rows[i] = i
-			}
+			buf.reset()
 		}
-		f.trees[t] = buildClassTree(binned, y, rows, f.bn, cfg, rng)
+		f.trees[t] = buildClassTree(binned, y, &buf, f.bn, cfg, rng)
 	}
 	return nil
 }

@@ -1,9 +1,8 @@
 package ml
 
 import (
-	"container/heap"
 	"math"
-	"math/rand"
+	"slices"
 )
 
 // GBDT is a gradient-boosted decision tree classifier with logistic loss.
@@ -53,7 +52,6 @@ func (g *GBDT) Fit(X [][]float64, y []int) error {
 		return err
 	}
 	g.bn = fitBinner(X, defaultMaxBins)
-	binned := g.bn.transform(X)
 	n := len(X)
 
 	// Initial prediction: log-odds of the positive rate.
@@ -68,24 +66,32 @@ func (g *GBDT) Fit(X [][]float64, y []int) error {
 	for i := range scores {
 		scores[i] = g.baseline
 	}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
+	gr := &regGrower{
+		g:      g,
+		binned: g.bn.transform(X),
+		grad:   make([]float64, n),
+		hess:   make([]float64, n),
+		buf:    newRowBuffer(n),
 	}
-	rng := rand.New(rand.NewSource(g.seed))
 	g.trees = g.trees[:0]
 	for round := 0; round < g.nRounds; round++ {
 		for i := 0; i < n; i++ {
 			p := sigmoid(scores[i])
-			grad[i] = p - float64(y[i])
-			hess[i] = p * (1 - p)
+			gr.grad[i] = p - float64(y[i])
+			gr.hess[i] = p * (1 - p)
 		}
-		t := g.buildRegTree(binned, grad, hess, rows, rng)
+		t := gr.grow()
 		g.trees = append(g.trees, t)
-		for i, row := range binned {
-			scores[i] += g.learningRate * t.predictRow(row)
+		// Every training row lies in exactly one leaf's range, the leaf
+		// predictRow would walk it to, so each row gets the same add.
+		for id, nd := range t.nodes {
+			if nd.left >= 0 {
+				continue
+			}
+			leaf := gr.nodes[id]
+			for _, r := range gr.buf.rows[leaf.lo:leaf.hi] {
+				scores[r] += g.learningRate * nd.value
+			}
 		}
 	}
 	return nil
@@ -126,38 +132,75 @@ type regSplit struct {
 	gain     float64
 	feature  int
 	splitBin uint8
-	lrows    []int
-	rrows    []int
 }
 
-// buildRegTree grows one regression tree on gradient/hessian targets.
-func (g *GBDT) buildRegTree(binned [][]uint8, grad, hess []float64, rows []int, rng *rand.Rand) *binTree {
-	t := &binTree{}
-	if g.leafWise {
-		g.growLeafWise(t, binned, grad, hess, rows)
+// regGrower grows the regression trees of one fit over one row buffer.
+// Node id owns buf.rows[nodes[id].lo:nodes[id].hi]. A split partitions
+// its node's range stably, so every range stays ascending, and each
+// node's sums and histograms add the same rows in the same order as
+// when every node kept a row list of its own.
+type regGrower struct {
+	g          *GBDT
+	binned     [][]uint8
+	grad, hess []float64
+	buf        rowBuffer
+	// The tree being grown, its nodes' rows and sums by node id, and
+	// its split candidates; all three are reused from tree to tree.
+	tree  []treeNode
+	nodes []regNode
+	heap  leafHeap
+}
+
+// regNode is what a fit keeps of a node beside the tree: the range of
+// the row buffer it owns, and its gradient and hessian sums, which feed
+// both its value and its split search.
+type regNode struct {
+	lo, hi int
+	gs, hs float64
+}
+
+// grow grows one regression tree on the current gradient/hessian targets.
+func (gr *regGrower) grow() *binTree {
+	gr.buf.reset()
+	gr.tree, gr.nodes = gr.tree[:0], gr.nodes[:0]
+	if gr.g.leafWise {
+		gr.growLeafWise()
 	} else {
-		g.growDepthWise(t, binned, grad, hess, rows, 0)
+		gr.growDepthWise(0, len(gr.buf.rows), 0)
 	}
-	return t
+	return &binTree{nodes: slices.Clone(gr.tree)}
+}
+
+// addLeaf appends a leaf owning rows[lo:hi], valued at the Newton step
+// -G/(H+λ), and returns its id.
+func (gr *regGrower) addLeaf(lo, hi int) int {
+	var gs, hs float64
+	for _, r := range gr.buf.rows[lo:hi] {
+		gs += gr.grad[r]
+		hs += gr.hess[r]
+	}
+	gr.nodes = append(gr.nodes, regNode{lo: lo, hi: hi, gs: gs, hs: hs})
+	gr.tree = append(gr.tree, treeNode{left: -1, right: -1, value: -gs / (hs + gr.g.lambda)})
+	return len(gr.tree) - 1
 }
 
 // growDepthWise is classic recursive expansion to maxDepth.
-func (g *GBDT) growDepthWise(t *binTree, binned [][]uint8, grad, hess []float64, rows []int, depth int) int {
-	id := len(t.nodes)
-	t.nodes = append(t.nodes, treeNode{left: -1, right: -1, value: g.leafValue(grad, hess, rows)})
-	if depth >= g.maxDepth || len(rows) < 2*g.minChild {
+func (gr *regGrower) growDepthWise(lo, hi, depth int) int {
+	id := gr.addLeaf(lo, hi)
+	if depth >= gr.g.maxDepth {
 		return id
 	}
-	sp, ok := g.bestRegSplit(binned, grad, hess, rows)
+	sp, ok := gr.bestRegSplit(id)
 	if !ok {
 		return id
 	}
-	l := g.growDepthWise(t, binned, grad, hess, sp.lrows, depth+1)
-	r := g.growDepthWise(t, binned, grad, hess, sp.rrows, depth+1)
-	t.nodes[id].feature = sp.feature
-	t.nodes[id].splitBin = sp.splitBin
-	t.nodes[id].left = l
-	t.nodes[id].right = r
+	mid := gr.buf.partition(gr.binned, lo, hi, sp.feature, sp.splitBin)
+	l := gr.growDepthWise(lo, mid, depth+1)
+	r := gr.growDepthWise(mid, hi, depth+1)
+	gr.tree[id].feature = sp.feature
+	gr.tree[id].splitBin = sp.splitBin
+	gr.tree[id].left = l
+	gr.tree[id].right = r
 	return id
 }
 
@@ -168,93 +211,124 @@ type leafCandidate struct {
 	split  regSplit
 }
 
-// leafHeap is a max-heap on split gain.
+// leafHeap is a max-heap on split gain. push and pop move candidates
+// exactly as container/heap's Push and Pop do, so equal gains pop in
+// the same order, but keep them unboxed.
 type leafHeap []leafCandidate
 
-func (h leafHeap) Len() int           { return len(h) }
-func (h leafHeap) Less(i, j int) bool { return h[i].split.gain > h[j].split.gain }
-func (h leafHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *leafHeap) Push(x any)        { *h = append(*h, x.(leafCandidate)) }
-func (h *leafHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h *leafHeap) push(c leafCandidate) {
+	*h = append(*h, c)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].split.gain > s[i].split.gain) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *leafHeap) pop() leafCandidate {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].split.gain > s[j].split.gain {
+			j = j2
+		}
+		if !(s[j].split.gain > s[i].split.gain) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
 
 // growLeafWise expands the highest-gain leaf first until the maxLeaves
-// budget is exhausted — LightGBM's signature growth order.
-func (g *GBDT) growLeafWise(t *binTree, binned [][]uint8, grad, hess []float64, rows []int) {
-	t.nodes = append(t.nodes, treeNode{left: -1, right: -1, value: g.leafValue(grad, hess, rows)})
-	h := &leafHeap{}
-	if sp, ok := g.bestRegSplit(binned, grad, hess, rows); ok {
-		heap.Push(h, leafCandidate{nodeID: 0, depth: 0, split: sp})
-	}
+// budget is exhausted — LightGBM's signature growth order. A candidate's
+// rows are partitioned when it is popped, so the leaves left queued are
+// never partitioned.
+func (gr *regGrower) growLeafWise() {
+	g := gr.g
+	gr.addLeaf(0, len(gr.buf.rows))
+	gr.heap = gr.heap[:0]
+	gr.push(0, 0)
 	leaves := 1
-	for h.Len() > 0 && leaves < g.maxLeaves {
-		c := heap.Pop(h).(leafCandidate)
-		sp := c.split
-		l := len(t.nodes)
-		t.nodes = append(t.nodes, treeNode{left: -1, right: -1, value: g.leafValue(grad, hess, sp.lrows)})
-		r := len(t.nodes)
-		t.nodes = append(t.nodes, treeNode{left: -1, right: -1, value: g.leafValue(grad, hess, sp.rrows)})
-		t.nodes[c.nodeID].feature = sp.feature
-		t.nodes[c.nodeID].splitBin = sp.splitBin
-		t.nodes[c.nodeID].left = l
-		t.nodes[c.nodeID].right = r
+	for len(gr.heap) > 0 && leaves < g.maxLeaves {
+		c := gr.heap.pop()
+		sp, p := c.split, gr.nodes[c.nodeID]
+		mid := gr.buf.partition(gr.binned, p.lo, p.hi, sp.feature, sp.splitBin)
+		l := gr.addLeaf(p.lo, mid)
+		r := gr.addLeaf(mid, p.hi)
+		gr.tree[c.nodeID].feature = sp.feature
+		gr.tree[c.nodeID].splitBin = sp.splitBin
+		gr.tree[c.nodeID].left = l
+		gr.tree[c.nodeID].right = r
 		leaves++ // one leaf became two
-		if c.depth+1 < g.maxDepth {
-			if lsp, ok := g.bestRegSplit(binned, grad, hess, sp.lrows); ok {
-				heap.Push(h, leafCandidate{nodeID: l, depth: c.depth + 1, split: lsp})
-			}
-			if rsp, ok := g.bestRegSplit(binned, grad, hess, sp.rrows); ok {
-				heap.Push(h, leafCandidate{nodeID: r, depth: c.depth + 1, split: rsp})
-			}
+		// The children of the pop that fills the budget are never popped.
+		if leaves < g.maxLeaves && c.depth+1 < g.maxDepth {
+			gr.push(l, c.depth+1)
+			gr.push(r, c.depth+1)
 		}
 	}
 }
 
-// leafValue is the Newton step -G/(H+λ).
-func (g *GBDT) leafValue(grad, hess []float64, rows []int) float64 {
-	var gs, hs float64
-	for _, r := range rows {
-		gs += grad[r]
-		hs += hess[r]
+// push queues leaf id when it has a split.
+func (gr *regGrower) push(id, depth int) {
+	if sp, ok := gr.bestRegSplit(id); ok {
+		gr.heap.push(leafCandidate{nodeID: id, depth: depth, split: sp})
 	}
-	return -gs / (hs + g.lambda)
 }
 
-// bestRegSplit scans all (feature, bin) candidates for the split with the
-// highest regularised gain.
-func (g *GBDT) bestRegSplit(binned [][]uint8, grad, hess []float64, rows []int) (regSplit, bool) {
-	if len(rows) < 2*g.minChild {
+// bestRegSplit scans all (feature, bin) candidates of leaf id for the
+// split with the highest regularised gain.
+func (gr *regGrower) bestRegSplit(id int) (regSplit, bool) {
+	g, nd := gr.g, gr.nodes[id]
+	n := nd.hi - nd.lo
+	if n < 2*g.minChild {
 		return regSplit{}, false
 	}
-	d := len(g.bn.cuts)
-	var tg, th float64
-	for _, r := range rows {
-		tg += grad[r]
-		th += hess[r]
-	}
+	rows := gr.buf.rows[nd.lo:nd.hi]
+	tg, th := nd.gs, nd.hs
 	parent := tg * tg / (th + g.lambda)
 	var best regSplit
 	found := false
 	var gsum, hsum [64]float64
 	var cnt [64]int
-	for j := 0; j < d; j++ {
+	for j := 0; j < len(g.bn.cuts); j++ {
 		nb := g.bn.numBins(j)
 		for b := 0; b < nb; b++ {
 			gsum[b], hsum[b], cnt[b] = 0, 0, 0
 		}
 		for _, r := range rows {
-			b := binned[r][j]
-			gsum[b] += grad[r]
-			hsum[b] += hess[r]
+			b := gr.binned[r][j]
+			gsum[b] += gr.grad[r]
+			hsum[b] += gr.hess[r]
 			cnt[b]++
 		}
 		var lg, lh float64
 		ln := 0
 		for b := 0; b < nb-1; b++ {
+			if cnt[b] == 0 {
+				// The sums, so the gain, of the bin before: the strict >
+				// below cannot take it.
+				continue
+			}
 			lg += gsum[b]
 			lh += hsum[b]
 			ln += cnt[b]
-			rn := len(rows) - ln
-			if ln < g.minChild || rn < g.minChild {
+			rn := n - ln
+			if rn < g.minChild {
+				break // rn only falls from here on
+			}
+			if ln < g.minChild {
 				continue
 			}
 			rg, rh := tg-lg, th-lh
@@ -265,15 +339,5 @@ func (g *GBDT) bestRegSplit(binned [][]uint8, grad, hess []float64, rows []int) 
 			}
 		}
 	}
-	if !found {
-		return regSplit{}, false
-	}
-	for _, r := range rows {
-		if binned[r][best.feature] <= best.splitBin {
-			best.lrows = append(best.lrows, r)
-		} else {
-			best.rrows = append(best.rrows, r)
-		}
-	}
-	return best, true
+	return best, found
 }

@@ -135,11 +135,49 @@ type classTreeConfig struct {
 	randomThresholds bool
 }
 
-// buildClassTree grows a gini-impurity CART tree on binned rows.
-func buildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg classTreeConfig, rng *rand.Rand) *binTree {
+// rowBuffer holds the rows a tree is grown on, one contiguous range per
+// node, and the scratch a split moves its right side through.
+type rowBuffer struct {
+	rows, scratch []int
+}
+
+func newRowBuffer(n int) rowBuffer {
+	return rowBuffer{rows: make([]int, n), scratch: make([]int, n)}
+}
+
+// reset sets the rows to 0..n-1.
+func (b *rowBuffer) reset() {
+	for i := range b.rows {
+		b.rows[i] = i
+	}
+}
+
+// partition reorders rows[lo:hi] so that the rows whose feature j falls
+// in a bin <= splitBin come first, and returns where the others begin.
+// It is stable: each side keeps the order it had.
+func (b *rowBuffer) partition(binned [][]uint8, lo, hi, j int, splitBin uint8) int {
+	rows := b.rows[lo:hi]
+	nl, nr := 0, 0
+	for _, r := range rows {
+		if binned[r][j] <= splitBin {
+			rows[nl] = r
+			nl++
+		} else {
+			b.scratch[nr] = r
+			nr++
+		}
+	}
+	copy(rows[nl:], b.scratch[:nr])
+	return lo + nl
+}
+
+// buildClassTree grows a gini-impurity CART tree on the binned rows held
+// in buf, each node over its own range of it.
+func buildClassTree(binned [][]uint8, y []int, buf *rowBuffer, bn *binner, cfg classTreeConfig, rng *rand.Rand) *binTree {
 	t := &binTree{}
-	var grow func(rows []int, depth int) int
-	grow = func(rows []int, depth int) int {
+	var grow func(lo, hi, depth int) int
+	grow = func(lo, hi, depth int) int {
+		rows := buf.rows[lo:hi]
 		n1 := 0
 		for _, r := range rows {
 			n1 += y[r]
@@ -154,26 +192,19 @@ func buildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg class
 		if !ok {
 			return id
 		}
-		var lrows, rrows []int
-		for _, r := range rows {
-			if binned[r][feat] <= splitBin {
-				lrows = append(lrows, r)
-			} else {
-				rrows = append(rrows, r)
-			}
-		}
-		if len(lrows) < cfg.minSamplesLeaf || len(rrows) < cfg.minSamplesLeaf {
+		mid := buf.partition(binned, lo, hi, feat, splitBin)
+		if mid-lo < cfg.minSamplesLeaf || hi-mid < cfg.minSamplesLeaf {
 			return id
 		}
-		l := grow(lrows, depth+1)
-		r := grow(rrows, depth+1)
+		l := grow(lo, mid, depth+1)
+		r := grow(mid, hi, depth+1)
 		t.nodes[id].feature = feat
 		t.nodes[id].splitBin = splitBin
 		t.nodes[id].left = l
 		t.nodes[id].right = r
 		return id
 	}
-	grow(rows, 0)
+	grow(0, len(buf.rows), 0)
 	return t
 }
 

@@ -502,7 +502,10 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, workerID, pa
 }
 
 // handleLakeCreate registers a lake cluster-wide: record it in the
-// store, open it on its rendezvous owner, answer with the placement.
+// store, open it on its rendezvous owner, answer with the placement. A
+// registration the owner refuses with a 4xx is withdrawn from the store
+// and answered with the owner's status; one the owner could not answer
+// (unreachable, 5xx) stays stored and is answered 502.
 func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "cluster is draining")
@@ -516,7 +519,7 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	stored, err := c.store.AddLake(req)
+	stored, undo, err := c.store.addLake(req)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -529,6 +532,17 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tables, err := c.openLakeOn(r.Context(), owner, *stored)
+	var se *statusError
+	if errors.As(err, &se) && se.refused() {
+		// Kept, it would be replicated and listed, and every job
+		// against it would fail at its first dispatch.
+		if uerr := undo(); uerr != nil {
+			writeError(w, http.StatusServiceUnavailable, err.Error()+"; withdrawing the registration: "+uerr.Error())
+			return
+		}
+		writeError(w, se.status, err.Error())
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadGateway, err.Error())
 		return
@@ -566,6 +580,12 @@ type statusError struct {
 }
 
 func (e *statusError) Error() string { return e.msg }
+
+// refused reports whether the answer is a 4xx other than 429, which
+// comes back the same on every retry.
+func (e *statusError) refused() bool {
+	return e.status >= 400 && e.status < 500 && e.status != http.StatusTooManyRequests
+}
 
 // noteWorkerLake records that a worker now holds a lake, without
 // waiting for its next heartbeat to say so.
@@ -742,9 +762,8 @@ func (c *Coordinator) dispatch(ctx context.Context, jobID string) {
 		return
 	}
 	if err := c.ensureLakeOn(ctx, owner, job.Lake); err != nil {
-		// A 4xx other than 429 comes back the same on every retry.
 		var se *statusError
-		if errors.As(err, &se) && se.status >= 400 && se.status < 500 && se.status != http.StatusTooManyRequests {
+		if errors.As(err, &se) && se.refused() {
 			c.reject(jobID, owner.ID, err.Error())
 			return
 		}

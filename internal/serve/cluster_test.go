@@ -745,23 +745,100 @@ func TestCoordinatorForwardedRoutes(t *testing.T) {
 
 // TestCoordinatorForwardsLakeFormat checks that a lake's format travels
 // with its registration: a columnar-only open of a CSV lake fails on the
-// worker, so the coordinator answers 502 carrying the worker's reason,
-// and the stored lake keeps the format for every later open.
+// worker, so the coordinator answers the worker's 400 with its reason,
+// and a CSV-only registration is stored with its format for every later
+// open.
 func TestCoordinatorForwardsLakeFormat(t *testing.T) {
 	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
 	var e struct {
 		Error string `json:"error"`
 	}
 	resp := postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir, Format: "columnar"}, &e)
-	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(e.Error, "no columnar table files") {
-		t.Fatalf("columnar open of a CSV lake: status %d error %q, want 502 with the worker's reason", resp.StatusCode, e.Error)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "no columnar table files") {
+		t.Fatalf("columnar open of a CSV lake: status %d error %q, want 400 with the worker's reason", resp.StatusCode, e.Error)
+	}
+	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir, Format: "csv"}, nil); r.StatusCode != http.StatusCreated {
+		t.Fatalf("csv open of a CSV lake: status %d, want 201", r.StatusCode)
 	}
 	var store struct {
 		Lakes []StoredLake `json:"lakes"`
 	}
 	getJSON(t, cs.coordTS.URL+"/cluster/v1/jobs", &store)
-	if len(store.Lakes) != 1 || store.Lakes[0].Format != "columnar" {
-		t.Errorf("stored lakes %+v, want lake-001 with format columnar", store.Lakes)
+	if len(store.Lakes) != 1 || store.Lakes[0].Format != "csv" {
+		t.Errorf("stored lakes %+v, want lake-001 with format csv", store.Lakes)
+	}
+}
+
+// TestRefusedRegistrationIsNotKept registers lakes that their owner
+// refuses to open with a 400 (columnar-only over CSV files): under a
+// fresh id, under no id, and under the id of a stored lake. Each is
+// answered with the owner's 400 and reason, and leaves GET /v1/lakes
+// and the store file as they were, lake-id counter included.
+func TestRefusedRegistrationIsNotKept(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.json")
+	cs := newClusterStackAt(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1}, path)
+	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir}, nil); r.StatusCode != http.StatusCreated {
+		t.Fatalf("registering lake-001: status %d, want 201", r.StatusCode)
+	}
+	state := func() (list, file []byte) {
+		resp, err := http.Get(cs.coordTS.URL + "/v1/lakes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if list, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if file, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return list, file
+	}
+	list0, file0 := state()
+	for _, reg := range []StoredLake{
+		{ID: "lake-002", Dir: cs.dir, Format: "columnar"},
+		{Dir: cs.dir, Format: "columnar"},
+		{ID: "lake-001", Dir: cs.dir, Format: "columnar"},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", reg, &e); r.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "no columnar table files") {
+			t.Errorf("registering %+v: status %d error %q, want 400 with the worker's reason", reg, r.StatusCode, e.Error)
+		}
+		list, file := state()
+		if !bytes.Equal(list, list0) {
+			t.Errorf("after refused %+v, GET /v1/lakes:\n%s\nwant as before:\n%s", reg, list, list0)
+		}
+		if !bytes.Equal(file, file0) {
+			t.Errorf("after refused %+v, store file:\n%s\nwant as before:\n%s", reg, file, file0)
+		}
+	}
+}
+
+// TestRefusedRegistrationUnpersistedWithdrawal covers a refused
+// registration whose withdrawal cannot be written: the owner removes the
+// store's directory before it refuses. The coordinator answers 503 and
+// keeps the record, which is what the store file holds.
+func TestRefusedRegistrationUnpersistedWithdrawal(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cs := newClusterStackAt(t, 0, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1}, filepath.Join(dir, "store.json"))
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Error(err)
+		}
+		writeError(w, http.StatusBadRequest, "refused")
+	}))
+	t.Cleanup(owner.Close)
+	cs.coord.observeHeartbeat(heartbeatMsg{Proto: ProtoVersion, ID: "worker-a", Addr: owner.URL})
+	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir}, nil); r.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("refused registration with an unwritable store: status %d, want 503", r.StatusCode)
+	}
+	if cs.coord.Store().LakeByID("lake-001") == nil {
+		t.Error("dropped a record whose withdrawal the store could not persist")
 	}
 }
 
@@ -801,15 +878,19 @@ func TestRegistrationRefusesUnknownSettings(t *testing.T) {
 	}
 }
 
-// TestJobFailsWhenOwnerRefusesLake covers a stored lake its owner
-// refuses to open with a 4xx (a columnar-only lake over CSV files): a
-// job against it fails with the worker's reason at its first dispatch
-// instead of staying queued, and later sweeps leave it failed.
+// TestJobFailsWhenOwnerRefusesLake covers a lake stored while no worker
+// was alive, which its owner then refuses to open with a 4xx (a
+// columnar-only lake over CSV files): a job against it fails with the
+// worker's reason at its first dispatch instead of staying queued, and
+// later sweeps leave it failed.
 func TestJobFailsWhenOwnerRefusesLake(t *testing.T) {
 	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
-	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir, Format: "columnar"}, nil); r.StatusCode != http.StatusBadGateway {
-		t.Fatalf("columnar open of a CSV lake: status %d, want 502", r.StatusCode)
+	cs.clock.advance(6 * time.Second)
+	cs.coord.Sweep() // the only worker is dead
+	if r := postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir, Format: "columnar"}, nil); r.StatusCode != http.StatusCreated {
+		t.Fatalf("registration with no worker alive: status %d, want 201", r.StatusCode)
 	}
+	cs.heartbeatAll(t, nil) // the owner rejoins
 	req := submitRequest{Lake: "lake-001", Base: cs.ds.Base.Name(), Label: cs.ds.Label}
 	id, _, status := submitCluster(t, cs, "acme", req)
 	if status != http.StatusAccepted {

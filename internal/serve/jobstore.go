@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -351,6 +352,17 @@ func atomicWriteFile(path string, b []byte) error {
 // be written it returns the error and keeps nothing: a registration a
 // restart would lose is not admitted.
 func (s *JobStore) AddLake(l StoredLake) (*StoredLake, error) {
+	stored, _, err := s.addLake(l)
+	return stored, err
+}
+
+// addLake is AddLake that also returns an undo, which puts the store
+// back as it was before the registration: a new id is deleted, a
+// replaced record is restored, and so is the lake-id counter. Undo
+// leaves a record or counter that a later registration changed as it
+// is. When the store file cannot be written, undo keeps the
+// registration and returns the error.
+func (s *JobStore) addLake(l StoredLake) (*StoredLake, func() error, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	nextLake := s.nextLake
@@ -370,9 +382,35 @@ func (s *JobStore) AddLake(l StoredLake) (*StoredLake, error) {
 			delete(s.lakes, l.ID)
 			s.lakeIDs = s.lakeIDs[:len(s.lakeIDs)-1]
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	return &l, nil
+	added, counter := &l, s.nextLake
+	undo := func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.lakes[l.ID] != added {
+			return nil
+		}
+		now, at := s.nextLake, slices.Index(s.lakeIDs, l.ID)
+		if now == counter {
+			s.nextLake = nextLake
+		}
+		if replaced {
+			s.lakes[l.ID] = prev
+		} else {
+			delete(s.lakes, l.ID)
+			s.lakeIDs = slices.Delete(s.lakeIDs, at, at+1)
+		}
+		if err := s.persist(); err != nil {
+			s.nextLake, s.lakes[l.ID] = now, added
+			if !replaced {
+				s.lakeIDs = slices.Insert(s.lakeIDs, at, l.ID)
+			}
+			return err
+		}
+		return nil
+	}
+	return &l, undo, nil
 }
 
 // nextLakeID advances *counter to the next "lake-NNN" that taken does
