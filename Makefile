@@ -22,6 +22,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeColumnar -fuzztime 60s ./internal/frame
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 60s ./internal/frame
 	$(GO) test -run '^$$' -fuzz FuzzKernels -fuzztime 60s ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzSelect -fuzztime 60s ./internal/fselect
 	$(GO) test -run '^$$' -fuzz FuzzTrees -fuzztime 60s ./internal/ml
 
 # bench runs the micro benchmarks (`go test -bench .` adds the slow

@@ -85,6 +85,7 @@ type IndexStats struct {
 // colEntry is one indexed column with the bucket keys it occupies, so
 // Remove can unlink it without scanning the whole index.
 type colEntry struct {
+	id       int32 // position in LSHIndex.cols
 	table    string
 	col      *frame.Column
 	sketch   *MinHashSketch
@@ -110,11 +111,27 @@ type LSHIndex struct {
 	// a SketchMatcher's memoised sketches). Nil uses Sketch(c, k).
 	Sketcher func(*frame.Column) *MinHashSketch
 
-	slot    []map[uint64][]*colEntry // per-band buckets
-	anchor  map[uint64][]*colEntry
-	name    map[string][]*colEntry
+	slot    []map[uint64]bucket // per-band buckets
+	anchor  map[uint64]bucket
+	name    map[string]bucket
 	entries map[string][]*colEntry // table -> its entries
+
+	// The buckets hold no pointers. A bucket is a list of nodes, and a
+	// node names its column by position in cols, so a resident index is
+	// a few large objects the garbage collector need not scan, instead
+	// of one small object per anchored value for every cycle to mark.
+	cols     []*colEntry // by id; nil at a removed column's id
+	freeCols []int32     // ids of removed columns, for reuse
+	nodes    []bucketNode
+	freeNode int32 // first free node, +1; 0 when none is free
 }
+
+// bucket is a list of nodes in the order its entries were added. Both
+// fields are node positions plus one, so the zero bucket is empty.
+type bucket struct{ head, tail int32 }
+
+// bucketNode is one entry of a bucket, or a link of the free list.
+type bucketNode struct{ col, next int32 }
 
 // NewLSHIndex creates an empty index. k ≤ 0 uses DefaultSketchSize;
 // anchorCap < 0 uses DefaultMaxValues (the exact matcher's sampling
@@ -132,13 +149,13 @@ func NewLSHIndex(k, anchorCap int) *LSHIndex {
 		bands:     k,
 		rows:      1,
 		anchorCap: anchorCap,
-		anchor:    make(map[uint64][]*colEntry),
-		name:      make(map[string][]*colEntry),
+		anchor:    make(map[uint64]bucket),
+		name:      make(map[string]bucket),
 		entries:   make(map[string][]*colEntry),
 	}
-	x.slot = make([]map[uint64][]*colEntry, x.bands)
+	x.slot = make([]map[uint64]bucket, x.bands)
 	for i := range x.slot {
-		x.slot[i] = make(map[uint64][]*colEntry)
+		x.slot[i] = make(map[uint64]bucket)
 	}
 	return x
 }
@@ -204,11 +221,18 @@ func (x *LSHIndex) addColumn(table string, c *frame.Column) {
 		s = Sketch(c, x.k)
 	}
 	e := &colEntry{table: table, col: c, sketch: s}
+	if n := len(x.freeCols); n > 0 {
+		e.id, x.freeCols = x.freeCols[n-1], x.freeCols[:n-1]
+		x.cols[e.id] = e
+	} else {
+		e.id = int32(len(x.cols))
+		x.cols = append(x.cols, e)
+	}
 	e.bandKeys = make([]uint64, x.bands)
 	for b := 0; b < x.bands; b++ {
 		key := bandKey(s.Mins, b, x.rows)
 		e.bandKeys[b] = key
-		x.slot[b][key] = append(x.slot[b][key], e)
+		x.slot[b][key] = x.push(x.slot[b][key], e)
 	}
 	sample := sampleSet(c, x.anchorCap)
 	e.anchors = make([]uint64, 0, len(sample))
@@ -217,11 +241,11 @@ func (x *LSHIndex) addColumn(table string, c *frame.Column) {
 	}
 	sort.Slice(e.anchors, func(i, j int) bool { return e.anchors[i] < e.anchors[j] })
 	for _, h := range e.anchors {
-		x.anchor[h] = append(x.anchor[h], e)
+		x.anchor[h] = x.push(x.anchor[h], e)
 	}
 	if n := normalizeName(c.Name()); n != "" {
 		e.nameKey = n
-		x.name[n] = append(x.name[n], e)
+		x.name[n] = x.push(x.name[n], e)
 	}
 	x.entries[table] = append(x.entries[table], e)
 }
@@ -236,33 +260,73 @@ func (x *LSHIndex) Remove(table string) {
 	delete(x.entries, table)
 	for _, e := range es {
 		for b, key := range e.bandKeys {
-			x.slot[b][key] = dropEntry(x.slot[b][key], e)
-			if len(x.slot[b][key]) == 0 {
-				delete(x.slot[b], key)
-			}
+			dropFrom(x, x.slot[b], key, e)
 		}
 		for _, h := range e.anchors {
-			x.anchor[h] = dropEntry(x.anchor[h], e)
-			if len(x.anchor[h]) == 0 {
-				delete(x.anchor, h)
-			}
+			dropFrom(x, x.anchor, h, e)
 		}
 		if e.nameKey != "" {
-			x.name[e.nameKey] = dropEntry(x.name[e.nameKey], e)
-			if len(x.name[e.nameKey]) == 0 {
-				delete(x.name, e.nameKey)
-			}
+			dropFrom(x, x.name, e.nameKey, e)
 		}
+		x.cols[e.id] = nil
+		x.freeCols = append(x.freeCols, e.id)
 	}
 }
 
-func dropEntry(es []*colEntry, e *colEntry) []*colEntry {
-	for i, v := range es {
-		if v == e {
-			return append(es[:i], es[i+1:]...)
-		}
+// push appends e to the bucket b and returns the bucket.
+func (x *LSHIndex) push(b bucket, e *colEntry) bucket {
+	n := x.freeNode
+	if n > 0 {
+		x.freeNode = x.nodes[n-1].next
+	} else {
+		x.nodes = append(x.nodes, bucketNode{})
+		n = int32(len(x.nodes))
 	}
-	return es
+	x.nodes[n-1] = bucketNode{col: e.id}
+	if b.head == 0 {
+		b.head = n
+	} else {
+		x.nodes[b.tail-1].next = n
+	}
+	b.tail = n
+	return b
+}
+
+// dropFrom unlinks e from the bucket at key, and deletes the bucket from
+// m when it is left empty.
+func dropFrom[K comparable](x *LSHIndex, m map[K]bucket, key K, e *colEntry) {
+	b := m[key]
+	for prev, n := int32(0), b.head; n != 0; prev, n = n, x.nodes[n-1].next {
+		if x.nodes[n-1].col != e.id {
+			continue
+		}
+		next := x.nodes[n-1].next
+		if prev == 0 {
+			b.head = next
+		} else {
+			x.nodes[prev-1].next = next
+		}
+		if b.tail == n {
+			b.tail = prev
+		}
+		x.nodes[n-1] = bucketNode{col: -1, next: x.freeNode}
+		x.freeNode = n
+		break
+	}
+	if b.head == 0 {
+		delete(m, key)
+	} else {
+		m[key] = b
+	}
+}
+
+// appendBucket appends the entries of b to dst in the order they were
+// added.
+func (x *LSHIndex) appendBucket(dst []*colEntry, b bucket) []*colEntry {
+	for n := b.head; n != 0; n = x.nodes[n-1].next {
+		dst = append(dst, x.cols[x.nodes[n-1].col])
+	}
+	return dst
 }
 
 // Has reports whether the named table is indexed.
@@ -334,19 +398,23 @@ func (x *LSHIndex) Candidates(table string) []CandidatePair {
 			TableB: cb.table, ColB: cb.col,
 		})
 	}
+	var members []*colEntry
 	for _, e := range es {
 		for b, key := range e.bandKeys {
-			for _, o := range x.slot[b][key] {
+			members = x.appendBucket(members[:0], x.slot[b][key])
+			for _, o := range members {
 				add(e, o)
 			}
 		}
 		for _, h := range e.anchors {
-			for _, o := range x.anchor[h] {
+			members = x.appendBucket(members[:0], x.anchor[h])
+			for _, o := range members {
 				add(e, o)
 			}
 		}
 		if e.nameKey != "" {
-			for _, o := range x.name[e.nameKey] {
+			members = x.appendBucket(members[:0], x.name[e.nameKey])
+			for _, o := range members {
 				add(e, o)
 			}
 		}
@@ -362,10 +430,12 @@ func (x *LSHIndex) Candidates(table string) []CandidatePair {
 func (x *LSHIndex) AllCandidates() []CandidatePair {
 	seen := make(map[pairKey]bool)
 	var out []CandidatePair
-	collect := func(bucket []*colEntry) {
-		for i := 0; i < len(bucket); i++ {
-			for j := i + 1; j < len(bucket); j++ {
-				a, b := canonical(bucket[i], bucket[j])
+	var members []*colEntry
+	collect := func(bk bucket) {
+		members = x.appendBucket(members[:0], bk)
+		for i := 0; i < len(members); i++ {
+			for j := i + 1; j < len(members); j++ {
+				a, b := canonical(members[i], members[j])
 				if a.table == b.table {
 					continue
 				}

@@ -258,6 +258,79 @@ func TestLSHIndexAddRemove(t *testing.T) {
 	}
 }
 
+// TestLSHIndexChurnKeepsBucketOrder adds, replaces and removes tables
+// in a seeded order. After every step each table's Candidates must equal,
+// pair for pair and in order, those of a fresh index built by adding the
+// surviving tables in the order of their latest Add: removal keeps the
+// order of a bucket's other entries, and a re-added column goes last.
+// AllCandidates walks the maps, so it is compared as a set, with Stats.
+func TestLSHIndexChurnKeepsBucketOrder(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		tabs := randomLake(t, seed, 8)
+		rng := rand.New(rand.NewSource(seed))
+		idx := NewLSHIndex(0, -1)
+		var live []*frame.Frame // in the order of their latest Add
+		for step := 0; step < 40; step++ {
+			f := tabs[rng.Intn(len(tabs))]
+			for i, g := range live {
+				if g == f {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+			if rng.Intn(3) == 0 {
+				idx.Remove(f.Name())
+			} else {
+				idx.Add(f)
+				live = append(live, f)
+			}
+			fresh := NewLSHIndex(0, -1)
+			for _, g := range live {
+				fresh.Add(g)
+			}
+			label := fmt.Sprintf("seed %d step %d", seed, step)
+			if got, want := idx.Stats(), fresh.Stats(); got != want {
+				t.Fatalf("%s: stats %+v, want %+v", label, got, want)
+			}
+			for _, g := range tabs {
+				if got, want := pairNames(idx.Candidates(g.Name())), pairNames(fresh.Candidates(g.Name())); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Candidates(%s) = %v, want %v", label, g.Name(), got, want)
+				}
+			}
+			got, want := pairSet(idx.AllCandidates()), pairSet(fresh.AllCandidates())
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: AllCandidates = %v, want %v", label, got, want)
+			}
+		}
+		// Removed columns and bucket nodes are reused: churn never needs
+		// more of either than all the tables indexed at once.
+		full := NewLSHIndex(0, -1)
+		for _, g := range tabs {
+			full.Add(g)
+		}
+		if len(idx.nodes) > len(full.nodes) || len(idx.cols) > len(full.cols) {
+			t.Fatalf("seed %d: churn grew the index to %d nodes and %d columns, all tables take %d and %d",
+				seed, len(idx.nodes), len(idx.cols), len(full.nodes), len(full.cols))
+		}
+	}
+}
+
+func pairNames(ps []CandidatePair) []string {
+	var out []string
+	for _, p := range ps {
+		out = append(out, p.TableA+"."+p.ColA.Name()+"~"+p.TableB+"."+p.ColB.Name())
+	}
+	return out
+}
+
+func pairSet(ps []CandidatePair) map[string]bool {
+	out := map[string]bool{}
+	for _, n := range pairNames(ps) {
+		out[n] = true
+	}
+	return out
+}
+
 // TestSketchMatcherConcurrentUse is the regression test for the
 // unsynchronized sketch cache: concurrent MatchColumns used to race on
 // the map (caught by -race). It must now be safe.

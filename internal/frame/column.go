@@ -15,6 +15,7 @@
 package frame
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -261,7 +262,7 @@ func (c *Column) Key(i int) (string, bool) {
 	switch c.kind {
 	case Float:
 		f := c.data.floats[i]
-		if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15 {
+		if intKeyed(f) {
 			return strconv.FormatInt(int64(f), 10), true
 		}
 		return strconv.FormatFloat(f, 'g', -1, 64), true
@@ -272,6 +273,20 @@ func (c *Column) Key(i int) (string, bool) {
 	default:
 		return strconv.FormatBool(c.data.bools[i]), true
 	}
+}
+
+// intKeyed reports whether Key formats the float f as an integer: an
+// integral value below 1e15 gets the key of the same Int value.
+func intKeyed(f float64) bool {
+	return f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15
+}
+
+// appendFloatKey appends the Key of a float cell to b.
+func appendFloatKey(b []byte, f float64) []byte {
+	if intKeyed(f) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 // Take returns a new column containing the cells at the given row indices, in
@@ -437,6 +452,12 @@ func (c *Column) countDistinct() int {
 // countSortedRuns counts the distinct valid values of vals, treating all
 // NaNs as one value.
 func countSortedRuns[T cmp.Ordered](vals []T, valid func(int) bool) int {
+	return len(slices.CompactFunc(sortedValid(vals, valid), sameValue[T]))
+}
+
+// sortedValid returns the valid cells of vals in ascending order. The
+// sort puts the NaNs together and −0 among the 0s.
+func sortedValid[T cmp.Ordered](vals []T, valid func(int) bool) []T {
 	kept := make([]T, 0, len(vals))
 	for i, v := range vals {
 		if valid(i) {
@@ -444,29 +465,80 @@ func countSortedRuns[T cmp.Ordered](vals []T, valid func(int) bool) int {
 		}
 	}
 	slices.Sort(kept)
-	return len(slices.CompactFunc(kept, func(a, b T) bool { return a == b || (a != a && b != b) }))
+	return kept
 }
 
-// Mode returns the most frequent non-null value as a formatted cell string
-// and reports whether any non-null value exists. Ties break toward the
-// lexicographically smallest key for determinism.
+// sameValue reports whether two cells hold the same value, counting all
+// NaNs as one.
+func sameValue[T cmp.Ordered](a, b T) bool { return a == b || (a != a && b != b) }
+
+// Mode returns the most frequent non-null value as its Key and reports
+// whether any non-null value exists. Ties break toward the
+// lexicographically smallest key for determinism. Cells are counted as
+// typed values, which Key formats one to one except where it folds (see
+// modeOf); only the tied values are formatted, into a reused buffer.
 func (c *Column) Mode() (string, bool) {
-	counts := make(map[string]int, 16)
-	for i, n := 0, c.Len(); i < n; i++ {
-		if k, ok := c.Key(i); ok {
-			counts[k]++
+	switch c.kind {
+	case Float:
+		return modeOf(c.data.floats, c.data.valid, appendFloatKey)
+	case Int:
+		return modeOf(c.data.ints, c.data.valid, func(b []byte, v int64) []byte { return strconv.AppendInt(b, v, 10) })
+	case String:
+		return modeOf(c.data.strs, c.data.valid, func(b []byte, s string) []byte { return append(b, s...) })
+	}
+	trues, falses := 0, 0
+	for i, v := range c.data.bools {
+		switch {
+		case !c.data.valid(i):
+		case v:
+			trues++
+		default:
+			falses++
 		}
 	}
-	if len(counts) == 0 {
+	switch {
+	case trues+falses == 0:
+		return "", false
+	case trues > falses:
+		return "true", true
+	}
+	return "false", true
+}
+
+// modeOf counts the runs of equal values among the sorted valid cells of
+// vals and returns the smallest appendKey formatting of the values whose
+// run is longest, or false when no cell is valid. As in Key, all NaNs
+// are one value and −0 is 0.
+func modeOf[T cmp.Ordered](vals []T, valid func(int) bool, appendKey func([]byte, T) []byte) (string, bool) {
+	kept := sortedValid(vals, valid)
+	if len(kept) == 0 {
 		return "", false
 	}
-	best, bestN := "", -1
-	for k, n := range counts {
-		if n > bestN || (n == bestN && k < best) {
-			best, bestN = k, n
+	runEnd := func(i int) int {
+		j := i + 1
+		for j < len(kept) && sameValue(kept[j], kept[i]) {
+			j++
 		}
+		return j
 	}
-	return best, true
+	top := 0
+	for i := 0; i < len(kept); {
+		j := runEnd(i)
+		top = max(top, j-i)
+		i = j
+	}
+	var keyBuf, bestBuf [32]byte
+	var best []byte
+	for i := 0; i < len(kept); {
+		j := runEnd(i)
+		if j-i == top {
+			if key := appendKey(keyBuf[:0], kept[i]); best == nil || bytes.Compare(key, best) < 0 {
+				best = append(bestBuf[:0], key...)
+			}
+		}
+		i = j
+	}
+	return string(best), true
 }
 
 // Imputed returns a copy of the column with nulls replaced by the most

@@ -65,7 +65,14 @@ func (m CLM) Select(candidates, selected [][]int, y []int) ([]int, []float64) {
 		if len(sel) > 0 {
 			beta := m.Beta(len(sel))
 			lambda := m.Lambda(len(sel))
+			// With β ≥ 0 and λ ≤ 0 every term left can only lower J, as
+			// both estimates are non-negative, so a J ≤ 0 stays ≤ 0 and
+			// the candidate is rejected. Its J is never read.
+			falling := beta >= 0 && lambda <= 0
 			for _, xj := range sel {
+				if falling && j <= 0 {
+					break
+				}
 				if beta != 0 {
 					j -= beta * stats.CorrectedMutualInformation(xj, xk)
 				}
@@ -102,6 +109,11 @@ func (CMIM) Select(candidates, selected [][]int, y []int) ([]int, []float64) {
 		j := stats.CorrectedMutualInformation(xk, y)
 		maxPenalty := 0.0
 		for _, xj := range sel {
+			// A penalty of at least I(Xk;Y) rejects the candidate, and
+			// the maximum only grows.
+			if maxPenalty >= j {
+				break
+			}
 			p := stats.CorrectedMutualInformation(xj, xk) - stats.CorrectedConditionalMutualInformation(xj, xk, y)
 			if p > maxPenalty {
 				maxPenalty = p

@@ -8,9 +8,11 @@ import (
 
 // The code below is the boosted-tree fit, its split search and growth,
 // buildClassTree and the forest fit as the package shipped them before
-// trees were grown over one row buffer, kept verbatim (only renamed) as
-// the references that TestTreesMatchReference and FuzzTrees hold the
-// learners to, bit for bit.
+// trees were grown over one row buffer, and bestGiniSplit and
+// sampleFeatures as they were before a tree drew every node's feature
+// sample into one buffer, kept verbatim (only renamed) as the references
+// that TestTreesMatchReference and FuzzTrees hold the learners to, bit
+// for bit.
 
 // refFit is the reference GBDT.Fit.
 func (g *GBDT) refFit(X [][]float64, y []int) error {
@@ -265,7 +267,7 @@ func refBuildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg cl
 		if depth >= cfg.maxDepth || len(rows) < 2*cfg.minSamplesLeaf || n1 == 0 || n1 == len(rows) {
 			return id
 		}
-		feat, splitBin, ok := bestGiniSplit(binned, y, rows, bn, cfg, rng)
+		feat, splitBin, ok := refBestGiniSplit(binned, y, rows, bn, cfg, rng)
 		if !ok {
 			return id
 		}
@@ -290,4 +292,60 @@ func refBuildClassTree(binned [][]uint8, y []int, rows []int, bn *binner, cfg cl
 	}
 	grow(rows, 0)
 	return t
+}
+
+// refBestGiniSplit scans (feature, bin) candidates and returns the split with
+// the lowest weighted gini impurity.
+func refBestGiniSplit(binned [][]uint8, y []int, rows []int, bn *binner, cfg classTreeConfig, rng *rand.Rand) (feat int, splitBin uint8, ok bool) {
+	d := len(bn.cuts)
+	feats := refSampleFeatures(d, cfg.mtry, rng)
+	total := len(rows)
+	total1 := 0
+	for _, r := range rows {
+		total1 += y[r]
+	}
+	bestScore := giniImpurity(total, total1) // must improve on parent
+	var hist0, hist1 [64]int
+	for _, j := range feats {
+		nb := bn.numBins(j)
+		for b := 0; b < nb; b++ {
+			hist0[b], hist1[b] = 0, 0
+		}
+		for _, r := range rows {
+			b := binned[r][j]
+			if y[r] == 1 {
+				hist1[b]++
+			} else {
+				hist0[b]++
+			}
+		}
+		if cfg.randomThresholds {
+			// Extra-trees: a single random cut in [0, nb-2].
+			b := uint8(rng.Intn(nb - 1))
+			if score, valid := splitScore(hist0[:nb], hist1[:nb], int(b), total, total1); valid && score < bestScore {
+				bestScore, feat, splitBin, ok = score, j, b, true
+			}
+			continue
+		}
+		for b := 0; b < nb-1; b++ {
+			if score, valid := splitScore(hist0[:nb], hist1[:nb], b, total, total1); valid && score < bestScore {
+				bestScore, feat, splitBin, ok = score, j, uint8(b), true
+			}
+		}
+	}
+	return feat, splitBin, ok
+}
+
+// refSampleFeatures returns mtry distinct feature indices (all when mtry<=0 or
+// >= d), in random order when sampled.
+func refSampleFeatures(d, mtry int, rng *rand.Rand) []int {
+	all := make([]int, d)
+	for i := range all {
+		all[i] = i
+	}
+	if mtry <= 0 || mtry >= d || rng == nil {
+		return all
+	}
+	rng.Shuffle(d, func(i, j int) { all[i], all[j] = all[j], all[i] })
+	return all[:mtry]
 }

@@ -175,6 +175,7 @@ func (b *rowBuffer) partition(binned [][]uint8, lo, hi, j int, splitBin uint8) i
 // in buf, each node over its own range of it.
 func buildClassTree(binned [][]uint8, y []int, buf *rowBuffer, bn *binner, cfg classTreeConfig, rng *rand.Rand) *binTree {
 	t := &binTree{}
+	feats := make([]int, len(bn.cuts))
 	var grow func(lo, hi, depth int) int
 	grow = func(lo, hi, depth int) int {
 		rows := buf.rows[lo:hi]
@@ -188,7 +189,7 @@ func buildClassTree(binned [][]uint8, y []int, buf *rowBuffer, bn *binner, cfg c
 		if depth >= cfg.maxDepth || len(rows) < 2*cfg.minSamplesLeaf || n1 == 0 || n1 == len(rows) {
 			return id
 		}
-		feat, splitBin, ok := bestGiniSplit(binned, y, rows, bn, cfg, rng)
+		feat, splitBin, ok := bestGiniSplit(binned, y, rows, bn, cfg, rng, feats)
 		if !ok {
 			return id
 		}
@@ -209,10 +210,10 @@ func buildClassTree(binned [][]uint8, y []int, buf *rowBuffer, bn *binner, cfg c
 }
 
 // bestGiniSplit scans (feature, bin) candidates and returns the split with
-// the lowest weighted gini impurity.
-func bestGiniSplit(binned [][]uint8, y []int, rows []int, bn *binner, cfg classTreeConfig, rng *rand.Rand) (feat int, splitBin uint8, ok bool) {
-	d := len(bn.cuts)
-	feats := sampleFeatures(d, cfg.mtry, rng)
+// the lowest weighted gini impurity. feats, of one entry per feature, is
+// the buffer the node's feature sample is drawn into.
+func bestGiniSplit(binned [][]uint8, y []int, rows []int, bn *binner, cfg classTreeConfig, rng *rand.Rand, feats []int) (feat int, splitBin uint8, ok bool) {
+	feats = sampleFeatures(feats, cfg.mtry, rng)
 	total := len(rows)
 	total1 := 0
 	for _, r := range rows {
@@ -275,10 +276,12 @@ func giniImpurity(n, n1 int) float64 {
 	return 2 * p * (1 - p)
 }
 
-// sampleFeatures returns mtry distinct feature indices (all when mtry<=0 or
-// >= d), in random order when sampled.
-func sampleFeatures(d, mtry int, rng *rand.Rand) []int {
-	all := make([]int, d)
+// sampleFeatures resets all to the feature indices 0..d−1, d = len(all),
+// and returns mtry distinct ones of them (all when mtry<=0 or >= d), in
+// random order when sampled. The reset makes every draw shuffle the same
+// input, so reusing all changes no drawn feature.
+func sampleFeatures(all []int, mtry int, rng *rand.Rand) []int {
+	d := len(all)
 	for i := range all {
 		all[i] = i
 	}

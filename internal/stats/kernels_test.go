@@ -128,9 +128,40 @@ var kernelScales = [...]int{1, 3, 1500, 1 << 20}
 // and magnitudes far apart.
 var kernelFloats = [...]float64{math.NaN(), math.Copysign(0, -1), 0, 1, 1, 2, -3.5, 1e-300, 7, 7, 100, -1e10, 0.5, 3, 42, 2.25}
 
+// kernelLevelCounts are the level counts of the few-level columns the
+// decoder draws: labels of 1–3 classes, and counts on both sides of
+// levelCap, where ranks switch from counting to sorting.
+var kernelLevelCounts = [...]int{1, 2, 3, levelCap - 1, levelCap, levelCap + 1, levelCap + 2}
+
+// kernelLevels returns the values of the few-level column mode draws
+// from, or nil for mode 0, which keeps kernelFloats. A mode picks a count
+// from kernelLevelCounts and whether −Inf and +Inf replace the lowest and
+// highest level. Every set but {−Inf} and {−Inf, +Inf} holds 0, which
+// the decoder writes as −0 or +0, one level.
+func kernelLevels(mode int) []float64 {
+	mode %= 1 + 2*len(kernelLevelCounts)
+	if mode == 0 {
+		return nil
+	}
+	k := kernelLevelCounts[(mode-1)/2]
+	levels := make([]float64, k)
+	for j := range levels {
+		levels[j] = float64(j-k/2) * 1.5
+	}
+	if mode%2 == 0 {
+		levels[0] = math.Inf(-1)
+		if k > 1 {
+			levels[k-1] = math.Inf(1)
+		}
+	}
+	return levels
+}
+
 // decodeKernelInput turns fuzz bytes into codes (−1 missing, otherwise a
 // multiple of scale) and float columns. The first three bytes trim the
-// lengths of y, z and fy, so lengths mismatch on some inputs.
+// lengths of y, z and fy, so lengths mismatch on some inputs. scale>>2
+// picks the kernelLevels mode: in a few-level mode fx draws from the
+// levels with some NaN, and fy is a label of 1–3 classes.
 func decodeKernelInput(data []byte, scale uint8) (x, y, z []int, fx, fy []float64, bins int) {
 	if len(data) < 3 {
 		return nil, nil, nil, nil, nil, 2
@@ -138,6 +169,8 @@ func decodeKernelInput(data []byte, scale uint8) (x, y, z []int, fx, fy []float6
 	head, body := data[:3], data[3:]
 	bins = 2 + int(head[0])%31
 	s := kernelScales[int(scale)%len(kernelScales)]
+	levels := kernelLevels(int(scale >> 2))
+	classes := 1 + int(head[1]>>2)%3
 	code := func(b byte, k int) int {
 		c := int(b)%k - 1
 		if c < 0 {
@@ -151,6 +184,24 @@ func decodeKernelInput(data []byte, scale uint8) (x, y, z []int, fx, fy []float6
 		}
 		return float64(int8(b<<1)) * 1.37
 	}
+	if levels != nil {
+		float = func(b byte) float64 {
+			if b&15 == 15 {
+				return math.NaN()
+			}
+			v := levels[int(b>>1)%len(levels)]
+			if v == 0 && b&1 == 1 {
+				v = math.Copysign(0, -1)
+			}
+			return v
+		}
+	}
+	label := func(b byte) float64 {
+		if levels == nil {
+			return float(b)
+		}
+		return float64(int(b) % classes)
+	}
 	n := len(body)
 	trim := func(b byte) int { return max(0, n-int(b)%4) }
 	for i, b := range body {
@@ -158,7 +209,7 @@ func decodeKernelInput(data []byte, scale uint8) (x, y, z []int, fx, fy []float6
 		fx = append(fx, float(b))
 		if i < trim(head[1]) {
 			y = append(y, code(b>>4|b<<4, 12))
-			fy = append(fy, float(b*37+11))
+			fy = append(fy, label(b*37+11))
 		}
 		if i < trim(head[2]) {
 			z = append(z, code(b*7+3, 4))
@@ -196,7 +247,47 @@ func TestKernelsMatchReference(t *testing.T) {
 				fx[i] = math.NaN()
 			}
 		}
-		for _, bins := range []int{0, 2, 4, 10, 32} {
+		for _, bins := range []int{0, 2, 4, 10, 32, 2 * stackLevels} {
+			x, y := Discretize(fx, bins), Discretize(fy, bins)
+			z := Discretize(fy, 3)
+			checkKernels(t, x, y, z, fx, fy, bins)
+		}
+	}
+	// Columns at the level cap: exactly levelCap−1, levelCap and
+	// levelCap+1 levels, each present, with −0 and +0 in one column, ±Inf
+	// among the levels of some (Discretize is then held to no reference)
+	// and NaN rows, against labels of 1–3 classes, at bin counts on both
+	// sides of levelCap, and above stackLevels, where Discretize's level
+	// map leaves the stack.
+	for it := 0; it < 300; it++ {
+		k := levelCap - 1 + it%3
+		levels := make([]float64, k)
+		for j := range levels {
+			levels[j] = float64(j-k/2) * 0.75
+		}
+		if it%4 == 1 {
+			levels[0], levels[k-1] = math.Inf(-1), math.Inf(1)
+		}
+		n := k + rng.Intn(200)
+		fx := make([]float64, n)
+		fy := make([]float64, n)
+		classes := 1 + it/3%3
+		for i := range fx {
+			v := levels[i%k]
+			if i >= k {
+				v = levels[rng.Intn(k)]
+				if rng.Intn(8) == 0 {
+					v = math.NaN()
+				}
+			}
+			if v == 0 && rng.Intn(2) == 0 {
+				v = math.Copysign(0, -1)
+			}
+			fx[i] = v
+			fy[i] = float64(rng.Intn(classes))
+		}
+		rng.Shuffle(n, func(i, j int) { fx[i], fx[j] = fx[j], fx[i] })
+		for _, bins := range []int{levelCap - 1, levelCap, levelCap + 1, 10, 32, 2 * stackLevels} {
 			x, y := Discretize(fx, bins), Discretize(fy, bins)
 			z := Discretize(fy, 3)
 			checkKernels(t, x, y, z, fx, fy, bins)

@@ -128,8 +128,13 @@ func (r *Ranker) Spearman(x, y []float64) float64 {
 
 // ranksInto writes the ranks of x into dst, grown to len(x). Tied values
 // get the mean of the ranks they span, so the order a sort leaves equal
-// values in cannot change the output.
+// values in cannot change the output. A column of at most levelCap
+// levels is ranked by counting; only a column of more sorts its rows.
 func (r *Ranker) ranksInto(dst, x []float64) []float64 {
+	dst = slices.Grow(dst[:0], len(x))[:len(x)]
+	if countRanks(dst, x) {
+		return dst
+	}
 	r.pairs = slices.Grow(r.pairs[:0], len(x))
 	for i, v := range x {
 		if !math.IsNaN(v) {
@@ -146,7 +151,6 @@ func (r *Ranker) ranksInto(dst, x []float64) []float64 {
 		}
 		return 0
 	})
-	dst = slices.Grow(dst[:0], len(x))[:len(x)]
 	if len(vals) < len(x) {
 		for i := range dst {
 			dst[i] = math.NaN()
@@ -165,6 +169,142 @@ func (r *Ranker) ranksInto(dst, x []float64) []float64 {
 		i = j
 	}
 	return dst
+}
+
+// levelCap is the most levels (distinct non-NaN values) a column may
+// have for ranksInto to rank it by counting. Labels are class ids, and
+// most joined features have few levels too.
+const levelCap = 16
+
+// countRanks writes the ranks of x into dst, of the same length, and
+// reports true when x has at most levelCap levels; otherwise it stops
+// early and dst holds no ranks. A sort would put a level's count rows
+// right after the start rows of lower levels, so each level gets the
+// average rank of the tie group [start, start+count) by the same
+// expression the tie loop of ranksInto uses, and the ranks have the
+// same bits.
+func countRanks(dst, x []float64) bool {
+	var buf levelBuf
+	m := buf.levels(levelCap)
+	var counts [levelCap]int
+	for i, v := range x {
+		if math.IsNaN(v) {
+			dst[i] = v
+			continue
+		}
+		id := m.id(v)
+		if id < 0 {
+			return false
+		}
+		counts[id]++
+		dst[i] = float64(id)
+	}
+	var avg [levelCap]float64
+	start := 0
+	for _, id := range m.sort() {
+		c := counts[id]
+		avg[id] = (float64(start+1) + float64(start+c)) / 2
+		start += c
+	}
+	for i, v := range dst {
+		if !math.IsNaN(v) {
+			dst[i] = avg[int(v)]
+		}
+	}
+	return true
+}
+
+// stackLevels is the most levels a levelMap keeps in a levelBuf. Only
+// Discretize with more than stackLevels bins, over a column of more than
+// stackLevels rows, allocates its map.
+const stackLevels = 32
+
+// levelSlot is one slot of a levelMap's open-addressing table.
+type levelSlot struct {
+	key uint64 // the value's bits, with −0 folded into +0
+	id  int32  // the level's id plus one; 0 marks a free slot
+}
+
+// levelBuf is the storage of a levelMap of up to stackLevels levels,
+// for a caller to keep on its stack.
+type levelBuf struct {
+	slots [2 * stackLevels]levelSlot
+	vals  [stackLevels]float64
+	order [stackLevels]int
+	pos   [stackLevels]int
+}
+
+// levelMap numbers the distinct non-NaN values of a column in the order
+// they first appear, and refuses a new value once it holds limit of them.
+// It is an open-addressing table at most half full, keyed by the
+// value's bits with −0 folded into +0, so the values that == equates
+// share one level, as they share one tie group in a sort.
+type levelMap struct {
+	slots []levelSlot
+	vals  []float64 // each level's value, by id
+	order []int     // level ids in ascending value order, after sort
+	pos   []int     // each level's position in that order, by id
+	limit int
+	shift uint // 64 − log2(len(slots)): the hash keeps the top bits
+}
+
+// levels returns an empty levelMap of at most limit levels, kept in b
+// when limit ≤ stackLevels.
+func (b *levelBuf) levels(limit int) levelMap {
+	size, shift := 8, uint(61)
+	for size < 2*limit {
+		size, shift = size*2, shift-1
+	}
+	m := levelMap{limit: limit, shift: shift}
+	if limit <= stackLevels {
+		m.slots, m.vals, m.order, m.pos = b.slots[:size], b.vals[:0], b.order[:0], b.pos[:0]
+	} else {
+		m.slots, m.vals = make([]levelSlot, size), make([]float64, 0, limit)
+		m.order, m.pos = make([]int, 0, limit), make([]int, 0, limit)
+	}
+	return m
+}
+
+// id returns the id of v's level, adding a level when v is new, or −1
+// when v is new and m already holds limit levels. v must not be NaN.
+func (m *levelMap) id(v float64) int {
+	key := math.Float64bits(v)
+	if v == 0 {
+		key = 0
+	}
+	mask := uint64(len(m.slots) - 1)
+	for h := (key ^ key>>32) * 0x9e3779b97f4a7c15 >> m.shift; ; h = (h + 1) & mask {
+		s := &m.slots[h]
+		if s.id == 0 {
+			n := len(m.vals)
+			if n == m.limit {
+				return -1
+			}
+			// Resliced rather than appended: the levels of a levelBuf
+			// stay on their caller's stack.
+			m.vals = m.vals[:n+1]
+			m.vals[n] = v
+			s.key, s.id = key, int32(n+1)
+			return n
+		}
+		if s.key == key {
+			return int(s.id) - 1
+		}
+	}
+}
+
+// sort fills m.order and m.pos from the levels seen so far and returns
+// m.order. Levels are distinct non-NaN values, so the order is total.
+func (m *levelMap) sort() []int {
+	m.order, m.pos = m.order[:len(m.vals)], m.pos[:len(m.vals)]
+	for i := range m.order {
+		m.order[i] = i
+	}
+	slices.SortFunc(m.order, func(a, b int) int { return cmp.Compare(m.vals[a], m.vals[b]) })
+	for p, id := range m.order {
+		m.pos[id] = p
+	}
+	return m.order
 }
 
 // commonPrefix truncates both slices to the shorter length. Length
@@ -236,45 +376,45 @@ func AppendDiscretize(dst []int, x []float64, bins int) []int {
 	if bins < 2 {
 		bins = 2
 	}
-	// Up to bins+1 distinct values, kept sorted; the (bins+1)-th tells the
-	// binned case from the discrete one. == folds −0 into +0.
-	var buf [16]float64
-	distinct := buf[:0]
-	if bins+1 > len(buf) {
-		distinct = make([]float64, 0, bins+1)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range x {
-		if math.IsNaN(v) {
-			continue
-		}
-		if !math.IsInf(v, 0) {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if len(distinct) <= bins {
-			distinct = insertSorted(distinct, v)
-		}
-	}
 	n := len(dst)
 	dst = slices.Grow(dst, len(x))[:n+len(x)]
 	out := dst[n:]
-	if len(distinct) <= bins {
-		// Already discrete: stable code per sorted distinct value.
-		for i, v := range x {
+	// Already discrete: each level's code is its position in ascending
+	// value order. The scan stops at the (bins+1)-th level; a column of
+	// len(x) ≤ bins rows cannot reach it, so its map holds len(x).
+	var buf levelBuf
+	m := buf.levels(min(bins, len(x)))
+	discrete := true
+	for i, v := range x {
+		if math.IsNaN(v) {
 			out[i] = -1
-			for c, d := range distinct {
-				if d == v {
-					out[i] = c
-					break
-				}
+			continue
+		}
+		if out[i] = m.id(v); out[i] < 0 {
+			discrete = false
+			break
+		}
+	}
+	if discrete {
+		m.sort()
+		for i, c := range out {
+			if c >= 0 {
+				out[i] = m.pos[c]
 			}
 		}
 		return dst
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 	}
 	span := hi - lo
 	// float64(bins)*(v-lo) overflows only when bins·span does.
@@ -303,22 +443,6 @@ func AppendDiscretize(dst []int, x []float64, bins int) []int {
 		}
 	}
 	return dst
-}
-
-// insertSorted adds v to the ascending slice s unless an equal value is
-// already there.
-func insertSorted(s []float64, v float64) []float64 {
-	i := 0
-	for i < len(s) && s[i] < v {
-		i++
-	}
-	if i < len(s) && s[i] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }
 
 // The kernels below count codes into dense tables indexed by code and sum
