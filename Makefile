@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz bench bench-diff check docs-check
+.PHONY: build vet test race fuzz bench check docs-check
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 60s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzJobStoreLoad -fuzztime 60s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzTelemetryReply -fuzztime 60s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecodeColumnar -fuzztime 60s ./internal/frame
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 60s ./internal/frame
 	$(GO) test -run '^$$' -fuzz FuzzKernels -fuzztime 60s ./internal/stats
@@ -27,17 +28,11 @@ fuzz:
 
 # bench runs the micro benchmarks (`go test -bench .` adds the slow
 # figure benchmarks), then TestWriteBench, which rewrites every committed
-# BENCH_*.json and checks its floor. bench-diff runs TestWriteBench into
-# a temporary directory and fails on a >5% ns/op regression against the
-# committed files. See docs/OPERATIONS.md "Performance baselines".
+# BENCH_*.json and checks its floor. See docs/OPERATIONS.md
+# "Performance baselines".
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkMicro' -benchmem .
 	AUTOFEAT_BENCH_DIR=. $(GO) test -run TestWriteBench -v .
-
-bench-diff:
-	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	AUTOFEAT_BENCH_DIR="$$dir" $(GO) test -run TestWriteBench . && \
-	$(GO) run ./cmd/benchdiff . "$$dir"
 
 # docs-check is the documentation gate: a godoc audit over the
 # public-facing packages (exported identifiers must carry doc comments

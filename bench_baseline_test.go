@@ -40,8 +40,8 @@ type benchDoc struct {
 }
 
 // benchRow is one measured row. Workers is the pool, worker or table
-// count the row ran at; cmd/benchdiff pairs rows by (mode, workers).
-// Only cluster rows count their timed jobs per worker.
+// count the row ran at; (mode, workers) identifies a row. Only cluster
+// rows count their timed jobs per worker.
 type benchRow struct {
 	Mode          string         `json:"mode"`
 	Workers       int            `json:"workers"`

@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -146,6 +147,95 @@ func runExplain(args []string) error {
 	return m.Explain(os.Stdout, rest[0])
 }
 
+// serveOptions holds the `autofeat serve` flags.
+type serveOptions struct {
+	addr, logLevel, logFormat        string
+	jobs, queue                      int
+	jobTimeout, drainWait, hbTimeout time.Duration
+	pprof                            bool
+	traceStore, flightSize           int
+	role, nodeID, advertise          string
+	coordinator, store               string
+	tenantQuota, storeRetain         int
+	lakes                            multiFlag
+}
+
+// roleFlags names, for each flag only some roles read, the roles that
+// read it ("" is a single node); every other flag is read by all three.
+var roleFlags = map[string][]string{
+	"jobs":              {"", "worker"},
+	"queue":             {"", "worker"},
+	"job-timeout":       {"", "worker"},
+	"node-id":           {"worker"},
+	"advertise":         {"worker"},
+	"coordinator":       {"worker"},
+	"store":             {"coordinator"},
+	"heartbeat-timeout": {"coordinator"},
+	"tenant-quota":      {"coordinator"},
+	"store-retain":      {"coordinator"},
+}
+
+// parseServe parses and checks the `autofeat serve` flags. It refuses
+// every flag that was set but is not read by the chosen role, a worker
+// without -coordinator (workers join by heartbeat alone), and a
+// -heartbeat-timeout under two heartbeat periods, which would declare
+// live workers dead between their beats. It opens and listens on
+// nothing.
+func parseServe(args []string) (*serveOptions, error) {
+	o := &serveOptions{}
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", "localhost:8080", "listen address")
+	fs.IntVar(&o.jobs, "jobs", 0, "single node and worker: max concurrently running discovery jobs (0 = GOMAXPROCS)")
+	fs.IntVar(&o.queue, "queue", 0, "single node and worker: max queued jobs before submissions get 429 (0 = 2x jobs)")
+	fs.DurationVar(&o.jobTimeout, "job-timeout", 0, "single node and worker: default per-job wall-clock budget (0 = unbounded)")
+	fs.DurationVar(&o.drainWait, "drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
+	fs.BoolVar(&o.pprof, "pprof", true, "mount /debug/pprof/ handlers")
+	fs.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug|info|warn|error (empty = off)")
+	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text|json")
+	fs.IntVar(&o.traceStore, "trace-store", 256, "traces retained for GET /v1/traces (0 = default 256, -1 = disable tracing endpoints)")
+	fs.IntVar(&o.flightSize, "flight", 256, "recent spans kept in the /debug/flight ring (0 = default 256, -1 = disable)")
+	fs.StringVar(&o.role, "role", "", "cluster role: coordinator|worker (empty = single-node)")
+	fs.StringVar(&o.nodeID, "node-id", "", "worker: stable worker identity (default: the listen address)")
+	fs.StringVar(&o.advertise, "advertise", "", "worker: base URL other nodes dial to reach this worker (default http://<addr>)")
+	fs.StringVar(&o.coordinator, "coordinator", "", "worker (required): coordinator base URL to heartbeat to every 2s")
+	fs.StringVar(&o.store, "store", "", "coordinator: job-store JSON file, the store's one durable copy (empty = in-memory)")
+	fs.DurationVar(&o.hbTimeout, "heartbeat-timeout", 10*time.Second, "coordinator: silence after which a worker is dead and its jobs reroute (at least two 2s heartbeat periods)")
+	fs.IntVar(&o.tenantQuota, "tenant-quota", 0, "coordinator: max in-flight jobs per tenant (X-Tenant header; 0 = unlimited)")
+	fs.IntVar(&o.storeRetain, "store-retain", 0, "coordinator: max terminal job documents retained in the store before FIFO eviction (0 = unlimited)")
+	fs.Var(&o.lakes, "lake", "pre-register a lake as id=dir (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	role := "a single node (no -role)"
+	switch o.role {
+	case "":
+	case "worker", "coordinator":
+		role = "-role " + o.role
+	default:
+		return nil, fmt.Errorf("bad -role %q (want coordinator or worker)", o.role)
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if roles, ok := roleFlags[f.Name]; ok && !slices.Contains(roles, o.role) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		verb := "is"
+		if len(unread) > 1 {
+			verb = "are"
+		}
+		return nil, fmt.Errorf("%s %s not read by %s", strings.Join(unread, ", "), verb, role)
+	}
+	if o.role == "worker" && o.coordinator == "" {
+		return nil, errors.New("-role worker needs -coordinator: a worker joins its coordinator by heartbeat")
+	}
+	if least := 2 * serve.HeartbeatPeriod; o.hbTimeout < least {
+		return nil, fmt.Errorf("-heartbeat-timeout %s is shorter than two heartbeat periods (%s): live workers would be declared dead between beats", o.hbTimeout, least)
+	}
+	return o, nil
+}
+
 // runServe implements the `autofeat serve` subcommand: the long-lived
 // discovery service. Lakes are registered over HTTP (POST /v1/lakes) or
 // pre-registered with repeated -lake flags; discoveries are submitted
@@ -155,94 +245,64 @@ func runExplain(args []string) error {
 //
 // With -role the same binary becomes one node of a cluster:
 // -role=coordinator routes /v1 requests to workers by rendezvous
-// hashing and keeps the replicated job store; -role=worker runs the
-// ordinary single-node service plus a cluster agent that heartbeats to
-// -coordinator and stores replicated job-store snapshots.
+// hashing and keeps the job store; -role=worker runs the ordinary
+// single-node service plus a cluster agent that heartbeats to
+// -coordinator.
 func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	var (
-		addr         = fs.String("addr", "localhost:8080", "listen address")
-		jobs         = fs.Int("jobs", 0, "max concurrently running discovery jobs (0 = GOMAXPROCS)")
-		queue        = fs.Int("queue", 0, "max queued jobs before submissions get 429 (0 = 2x jobs)")
-		jobTimeout   = fs.Duration("job-timeout", 0, "default per-job wall-clock budget (0 = unbounded)")
-		drainWait    = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
-		enablePprof  = fs.Bool("pprof", true, "mount /debug/pprof/ handlers")
-		logLevel     = fs.String("log-level", "info", "structured log level: debug|info|warn|error (empty = off)")
-		logFormat    = fs.String("log-format", "text", "structured log format: text|json")
-		traceStore   = fs.Int("trace-store", 256, "traces retained for GET /v1/traces (0 = default 256, -1 = disable tracing endpoints)")
-		flightSize   = fs.Int("flight", 256, "recent spans kept in the /debug/flight ring (0 = default 256, -1 = disable)")
-		role         = fs.String("role", "", "cluster role: coordinator|worker (empty = single-node)")
-		peers        = fs.String("peers", "", "coordinator: comma-separated worker base URLs to seed membership from")
-		nodeID       = fs.String("node-id", "", "worker: stable worker identity (default: the listen address)")
-		advertise    = fs.String("advertise", "", "worker: base URL other nodes dial to reach this worker (default http://<addr>)")
-		coordAddr    = fs.String("coordinator", "", "worker: coordinator base URL to heartbeat to")
-		storePath    = fs.String("store", "", "coordinator: job-store JSON file; worker: replica snapshot file (empty = in-memory)")
-		heartbeat    = fs.Duration("heartbeat", 2*time.Second, "worker: heartbeat interval")
-		hbTimeout    = fs.Duration("heartbeat-timeout", 10*time.Second, "coordinator: silence after which a worker is dead and its jobs reroute")
-		tenantQuota  = fs.Int("tenant-quota", 0, "coordinator: max in-flight jobs per tenant (X-Tenant header; 0 = unlimited)")
-		storeRetain  = fs.Int("store-retain", 0, "coordinator: max terminal job documents retained in the store before FIFO eviction (0 = unlimited)")
-		preloadLakes multiFlag
-	)
-	fs.Var(&preloadLakes, "lake", "pre-register a lake as id=dir (repeatable)")
-	if err := fs.Parse(args); err != nil {
+	o, err := parseServe(args)
+	if err != nil {
 		return err
 	}
-	switch *role {
-	case "", "worker", "coordinator":
-	default:
-		return fmt.Errorf("bad -role %q (want coordinator or worker)", *role)
-	}
-
 	cfg := serve.Config{
-		Workers:        *jobs,
-		QueueDepth:     *queue,
-		DefaultTimeout: *jobTimeout,
+		Workers:        o.jobs,
+		QueueDepth:     o.queue,
+		DefaultTimeout: o.jobTimeout,
 		Collector:      autofeat.NewTelemetry(),
 	}
-	if *logLevel != "" {
-		level, on, err := autofeat.ParseLogLevel(*logLevel)
+	if o.logLevel != "" {
+		level, on, err := autofeat.ParseLogLevel(o.logLevel)
 		if err != nil {
 			return err
 		}
 		if on {
-			cfg.Logger = autofeat.NewLogger(os.Stderr, level, *logFormat)
+			cfg.Logger = autofeat.NewLogger(os.Stderr, level, o.logFormat)
 		}
 	}
 	// The trace store and flight recorder behind /v1/traces and
 	// /debug/flight are the service's only, bounded, span retention.
 	icfg := autofeat.IntrospectionConfig{
-		Addr:        *addr,
+		Addr:        o.addr,
 		Collector:   cfg.Collector,
-		EnablePprof: *enablePprof,
+		EnablePprof: o.pprof,
 	}
 	// The coordinator mounts its own federated /v1/traces routes, so its
 	// trace store hangs off the cluster config instead of the obsrv server
 	// (mounting both would double-register the patterns).
 	var traces *autofeat.TraceStore
-	if *traceStore >= 0 {
-		traces = autofeat.NewTraceStore(*traceStore, 0)
+	if o.traceStore >= 0 {
+		traces = autofeat.NewTraceStore(o.traceStore, 0)
 		cfg.Collector.ObserveSpans(traces)
-		if *role != "coordinator" {
+		if o.role != "coordinator" {
 			icfg.Traces = traces
 		}
 	}
-	if *flightSize >= 0 {
-		icfg.Flight = autofeat.NewFlightRecorder(*flightSize)
+	if o.flightSize >= 0 {
+		icfg.Flight = autofeat.NewFlightRecorder(o.flightSize)
 		cfg.Collector.ObserveSpans(icfg.Flight)
 	}
 	srv := autofeat.NewIntrospectionServer(icfg)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *role == "coordinator" {
-		store, err := serve.NewJobStore(*storePath)
+	if o.role == "coordinator" {
+		store, err := serve.NewJobStore(o.store)
 		if err != nil {
 			return err
 		}
 		coord := serve.NewCoordinator(serve.ClusterConfig{
-			HeartbeatTimeout: *hbTimeout,
-			TenantQuota:      *tenantQuota,
-			StoreRetention:   *storeRetain,
+			HeartbeatTimeout: o.hbTimeout,
+			TenantQuota:      o.tenantQuota,
+			StoreRetention:   o.storeRetain,
 			Collector:        cfg.Collector,
 			Logger:           cfg.Logger,
 			Traces:           traces,
@@ -250,7 +310,7 @@ func runServe(args []string) error {
 		coord.Mount(srv)
 		// Pre-register lakes in the store only; workers open them lazily
 		// on first touch.
-		for _, spec := range preloadLakes {
+		for _, spec := range o.lakes {
 			id, dir, ok := strings.Cut(spec, "=")
 			if !ok {
 				return fmt.Errorf("bad -lake %q (want id=dir)", spec)
@@ -261,13 +321,10 @@ func runServe(args []string) error {
 			}
 			fmt.Printf("lake %q recorded from %s\n", l.ID, dir)
 		}
-		if *peers != "" {
-			coord.SeedWorkers(strings.Split(*peers, ","))
-		}
 		go coord.Run(ctx)
 		errCh := make(chan error, 1)
 		go func() { errCh <- srv.ListenAndServe() }()
-		fmt.Printf("cluster coordinator listening on http://%s/ (v1/lakes, v1/discoveries, v1/traces, v1/cluster/{status,metrics,events}, cluster/v1/workers, metrics, healthz)\n", *addr)
+		fmt.Printf("cluster coordinator listening on http://%s/ (v1/lakes, v1/discoveries, v1/traces, v1/cluster/{status,metrics,events}, cluster/v1/workers, metrics, healthz)\n", o.addr)
 		select {
 		case err := <-errCh:
 			if err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -278,36 +335,34 @@ func runServe(args []string) error {
 		}
 		fmt.Fprintln(os.Stderr, "autofeat serve: signal received, draining coordinator")
 		coord.Drain()
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+		drainCtx, cancel := context.WithTimeout(context.Background(), o.drainWait)
 		defer cancel()
 		return srv.Shutdown(drainCtx)
 	}
 
 	svc := serve.New(cfg)
 	svc.Mount(srv)
-	if *role == "worker" {
-		id := *nodeID
+	if o.role == "worker" {
+		id := o.nodeID
 		if id == "" {
-			id = *addr
+			id = o.addr
 		}
-		adv := *advertise
+		adv := o.advertise
 		if adv == "" {
-			adv = "http://" + *addr
+			adv = "http://" + o.addr
 		}
 		agent := serve.NewAgent(serve.AgentConfig{
-			ID:                id,
-			Addr:              adv,
-			Coordinator:       *coordAddr,
-			HeartbeatInterval: *heartbeat,
-			ReplicaPath:       *storePath,
-			Collector:         cfg.Collector,
-			Logger:            cfg.Logger,
-			Traces:            icfg.Traces,
+			ID:          id,
+			Addr:        adv,
+			Coordinator: o.coordinator,
+			Collector:   cfg.Collector,
+			Logger:      cfg.Logger,
+			Traces:      icfg.Traces,
 		}, svc)
 		agent.Mount(srv)
 		go agent.Run(ctx)
 	}
-	for _, spec := range preloadLakes {
+	for _, spec := range o.lakes {
 		id, dir, ok := strings.Cut(spec, "=")
 		if !ok {
 			return fmt.Errorf("bad -lake %q (want id=dir)", spec)
@@ -322,7 +377,7 @@ func runServe(args []string) error {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Printf("discovery service listening on http://%s/ (v1/lakes, v1/discoveries, v1/traces, runs, metrics, healthz)\n", *addr)
+	fmt.Printf("discovery service listening on http://%s/ (v1/lakes, v1/discoveries, v1/traces, runs, metrics, healthz)\n", o.addr)
 
 	select {
 	case err := <-errCh:
@@ -333,7 +388,7 @@ func runServe(args []string) error {
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(os.Stderr, "autofeat serve: signal received, draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainWait)
 	defer cancel()
 	if err := svc.Drain(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "autofeat serve: %v\n", err)

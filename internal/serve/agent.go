@@ -1,11 +1,10 @@
 package serve
 
 // Worker-side cluster agent. A worker is an ordinary single-node
-// Service plus this Agent, which (a) announces the worker to the
-// coordinator with periodic heartbeats, (b) serves the worker's
-// identity document for static-peer seeding, and (c) stores the
-// coordinator's replicated job-store snapshots so the cluster queue
-// survives losing any single node's disk.
+// Service plus this Agent, which announces the worker to the
+// coordinator with periodic heartbeats, the only way a worker joins,
+// and serves the worker's telemetry and trace spans to the
+// coordinator's federated views.
 
 import (
 	"bytes"
@@ -15,7 +14,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"autofeat/internal/obsrv"
@@ -28,15 +26,9 @@ type AgentConfig struct {
 	// it); Addr is the base URL other nodes dial to reach this worker.
 	ID   string
 	Addr string
-	// Coordinator is the coordinator's base URL. "" disables the
-	// heartbeat loop (useful when the coordinator seeds statically and
-	// tests drive heartbeats by hand).
+	// Coordinator is the base URL of the coordinator the worker
+	// heartbeats to, which is how it joins the cluster.
 	Coordinator string
-	// HeartbeatInterval is the announce period. 0 defaults to 2s.
-	HeartbeatInterval time.Duration
-	// ReplicaPath stores received job-store snapshots; "" keeps the
-	// latest snapshot in memory only.
-	ReplicaPath string
 	// Collector receives cluster.* metrics; Logger the lifecycle
 	// records. Both may be nil.
 	Collector *telemetry.Collector
@@ -48,32 +40,28 @@ type AgentConfig struct {
 	Traces *telemetry.TraceStore
 }
 
+// HeartbeatPeriod is how often a worker's agent announces itself to the
+// coordinator. A coordinator's heartbeat timeout must span at least two
+// periods, or it declares live workers dead between their beats.
+const HeartbeatPeriod = 2 * time.Second
+
 // Agent is the cluster-facing side of one worker.
 type Agent struct {
 	cfg    AgentConfig
 	svc    *Service
 	log    *slog.Logger
 	client *http.Client
-
-	mu      sync.Mutex
-	replica []byte
 }
 
 // NewAgent builds the cluster agent for a worker service. Its heartbeats
 // go through a 10s-timeout client.
 func NewAgent(cfg AgentConfig, svc *Service) *Agent {
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 2 * time.Second
-	}
 	return &Agent{cfg: cfg, svc: svc, log: telemetry.OrNop(cfg.Logger), client: &http.Client{Timeout: 10 * time.Second}}
 }
 
-// Mount registers the worker's cluster control-plane routes alongside
-// the service's own /v1 routes.
+// Mount registers the worker's cluster routes alongside the service's
+// own /v1 routes.
 func (a *Agent) Mount(srv *obsrv.Server) {
-	srv.Handle("GET /cluster/v1/info", http.HandlerFunc(a.handleInfo))
-	srv.Handle("POST /cluster/v1/jobstore", http.HandlerFunc(a.handleReplicaPut))
-	srv.Handle("GET /cluster/v1/jobstore", http.HandlerFunc(a.handleReplicaGet))
 	srv.Handle("GET /cluster/v1/telemetry", http.HandlerFunc(a.handleTelemetry))
 	srv.Handle("GET /cluster/v1/traces/{id}", http.HandlerFunc(a.handleTraceSpans))
 }
@@ -93,13 +81,10 @@ func (a *Agent) status() heartbeatMsg {
 	}
 }
 
-// Run sends heartbeats to the coordinator until ctx is cancelled. It
-// returns immediately when no coordinator is configured.
+// Run sends a heartbeat to the coordinator every HeartbeatPeriod until
+// ctx is cancelled.
 func (a *Agent) Run(ctx context.Context) {
-	if a.cfg.Coordinator == "" {
-		return
-	}
-	t := time.NewTicker(a.cfg.HeartbeatInterval)
+	t := time.NewTicker(HeartbeatPeriod)
 	defer t.Stop()
 	a.Heartbeat(ctx)
 	for {
@@ -135,57 +120,6 @@ func (a *Agent) Heartbeat(ctx context.Context) error {
 	}
 	a.cfg.Collector.Meter().Inc(telemetry.CtrClusterHeartbeatsSent)
 	return nil
-}
-
-// handleInfo serves the worker's identity document (GET
-// /cluster/v1/info) — the probe target for static-peer seeding.
-func (a *Agent) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, a.status())
-}
-
-// handleReplicaPut stores one replicated job-store snapshot after
-// validating its wire-protocol version.
-func (a *Agent) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r, maxBulkBodyBytes)
-	if !ok {
-		return
-	}
-	var probe struct {
-		Proto string `json:"proto"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if err := CheckProto(probe.Proto); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	a.mu.Lock()
-	a.replica = body
-	a.mu.Unlock()
-	if a.cfg.ReplicaPath != "" {
-		if err := atomicWriteFile(a.cfg.ReplicaPath, body); err != nil {
-			a.log.Warn("cluster replica persist failed", "path", a.cfg.ReplicaPath, "error", err)
-			writeError(w, http.StatusInternalServerError, "persist replica: "+err.Error())
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"proto": ProtoVersion, "ok": true, "bytes": len(body)})
-}
-
-// handleReplicaGet serves the last replicated snapshot, or 404 if none
-// arrived yet.
-func (a *Agent) handleReplicaGet(w http.ResponseWriter, _ *http.Request) {
-	a.mu.Lock()
-	snap := a.replica
-	a.mu.Unlock()
-	if snap == nil {
-		writeError(w, http.StatusNotFound, "no job-store replica received yet")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(snap)
 }
 
 // telemetryMsg is the GET /cluster/v1/telemetry response body: one
@@ -226,17 +160,4 @@ func (a *Agent) handleTraceSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, traceSpansMsg{Proto: ProtoVersion, Node: a.cfg.ID, TraceID: id, Spans: spans})
-}
-
-// Replica returns the latest stored snapshot (nil if none), for tests
-// and recovery tooling.
-func (a *Agent) Replica() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.replica == nil {
-		return nil
-	}
-	out := make([]byte, len(a.replica))
-	copy(out, a.replica)
-	return out
 }

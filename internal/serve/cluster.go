@@ -15,8 +15,8 @@ package serve
 //     contract; the coordinator forwards each request to the owner of
 //     the lake it names, propagating the W3C traceparent so span trees
 //     cross the hop.
-//   - durability: every admitted job lands in the replicated JSON job
-//     store (jobstore.go) before dispatch; when a worker dies, its
+//   - durability: every admitted job lands in the coordinator's JSON
+//     job store (jobstore.go) before dispatch; when a worker dies, its
 //     queued and unacknowledged-dispatched jobs are re-dispatched to
 //     the lake's next owner with bounded backoff. Deterministic
 //     rankings make the re-run safe: the result is bit-identical.
@@ -43,8 +43,7 @@ import (
 )
 
 // heartbeatMsg is the worker -> coordinator heartbeat body (POST
-// /cluster/v1/heartbeat) and, minus the transient load fields, the
-// worker's GET /cluster/v1/info document.
+// /cluster/v1/heartbeat).
 type heartbeatMsg struct {
 	// Proto is the wire-protocol version (ProtoVersion).
 	Proto string `json:"proto"`
@@ -63,14 +62,11 @@ type heartbeatMsg struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// workerState is the coordinator's view of one worker. acked is the
-// job-store version the worker last acknowledged with a 200; a join or
-// rejoin resets it, so replication catches the worker up.
+// workerState is the coordinator's view of one worker.
 type workerState struct {
 	heartbeatMsg
 	lastSeen time.Time
 	alive    bool
-	acked    int64
 }
 
 // workerDoc is one entry of the GET /cluster/v1/workers response.
@@ -152,9 +148,9 @@ const defaultRetryBackoff = 250 * time.Millisecond
 // metrics exposition, its status document and its trace fan-out.
 const coordinatorNode = "coordinator"
 
-// Coordinator is the cluster's routing node: membership table,
-// replicated job store, and the proxy handlers that keep the
-// single-node REST contract over many workers.
+// Coordinator is the cluster's routing node: membership table, job
+// store, and the proxy handlers that keep the single-node REST contract
+// over many workers.
 type Coordinator struct {
 	cfg    ClusterConfig
 	log    *slog.Logger
@@ -235,7 +231,7 @@ func (c *Coordinator) Mount(srv *obsrv.Server) {
 }
 
 // Run drives the coordinator's background loop — membership sweeps,
-// queued-job dispatch, store replication — until ctx is cancelled.
+// queued-job dispatch, telemetry pulls — until ctx is cancelled.
 func (c *Coordinator) Run(ctx context.Context) {
 	t := time.NewTicker(c.cfg.HeartbeatTimeout / 4)
 	defer t.Stop()
@@ -254,42 +250,6 @@ func (c *Coordinator) Run(ctx context.Context) {
 // it with draining each worker for a whole-cluster drain.
 func (c *Coordinator) Drain() { c.draining.Store(true) }
 
-// SeedWorkers registers static peers: each address is probed with GET
-// /cluster/v1/info and, when it answers, joins the membership table
-// immediately instead of waiting for its first heartbeat.
-func (c *Coordinator) SeedWorkers(addrs []string) {
-	for _, addr := range addrs {
-		info, err := c.fetchInfo(addr)
-		if err != nil {
-			c.log.Warn("cluster seed peer unreachable", "addr", addr, "error", err)
-			continue
-		}
-		c.observeHeartbeat(*info)
-	}
-}
-
-// fetchInfo retrieves a worker's identity document.
-func (c *Coordinator) fetchInfo(addr string) (*heartbeatMsg, error) {
-	rep, err := c.call(context.TODO(), addr, http.MethodGet, "/cluster/v1/info", nil)
-	if err != nil {
-		return nil, err
-	}
-	if rep.status != http.StatusOK {
-		return nil, fmt.Errorf("serve: %s/cluster/v1/info: status %d", addr, rep.status)
-	}
-	var info heartbeatMsg
-	if err := json.Unmarshal(rep.body, &info); err != nil {
-		return nil, err
-	}
-	if err := CheckProto(info.Proto); err != nil {
-		return nil, err
-	}
-	if info.Addr == "" {
-		info.Addr = addr
-	}
-	return &info, nil
-}
-
 // observeHeartbeat folds one heartbeat into the membership table and
 // refreshes the cluster gauges.
 func (c *Coordinator) observeHeartbeat(hb heartbeatMsg) {
@@ -304,7 +264,6 @@ func (c *Coordinator) observeHeartbeat(hb heartbeatMsg) {
 		joined = true
 	} else if !w.alive {
 		rejoined = true
-		w.acked = 0
 	}
 	w.heartbeatMsg = hb
 	w.lastSeen = now
@@ -322,7 +281,7 @@ func (c *Coordinator) observeHeartbeat(hb heartbeatMsg) {
 
 // alive snapshots every alive worker in join order, draining ones
 // included: they still hold spans, metrics and running jobs, but
-// placement and replication skip them.
+// placement skips them.
 func (c *Coordinator) alive() []workerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -534,8 +493,8 @@ func (c *Coordinator) handleLakeCreate(w http.ResponseWriter, r *http.Request) {
 	tables, err := c.openLakeOn(r.Context(), owner, *stored)
 	var se *statusError
 	if errors.As(err, &se) && se.refused() {
-		// Kept, it would be replicated and listed, and every job
-		// against it would fail at its first dispatch.
+		// Kept, it would be listed, and every job against it would
+		// fail at its first dispatch.
 		if uerr := undo(); uerr != nil {
 			writeError(w, http.StatusServiceUnavailable, err.Error()+"; withdrawing the registration: "+uerr.Error())
 			return
@@ -852,10 +811,10 @@ func (c *Coordinator) retryLater(jobID, worker, reason string) {
 
 // Sweep runs one pass of the coordinator's background maintenance:
 // expire silent workers (rerouting their unfinished jobs), dispatch
-// queued jobs whose backoff gate has passed, replicate the store when
-// it changed, pull worker telemetry for the federated metrics view,
-// refresh gauges. It is called periodically by Run and directly by
-// tests.
+// queued jobs whose backoff gate has passed, refresh dispatched jobs
+// from their workers, pull worker telemetry for the federated metrics
+// view, refresh gauges. It is called periodically by Run and directly
+// by tests.
 func (c *Coordinator) Sweep() {
 	now := c.clock()
 	mx := c.cfg.Collector.Meter()
@@ -915,10 +874,7 @@ func (c *Coordinator) Sweep() {
 		}
 	}
 
-	// 5. Replicate the store to workers that lack its current version.
-	c.replicate(ctx)
-
-	// 6. Pull every alive worker's telemetry snapshot for the federated
+	// 5. Pull every alive worker's telemetry snapshot for the federated
 	// /v1/cluster/metrics view.
 	c.pullTelemetry(ctx)
 	c.updateGauges()
@@ -954,44 +910,6 @@ func (c *Coordinator) pollJob(ctx context.Context, j StoredJob) (StoredJob, erro
 		c.log.Info("cluster job finished", "id", j.ID, "state", doc.State, "worker", j.Worker)
 	}
 	return j, nil
-}
-
-// replicate pushes the current store snapshot to every alive,
-// non-draining worker that has not acknowledged this store version with
-// a 200: a worker that joined or rejoined since the last change gets it
-// too, and a failed or refused push is retried on the next sweep.
-func (c *Coordinator) replicate(ctx context.Context) {
-	v := c.store.Version()
-	var snap []byte
-	pushed := 0
-	for _, w := range c.alive() {
-		if w.Draining || w.acked == v {
-			continue
-		}
-		if snap == nil {
-			snap = c.store.Snapshot()
-		}
-		rep, err := c.call(ctx, w.Addr, http.MethodPost, "/cluster/v1/jobstore", snap)
-		if err == nil && rep.status != http.StatusOK {
-			err = fmt.Errorf("status %d: %.4096s", rep.status, bytes.TrimSpace(rep.body))
-		}
-		if err != nil {
-			c.log.Warn("cluster store replication failed", "worker", w.ID, "error", err)
-			continue
-		}
-		c.mu.Lock()
-		if ws, ok := c.workers[w.ID]; ok {
-			ws.acked = v
-		}
-		c.mu.Unlock()
-		pushed++
-	}
-	if pushed > 0 {
-		c.events.Record(telemetry.Event{
-			Type:   telemetry.EventReplicationPush,
-			Detail: fmt.Sprintf("store version %d pushed to %d workers", v, pushed),
-		})
-	}
 }
 
 // clusterJob renders one stored job as the coordinator's job document.
@@ -1100,7 +1018,7 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleStoreDump serves the raw job-store snapshot — the debugging
-// and coordinator-recovery view of the replicated queue.
+// view of the cluster queue.
 func (c *Coordinator) handleStoreDump(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(c.store.Snapshot())

@@ -4,7 +4,7 @@ package serve
 // httptest listeners, with an injectable clock and hand-driven
 // heartbeats/sweeps so membership transitions are deterministic under
 // -race. The end-to-end test kills a worker with queued jobs and
-// asserts the survivor finishes them with rankings bit-identical to a
+// asserts the survivor finishes them with manifests bit-identical to a
 // single-node run.
 
 import (
@@ -67,9 +67,10 @@ type clusterStack struct {
 	dir     string
 }
 
-// newClusterStack wires a coordinator and n workers. Worker heartbeats
-// are sent by the test (via heartbeatAll), never by a background loop,
-// so liveness transitions only happen when the test advances the clock.
+// newClusterStack wires a coordinator and n workers, which join by one
+// heartbeat each. Worker heartbeats are sent by the test (via
+// heartbeatAll), never by a background loop, so liveness transitions
+// only happen when the test advances the clock.
 func newClusterStack(t *testing.T, n int, ccfg ClusterConfig, wcfg Config) *clusterStack {
 	t.Helper()
 	return newClusterStackAt(t, n, ccfg, wcfg, "")
@@ -136,11 +137,7 @@ func newClusterStackAt(t *testing.T, n int, ccfg ClusterConfig, wcfg Config, sto
 	cs.coordTS = httptest.NewServer(csrv.Handler())
 	t.Cleanup(cs.coordTS.Close)
 
-	var addrs []string
-	for _, w := range cs.workers {
-		addrs = append(addrs, w.ts.URL)
-	}
-	cs.coord.SeedWorkers(addrs)
+	cs.heartbeatAll(t, nil)
 	return cs
 }
 
@@ -215,9 +212,10 @@ func submitCluster(t *testing.T, cs *clusterStack, tenant string, req submitRequ
 	return acc.ID, acc.State, resp.StatusCode
 }
 
-// singleNodeRanking runs the same request directly against a fresh lake
-// session — the single-node baseline for bit-identity assertions.
-func singleNodeRanking(t *testing.T, cs *clusterStack, req submitRequest) string {
+// singleNodeManifest runs the same request directly against a fresh
+// lake session and returns its manifestKey — the single-node baseline
+// for bit-identity assertions.
+func singleNodeManifest(t *testing.T, cs *clusterStack, req submitRequest) string {
 	t.Helper()
 	l, err := lake.Open(cs.dir)
 	if err != nil {
@@ -232,13 +230,13 @@ func singleNodeRanking(t *testing.T, cs *clusterStack, req submitRequest) string
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rankingKey(res.Ranking)
+	return manifestKey(t, res.Manifest)
 }
 
 // TestClusterEndToEnd is the tentpole e2e: 1 coordinator + 2 workers,
 // two lakes, overlapping jobs; the worker holding queued jobs is killed
-// and its jobs must complete on the survivor with rankings identical to
-// a single-node run.
+// and its jobs must complete on the survivor with manifests identical
+// to a single-node run.
 func TestClusterEndToEnd(t *testing.T) {
 	cs := newClusterStack(t, 2,
 		ClusterConfig{HeartbeatTimeout: 5 * time.Second, TenantQuota: 0},
@@ -310,7 +308,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("job A was not rerouted after worker death: %+v", jA)
 	}
 
-	want := singleNodeRanking(t, cs, req)
+	want := singleNodeManifest(t, cs, req)
 	for _, id := range []string{idA, idB, idC} {
 		j := waitClusterJob(t, cs, id, onlySurvivor)
 		if j.State != StateDone {
@@ -319,34 +317,14 @@ func TestClusterEndToEnd(t *testing.T) {
 		if j.Worker != survivor.agent.cfg.ID {
 			t.Errorf("job %s finished on %q, want survivor %q", id, j.Worker, survivor.agent.cfg.ID)
 		}
-		// Bit-identity: the surviving worker's in-process ranking must
-		// match the single-node baseline exactly.
+		// Bit-identity: the manifest the coordinator serves for the job
+		// must match the single-node baseline's exactly.
 		if id == idC {
 			continue // different lake, same data — checked for doneness only
 		}
-		wj := survivor.svc.jobByID(j.WorkerJob)
-		if wj == nil {
-			t.Fatalf("worker job %s missing on survivor", j.WorkerJob)
+		if got := servedManifest(t, cs.coordTS.URL, id); got != want {
+			t.Errorf("job %s manifest diverged from single-node run:\ncluster: %s\nsingle:  %s", id, got, want)
 		}
-		if got := rankingKey(wj.result.Ranking); got != want {
-			t.Errorf("job %s ranking diverged from single-node run:\ncluster: %s\nsingle:  %s", id, got, want)
-		}
-	}
-
-	// The coordinator replicated the job store to the survivor.
-	snap := survivor.agent.Replica()
-	if snap == nil {
-		t.Fatal("survivor holds no job-store replica")
-	}
-	var doc struct {
-		Proto string `json:"proto"`
-		Jobs  []json.RawMessage
-	}
-	if err := json.Unmarshal(snap, &doc); err != nil {
-		t.Fatalf("replica is not valid JSON: %v", err)
-	}
-	if doc.Proto != ProtoVersion {
-		t.Fatalf("replica proto %q, want %q", doc.Proto, ProtoVersion)
 	}
 
 	// Cluster metrics recorded the death and reroute.
@@ -913,41 +891,6 @@ func TestJobFailsWhenOwnerRefusesLake(t *testing.T) {
 	}
 }
 
-// lastEvent returns the newest journal event of the given type.
-func lastEvent(t *testing.T, cs *clusterStack, typ string) telemetry.Event {
-	t.Helper()
-	events := cs.coord.Events().Events()
-	for i := len(events) - 1; i >= 0; i-- {
-		if events[i].Type == typ {
-			return events[i]
-		}
-	}
-	t.Fatalf("no %s event in the journal", typ)
-	return telemetry.Event{}
-}
-
-// TestReplicationReachesRejoinedWorker covers a worker that was dead
-// while the store changed: the first sweep after it rejoins hands it the
-// current snapshot, although the store did not change again.
-func TestReplicationReachesRejoinedWorker(t *testing.T) {
-	cs := newClusterStack(t, 2, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
-	cs.clock.advance(6 * time.Second)
-	cs.heartbeatAll(t, map[string]bool{"worker-a": true})
-	cs.coord.Sweep() // worker-b is dead
-	postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir}, nil)
-	cs.coord.Sweep()
-	b := cs.workerByID("worker-b")
-	if b.agent.Replica() != nil {
-		t.Fatal("dead worker-b received a replica")
-	}
-
-	cs.heartbeatAll(t, nil) // worker-b rejoins
-	cs.coord.Sweep()
-	if got, want := b.agent.Replica(), cs.coord.Store().Snapshot(); !bytes.Equal(got, want) {
-		t.Fatalf("rejoined worker-b replica:\n%s\nwant the current store:\n%s", got, want)
-	}
-}
-
 // TestCoordinatorRejectsUnpersistedRecords points the coordinator's
 // store at a directory that does not exist. A lake registration and a
 // submission then answer 503 and leave nothing behind, since a restart
@@ -1003,33 +946,33 @@ func TestCoordinatorRejectsUnpersistedRecords(t *testing.T) {
 	}
 }
 
-// TestReplicationRetriesFailedPush covers a worker whose replica path
-// cannot be written: it answers 500, is not counted in the
-// replication_push event, and a later sweep writes the file once the
-// path works, although the store did not change again.
-func TestReplicationRetriesFailedPush(t *testing.T) {
-	cs := newClusterStack(t, 2, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
-	path := filepath.Join(t.TempDir(), "missing", "replica.json")
-	cs.workerByID("worker-b").agent.cfg.ReplicaPath = path
-	postJSON(t, cs.coordTS.URL+"/v1/lakes", StoredLake{ID: "lake-001", Dir: cs.dir}, nil)
-
-	cs.coord.Sweep()
-	if ev := lastEvent(t, cs, telemetry.EventReplicationPush); !strings.Contains(ev.Detail, "pushed to 1 workers") {
-		t.Errorf("replication_push %q counts the failed push to worker-b", ev.Detail)
-	}
-	if _, err := os.Stat(path); err == nil {
-		t.Fatal("replica file exists under a missing directory")
-	}
-
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	cs.coord.Sweep()
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("later sweep did not retry the failed push: %v", err)
-	}
-	if want := cs.coord.Store().Snapshot(); !bytes.Equal(got, want) {
-		t.Errorf("replica file:\n%s\nwant the current store:\n%s", got, want)
+// TestWorkerServesNoStoreOrInfo checks that a worker no longer serves
+// the routes that carried the coordinator's job-store replica and its
+// identity document for static seeding: the coordinator's file is the
+// one job store and workers join by heartbeat alone, so each answers
+// 404.
+func TestWorkerServesNoStoreOrInfo(t *testing.T) {
+	cs := newClusterStack(t, 1, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
+	const prefix = "/cluster/v1/"
+	for _, tc := range []struct {
+		method, route string
+		body          io.Reader
+	}{
+		{http.MethodGet, "info", nil},
+		{http.MethodPost, "jobstore", strings.NewReader(`{"proto":"autofeat/cluster/v1"}`)},
+		{http.MethodGet, "jobstore", nil},
+	} {
+		hr, err := http.NewRequest(tc.method, cs.workers[0].ts.URL+prefix+tc.route, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s%s on a worker: status %d, want 404", tc.method, prefix, tc.route, resp.StatusCode)
+		}
 	}
 }

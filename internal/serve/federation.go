@@ -11,7 +11,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 
@@ -23,7 +25,9 @@ import (
 // (GET /cluster/v1/telemetry) and retains the latest per worker; the
 // federated /v1/cluster/metrics endpoint renders these without
 // touching the workers on the scrape path. Snapshots of workers that
-// later die are retained for postmortem reading.
+// later die are retained for postmortem reading. A refused reply counts
+// in cluster.telemetry_errors and leaves the worker's previous snapshot
+// in place.
 func (c *Coordinator) pullTelemetry(ctx context.Context) {
 	mx := c.cfg.Collector.Meter()
 	for _, w := range c.alive() {
@@ -33,18 +37,73 @@ func (c *Coordinator) pullTelemetry(ctx context.Context) {
 			c.log.Warn("cluster telemetry pull failed", "worker", w.ID, "error", err)
 			continue
 		}
-		var msg telemetryMsg
-		err = json.Unmarshal(rep.body, &msg)
-		if err != nil || rep.status != http.StatusOK || CheckProto(msg.Proto) != nil || msg.Snapshot == nil {
+		snap, err := decodeTelemetry(rep.status, rep.body)
+		if err != nil {
 			mx.Inc(telemetry.CtrClusterTelemetryErrors)
 			c.log.Warn("cluster telemetry pull rejected", "worker", w.ID, "status", rep.status, "error", err)
 			continue
 		}
 		mx.Inc(telemetry.CtrClusterTelemetryPulls)
 		c.snapMu.Lock()
-		c.workerSnaps[w.ID] = msg.Snapshot
+		c.workerSnaps[w.ID] = snap
 		c.snapMu.Unlock()
 	}
+}
+
+// decodeTelemetry reads one worker's telemetry reply and refuses it
+// unless it is a 200 telemetryMsg of this protocol version carrying a
+// snapshot whose every histogram renders as a valid Prometheus
+// exposition.
+func decodeTelemetry(status int, body []byte) (*telemetry.Snapshot, error) {
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("status %d", status)
+	}
+	var msg telemetryMsg
+	if err := json.Unmarshal(body, &msg); err != nil {
+		return nil, err
+	}
+	if err := CheckProto(msg.Proto); err != nil {
+		return nil, err
+	}
+	if msg.Snapshot == nil {
+		return nil, errors.New("no snapshot")
+	}
+	for name, h := range msg.Snapshot.Histograms {
+		if err := checkHistogram(h); err != nil {
+			return nil, fmt.Errorf("histogram %s: %w", name, err)
+		}
+	}
+	return msg.Snapshot, nil
+}
+
+// checkHistogram holds a histogram to what its cumulative buckets need:
+// one count per bound plus the overflow bucket, bounds strictly
+// ascending with no NaN, and counts that are not negative and sum to
+// Count. A histogram breaking any of these would render buckets that go
+// down or do not end at its _count.
+func checkHistogram(h telemetry.HistogramSnapshot) error {
+	if len(h.Counts) != len(h.Bounds)+1 {
+		return fmt.Errorf("%d counts for %d bounds", len(h.Counts), len(h.Bounds))
+	}
+	for i, b := range h.Bounds {
+		if math.IsNaN(b) || (i > 0 && b <= h.Bounds[i-1]) {
+			return fmt.Errorf("bound %d (%g) is NaN or not above the one before", i, b)
+		}
+	}
+	if h.Count < 0 {
+		return fmt.Errorf("negative count %d", h.Count)
+	}
+	var sum int64
+	for i, n := range h.Counts {
+		if n < 0 || n > h.Count-sum {
+			return fmt.Errorf("bucket %d count %d is negative or takes the sum past count %d", i, n, h.Count)
+		}
+		sum += n
+	}
+	if sum != h.Count {
+		return fmt.Errorf("bucket counts sum to %d, not count %d", sum, h.Count)
+	}
+	return nil
 }
 
 // nodeSnapshots assembles the federated rendering input: the

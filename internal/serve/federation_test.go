@@ -11,11 +11,17 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"autofeat/internal/obsrv"
 	"autofeat/internal/telemetry"
 )
 
@@ -370,5 +376,152 @@ func TestJobStoreRetention(t *testing.T) {
 	counts := s.StateCounts()
 	if counts[StateDone]+counts[StateFailed] != 2 {
 		t.Errorf("terminal docs after retention: %v, want exactly 2", counts)
+	}
+}
+
+// checkExposition walks a Prometheus text exposition and fails the test
+// when a histogram series' cumulative buckets go down, or when its
+// +Inf bucket differs from the _count line that follows its _sum.
+func checkExposition(t *testing.T, text string) {
+	t.Helper()
+	var prev, inf int64
+	var series string
+	inBuckets, wantCount := false, false
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if strings.HasPrefix(line, "#") {
+			inBuckets, wantCount = false, false
+			continue
+		}
+		at := strings.LastIndexByte(line, ' ')
+		if at < 0 {
+			t.Fatalf("exposition line without a value: %q", line)
+		}
+		key, raw := line[:at], line[at+1:]
+		name, labels, _ := strings.Cut(key, "{")
+		if strings.HasSuffix(name, "_bucket") && strings.Contains(labels, `le="`) {
+			v, err := strconv.ParseInt(raw, 10, 64)
+			if err != nil {
+				t.Fatalf("bucket line %q: %v", line, err)
+			}
+			id := name + "{" + labels[:strings.Index(labels, `le="`)]
+			if inBuckets && id == series && v < prev {
+				t.Fatalf("cumulative bucket goes down from %d to %d: %q\n%s", prev, v, line, text)
+			}
+			inBuckets, series, prev = true, id, v
+			if strings.Contains(labels, `le="+Inf"`) {
+				inBuckets, wantCount, inf = false, true, v
+			}
+			continue
+		}
+		if wantCount && strings.HasSuffix(name, "_count") {
+			if raw != strconv.FormatInt(inf, 10) {
+				t.Fatalf("+Inf bucket %d, but %q\n%s", inf, line, text)
+			}
+			wantCount = false
+		}
+	}
+}
+
+// coordinatorSnapshot is a coordinator's own registry with one
+// histogram observed, for merging and rendering beside a worker reply.
+func coordinatorSnapshot() *telemetry.Snapshot {
+	c := telemetry.New()
+	for _, v := range []float64{0.001, 0.2, 3, 30} {
+		c.Meter().Observe(telemetry.HistTimeToResultSeconds, v)
+	}
+	c.Meter().Inc(telemetry.CtrClusterDispatches)
+	return c.Snapshot()
+}
+
+// FuzzTelemetryReply feeds arbitrary bytes to the coordinator's reading
+// of a worker's GET /cluster/v1/telemetry reply. Any reply is either
+// refused, or it merges into the status rollup through Snapshot.Merge
+// and renders in the federated exposition through WritePrometheusNodes
+// without panicking, with cumulative buckets that never go down and end
+// at each histogram's count.
+func FuzzTelemetryReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		snap, err := decodeTelemetry(http.StatusOK, body)
+		if err != nil {
+			return
+		}
+		own := coordinatorSnapshot()
+		merged := &telemetry.Snapshot{}
+		merged.Merge(own)
+		merged.Merge(snap)
+		var buf bytes.Buffer
+		nodes := []obsrv.NodeSnapshot{{Node: coordinatorNode, Snap: own}, {Node: "worker-a", Snap: snap}}
+		if err := obsrv.WritePrometheusNodes(&buf, nodes); err != nil {
+			t.Fatal(err)
+		}
+		checkExposition(t, buf.String())
+	})
+}
+
+// TestRefusedTelemetryReplyKeepsSnapshot serves the coordinator a valid
+// telemetry reply, then each of the seed corpus's invalid ones, such as
+// bounds [1,2] with counts [5,5,5] and count 3, which would render a
+// +Inf bucket below the buckets before it. Each invalid reply counts in
+// cluster.telemetry_errors, and the worker's valid snapshot stays in
+// the federated exposition.
+func TestRefusedTelemetryReplyKeepsSnapshot(t *testing.T) {
+	cs := newClusterStack(t, 0, ClusterConfig{HeartbeatTimeout: 5 * time.Second}, Config{Workers: 1})
+	var reply atomic.Pointer[[]byte]
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(*reply.Load())
+	}))
+	t.Cleanup(worker.Close)
+	cs.coord.observeHeartbeat(heartbeatMsg{Proto: ProtoVersion, ID: "worker-a", Addr: worker.URL})
+
+	corpus := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzTelemetryReply", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "[]byte(")
+		s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("corpus entry %s: %v", name, err)
+		}
+		return []byte(s)
+	}
+	scrape := func() string {
+		resp, err := http.Get(cs.coordTS.URL + "/v1/cluster/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	errorsNow := func() int64 {
+		return cs.coord.cfg.Collector.Snapshot().Counters[telemetry.CtrClusterTelemetryErrors]
+	}
+	const kept = `autofeat_serve_time_to_result_seconds_bucket{node="worker-a",le="2"} 3`
+
+	valid := corpus("valid")
+	reply.Store(&valid)
+	cs.coord.Sweep()
+	want := scrape()
+	if !strings.Contains(want, kept) || errorsNow() != 0 {
+		t.Fatalf("valid reply: %d telemetry errors, exposition without %q:\n%s", errorsNow(), kept, want)
+	}
+	checkExposition(t, want)
+
+	for _, name := range []string{"buckets_go_down", "short_counts", "negative_count", "descending_bounds", "nan_bound"} {
+		bad := corpus(name)
+		reply.Store(&bad)
+		before := errorsNow()
+		cs.coord.Sweep()
+		if got := errorsNow(); got != before+1 {
+			t.Errorf("%s: cluster.telemetry_errors went %d -> %d, want one more", name, before, got)
+		}
+		if got := scrape(); !strings.Contains(got, kept) {
+			t.Errorf("%s: the worker's valid snapshot was replaced:\n%s", name, got)
+		}
 	}
 }

@@ -1,14 +1,13 @@
 package serve
 
-// The replicated JSON job store behind the cluster coordinator: every
-// accepted discovery job (and every registered lake) is recorded here
-// before it is dispatched to a worker, so a queued job survives the
-// death of the worker it was routed to — the coordinator re-dispatches
-// it to the lake's next owner. The store is a plain JSON document:
-// persisted atomically to disk after every mutation (when a path is
-// configured) and pushed to workers as an opaque snapshot, so a
-// restarted coordinator can recover its queue from its own file or from
-// any worker's replica.
+// The JSON job store behind the cluster coordinator: every accepted
+// discovery job (and every registered lake) is recorded here before it
+// is dispatched to a worker, so a queued job survives the death of the
+// worker it was routed to — the coordinator re-dispatches it to the
+// lake's next owner. The store is a plain JSON document, persisted
+// atomically to the coordinator's file after every mutation (when a
+// path is configured). That file is the store's one durable copy: a
+// restarted coordinator recovers its queue from it.
 
 import (
 	"encoding/json"
@@ -20,7 +19,8 @@ import (
 )
 
 // ProtoVersion is the cluster wire-protocol version stamped into every
-// inter-node message (heartbeats, job-store snapshots, worker info).
+// inter-node message (heartbeats, telemetry and trace replies) and into
+// the job-store file.
 // Nodes reject messages from a different major version; within one
 // major version, compatibility rule is additive-only: new optional JSON
 // fields may appear and must be ignored when unknown.
@@ -108,7 +108,8 @@ type StoredJob struct {
 	Error string `json:"error,omitempty"`
 }
 
-// storeDoc is the on-disk / on-the-wire layout of the job store.
+// storeDoc is the layout of the job-store file and of GET
+// /cluster/v1/jobs.
 type storeDoc struct {
 	Proto    string        `json:"proto"`
 	NextJob  int           `json:"next_job"`
@@ -117,10 +118,9 @@ type storeDoc struct {
 	Jobs     []*StoredJob  `json:"jobs"`
 }
 
-// JobStore is the coordinator's replicated job/lake registry. All
-// methods are safe for concurrent use; every mutation bumps an internal
-// version counter (the replication trigger) and, when the store was
-// opened with a path, atomically rewrites the JSON file.
+// JobStore is the coordinator's job/lake registry. All methods are safe
+// for concurrent use; every mutation bumps a version counter and, when
+// the store was opened with a path, atomically rewrites the JSON file.
 type JobStore struct {
 	mu          sync.Mutex
 	path        string
@@ -239,8 +239,8 @@ func (s *JobStore) doc() storeDoc {
 	return doc
 }
 
-// Snapshot serialises the whole store as one JSON document — the
-// replication payload and the GET /cluster/v1/jobs body.
+// Snapshot serialises the whole store as one JSON document — the GET
+// /cluster/v1/jobs body.
 func (s *JobStore) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -248,8 +248,8 @@ func (s *JobStore) Snapshot() []byte {
 	return b
 }
 
-// Version reports the store's mutation counter; the coordinator
-// replicates whenever it observes a change.
+// Version reports the store's mutation counter, which the cluster
+// status document shows.
 func (s *JobStore) Version() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

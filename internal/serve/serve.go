@@ -126,12 +126,14 @@ type job struct {
 	state           string
 	err             string
 	cancelRequested bool
-	result          *lake.Result
-	hitsBefore      int64
-	missesBefore    int64
-	submitted       time.Time
-	started         time.Time
-	finished        time.Time
+	// result and manifest are what a job that ended done or cancelled
+	// keeps of its *lake.Result: its rendered result section and its
+	// provenance manifest. A failed job has neither.
+	result    *resultDoc
+	manifest  *core.Manifest
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
 }
 
 // New builds a Service. Mount it on an obsrv.Server to expose the REST
@@ -620,7 +622,6 @@ func (s *Service) runJob(ctx context.Context, j *job, l *lake.Lake) {
 	j.mu.Lock()
 	j.state = StateRunning
 	j.started = time.Now()
-	j.hitsBefore, j.missesBefore = hits, misses
 	cfg := *j.req.Config
 	cfg.Progress = prog
 	j.req.Config = &cfg
@@ -638,11 +639,11 @@ func (s *Service) runJob(ctx context.Context, j *job, l *lake.Lake) {
 		s.log.Warn("discovery failed", "id", j.id, "trace_id", j.traceID, "error", err)
 	case j.cancelRequested:
 		j.state = StateCancelled
-		j.result = res
+		j.result, j.manifest = renderResult(res, hits, misses), res.Manifest
 		s.log.Info("discovery cancelled", "id", j.id, "trace_id", j.traceID, "paths", len(res.Ranking.Paths))
 	default:
 		j.state = StateDone
-		j.result = res
+		j.result, j.manifest = renderResult(res, hits, misses), res.Manifest
 		s.log.Info("discovery finished", "id", j.id, "trace_id", j.traceID,
 			"paths", len(res.Ranking.Paths), "partial", res.Ranking.Partial,
 			"warm_graph", res.WarmGraph, "duration", j.finished.Sub(j.started))
@@ -677,6 +678,38 @@ type resultDoc struct {
 	CacheMisses      int64   `json:"cache_misses"`
 	CacheHitsDelta   int64   `json:"cache_hits_delta"`
 	CacheMissesDelta int64   `json:"cache_misses_delta"`
+}
+
+// renderResult renders the result section of a finished job once, from
+// its result and the lake's key-index cache counters read when the job
+// started. The job keeps the section, not the result, so neither the
+// best path's table nor the full ranking outlives the job's run.
+func renderResult(r *lake.Result, hitsBefore, missesBefore int64) *resultDoc {
+	rd := &resultDoc{
+		Paths:            len(r.Ranking.Paths),
+		Explored:         r.Ranking.PathsExplored,
+		Pruned:           r.Ranking.Prune.Total(),
+		Partial:          r.Ranking.Partial,
+		PartialReason:    r.Ranking.PartialReason,
+		SelectionSeconds: r.Ranking.SelectionTime.Seconds(),
+		GraphNodes:       r.GraphNodes,
+		GraphEdges:       r.GraphEdges,
+		WarmGraph:        r.WarmGraph,
+		CacheHits:        r.CacheHits,
+		CacheMisses:      r.CacheMisses,
+		CacheHitsDelta:   r.CacheHits - hitsBefore,
+		CacheMissesDelta: r.CacheMisses - missesBefore,
+	}
+	if a := r.Augment; a != nil {
+		rd.Partial = a.Partial
+		rd.PartialReason = a.PartialReason
+		rd.BestPath = a.Best.Path.String()
+		rd.BestAccuracy = a.Best.Eval.Accuracy
+		rd.BestAUC = a.Best.Eval.AUC
+		rd.Evaluated = len(a.Evaluated)
+		rd.TotalSeconds = a.TotalTime.Seconds()
+	}
+	return rd
 }
 
 // jobDoc is the GET /v1/discoveries/{id} document.
@@ -718,33 +751,7 @@ func (j *job) doc() jobDoc {
 	if !j.finished.IsZero() {
 		d.FinishedUnixMS = j.finished.UnixMilli()
 	}
-	if r := j.result; r != nil {
-		rd := &resultDoc{
-			Paths:            len(r.Ranking.Paths),
-			Explored:         r.Ranking.PathsExplored,
-			Pruned:           r.Ranking.Prune.Total(),
-			Partial:          r.Ranking.Partial,
-			PartialReason:    r.Ranking.PartialReason,
-			SelectionSeconds: r.Ranking.SelectionTime.Seconds(),
-			GraphNodes:       r.GraphNodes,
-			GraphEdges:       r.GraphEdges,
-			WarmGraph:        r.WarmGraph,
-			CacheHits:        r.CacheHits,
-			CacheMisses:      r.CacheMisses,
-			CacheHitsDelta:   r.CacheHits - j.hitsBefore,
-			CacheMissesDelta: r.CacheMisses - j.missesBefore,
-		}
-		if a := r.Augment; a != nil {
-			rd.Partial = a.Partial
-			rd.PartialReason = a.PartialReason
-			rd.BestPath = a.Best.Path.String()
-			rd.BestAccuracy = a.Best.Eval.Accuracy
-			rd.BestAUC = a.Best.Eval.AUC
-			rd.Evaluated = len(a.Evaluated)
-			rd.TotalSeconds = a.TotalTime.Seconds()
-		}
-		d.Result = rd
-	}
+	d.Result = j.result
 	return d
 }
 
@@ -784,10 +791,7 @@ func (s *Service) handleJobManifest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	var m *core.Manifest
-	if j.result != nil {
-		m = j.result.Manifest
-	}
+	m := j.manifest
 	j.mu.Unlock()
 	if m == nil {
 		writeError(w, http.StatusConflict, "job has no result yet")
@@ -832,8 +836,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // Request-body caps, answered 413 when exceeded: maxBulkBodyBytes for
-// the bodies that carry bulk data (table upserts, replicated job-store
-// snapshots), maxBodyBytes for every other JSON body.
+// table upserts, the one body that carries bulk data, and maxBodyBytes
+// for every other JSON body.
 const (
 	maxBodyBytes     = 1 << 20
 	maxBulkBodyBytes = 64 << 20

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -281,7 +281,7 @@ func TestSubmitRejectsRemovedFields(t *testing.T) {
 // TestConcurrentJobsShareCaches is the cross-request caching invariant,
 // end to end: two overlapping jobs against one lake session race freely
 // (run under -race), a follow-up job sees warm cache hits, and every
-// served ranking is bit-identical to a cold single-process run.
+// served manifest is bit-identical to a cold single-process run's.
 func TestConcurrentJobsShareCaches(t *testing.T) {
 	st := newStack(t, Config{Workers: 2, QueueDepth: 8})
 	req := submitRequest{Lake: "lake-test", Base: st.ds.Base.Name(), Label: st.ds.Label}
@@ -321,23 +321,42 @@ func TestConcurrentJobsShareCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rankingKey(cold.Ranking)
+	want := manifestKey(t, cold.Manifest)
 	for _, id := range []string{a.ID, b.ID, c.ID} {
-		j := st.svc.jobByID(id)
-		if got := rankingKey(j.result.Ranking); got != want {
-			t.Errorf("job %s ranking diverged from cold run:\nserved: %s\ncold:   %s", id, got, want)
+		if got := servedManifest(t, st.ts.URL, id); got != want {
+			t.Errorf("job %s manifest diverged from cold run:\nserved: %s\ncold:   %s", id, got, want)
 		}
 	}
 }
 
-// rankingKey flattens the deterministic parts of a ranking for
-// bit-identical comparison across processes and cache temperatures.
-func rankingKey(r *core.Ranking) string {
-	s := fmt.Sprintf("explored=%d pruned=%d;", r.PathsExplored, r.Prune.Discarded())
-	for _, p := range r.Paths {
-		s += fmt.Sprintf("%s score=%.17g quality=%.17g features=%v;", p, p.Score, p.Quality, p.Features)
+// manifestKey renders a manifest as JSON without its timing fields
+// (created_unix_ms, selection_seconds, total_seconds) and without the
+// run and trace ids a served run stamps on it. What is left — the
+// config, the graph inventory, paths_explored, pruned, every path's
+// lineage, features and score bits, and any model outcomes — must be
+// bit-identical across processes, cache temperatures and cluster
+// placement.
+func manifestKey(t *testing.T, m *core.Manifest) string {
+	t.Helper()
+	cp := *m
+	cp.CreatedUnixMS, cp.SelectionSeconds, cp.TotalSeconds = 0, 0, 0
+	cp.RunID, cp.TraceID = "", ""
+	b, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s
+	return string(b)
+}
+
+// servedManifest reads GET /v1/discoveries/{id}/manifest from a node and
+// returns its manifestKey.
+func servedManifest(t *testing.T, baseURL, id string) string {
+	t.Helper()
+	var m core.Manifest
+	if r := getJSON(t, baseURL+"/v1/discoveries/"+id+"/manifest", &m); r.StatusCode != http.StatusOK {
+		t.Fatalf("manifest of job %s: status %d", id, r.StatusCode)
+	}
+	return manifestKey(t, &m)
 }
 
 // TestQueueFullRejects holds the only scheduler slot so admission is
@@ -462,5 +481,51 @@ func TestManifestBeforeResult(t *testing.T) {
 		submitRequest{Lake: "lake-test", Base: st.ds.Base.Name(), Label: st.ds.Label}, &sub)
 	if r := getJSON(t, st.ts.URL+"/v1/discoveries/"+sub.ID+"/manifest", nil); r.StatusCode != http.StatusConflict {
 		t.Errorf("manifest on queued job: status %d, want 409", r.StatusCode)
+	}
+}
+
+// heapPerFinishedJob runs n jobs of the given model one after another on
+// a warm lake and returns how many bytes the heap after GC grew per job.
+// A warm-up job first pays for the lake's DRG and key indexes, so what
+// is left is what the service keeps of each finished job.
+func heapPerFinishedJob(t *testing.T, model string, n int) float64 {
+	t.Helper()
+	st := newStack(t, Config{Workers: 1})
+	req := submitRequest{Lake: "lake-test", Base: st.ds.Base.Name(), Label: st.ds.Label, Model: model}
+	run := func() {
+		var sub struct {
+			ID string `json:"id"`
+		}
+		postJSON(t, st.ts.URL+"/v1/discoveries", req, &sub)
+		if doc := waitState(t, st.ts.URL, sub.ID); doc.State != StateDone {
+			t.Fatalf("job %s state %s (error %q), want done", sub.ID, doc.State, doc.Error)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run()
+	before := heap()
+	for i := 0; i < n; i++ {
+		run()
+	}
+	return (float64(heap()) - float64(before)) / float64(n)
+}
+
+// TestFinishedJobsKeepLittleHeap bounds what a finished job costs the
+// service's heap: its job document, manifest and run progress, not its
+// materialised best table or full ranking. 50 lightgbm jobs must grow
+// the heap after GC by at most 16 KB per job; keeping each job's whole
+// result cost about 59 KB.
+func TestFinishedJobsKeepLittleHeap(t *testing.T) {
+	const jobs, maxPerJob = 50, 16 << 10
+	if got := heapPerFinishedJob(t, "lightgbm", jobs); got > maxPerJob {
+		t.Errorf("heap after GC grew %.0f bytes per finished lightgbm job, want at most %d", got, maxPerJob)
+	} else {
+		t.Logf("heap after GC grew %.0f bytes per finished lightgbm job", got)
 	}
 }

@@ -13,7 +13,7 @@ const DefaultEventLogSize = 256
 // Event is one structured entry in the cluster event journal: a
 // membership or scheduling transition worth surfacing to operators
 // (worker join/death, job reroute, dispatch retry, quota rejection,
-// replication push). Type is one of the Event* constants.
+// retention eviction). Type is one of the Event* constants.
 type Event struct {
 	Seq        int64  `json:"seq"`
 	TimeUnixMS int64  `json:"time_unix_ms"`

@@ -222,9 +222,6 @@ const (
 	// EventQuotaRejected records a submission rejected with 429 because
 	// the tenant was at its in-flight quota.
 	EventQuotaRejected = "quota_rejected"
-	// EventReplicationPush records one job-store snapshot replication
-	// round to the alive workers.
-	EventReplicationPush = "replication_push"
 	// EventJobsEvicted records terminal job documents evicted by the
 	// store's retention cap.
 	EventJobsEvicted = "jobs_evicted"
